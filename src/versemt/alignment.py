@@ -48,11 +48,13 @@ class TranslationTable:
 
     The source vocabulary includes NULL_TOKEN. ``log_likelihood_history``
     records the corpus log-likelihood observed during each E-step (one entry
-    per EM iteration, non-decreasing).
+    per EM iteration, non-decreasing). ``params`` is the positional prior the
+    table was trained with, when known.
     """
 
     probs: dict[str, dict[str, float]]
     log_likelihood_history: tuple[float, ...] = ()
+    params: DiagonalParams | None = None
 
     def prob(self, source_word: str, target_word: str) -> float:
         return self.probs.get(source_word, {}).get(target_word, 0.0)
@@ -127,7 +129,7 @@ def train_em(
             total = totals[e]
             table[e] = {f: c / total for f, c in sorted(target_counts.items())}
         history.append(log_likelihood)
-    return TranslationTable(probs=table, log_likelihood_history=tuple(history))
+    return TranslationTable(probs=table, log_likelihood_history=tuple(history), params=params)
 
 
 def viterbi_align(
@@ -176,15 +178,28 @@ def save_table(
     atomic_write_lines(path, lines)
 
 
+def _parse_header(line: str, where: str) -> DiagonalParams:
+    fields = dict(item.partition("=")[::2] for item in line[1:].split("\t"))
+    try:
+        return DiagonalParams(tension=float(fields["lambda"]), null_prob=float(fields["p0"]))
+    except (KeyError, ValueError):
+        raise MalformedLine(f"{where}: bad parameter header {line!r}") from None
+
+
 def load_table(path: str | Path) -> TranslationTable:
+    """Read a table; ``params`` comes from the ``#lambda=`` header, if present."""
     probs: dict[str, dict[str, float]] = {}
+    params = None
     with Path(path).open(encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
+            if lineno == 1 and line.startswith("#lambda="):
+                params = _parse_header(line, f"{path}:1")
+                continue
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
                 raise MalformedLine(f"{path}:{lineno}: expected `source<TAB>target<TAB>prob`")
             probs.setdefault(fields[0], {})[fields[1]] = float(fields[2])
-    return TranslationTable(probs=probs)
+    return TranslationTable(probs=probs, params=params)

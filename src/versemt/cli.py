@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
-from .errors import CycleDetected, PipelineError, StageFailed, UsageError
+from .errors import CycleDetected, ParamsMismatch, PipelineError, StageFailed, UsageError
 from .fileio import atomic_write_lines, atomic_write_text
 
 log = logging.getLogger("versemt")
@@ -187,13 +187,19 @@ def _cmd_lex_filter(args: argparse.Namespace) -> int:
 def _cmd_lex_build(args: argparse.Namespace) -> int:
     seed_list = [line for line in _read_lines(args.seed_list) if line.strip()]
     parallel = corpus.read_corpus_dir(args.corpus)
-    aligners = {
-        path.stem: alignment.load_table(path)
-        for path in sorted(Path(args.aligners).glob("*.tsv"))
-    }
-    table = lexicon.assemble_table(
-        seed_list, parallel, aligners, _diag_params(args), min_votes=args.min_votes
-    )
+    params = _diag_params(args)
+    aligners = {}
+    for path in sorted(Path(args.aligners).glob("*.tsv")):
+        aligner = alignment.load_table(path)
+        trained = aligner.params
+        if trained is not None and trained != params:
+            raise ParamsMismatch(
+                f"{path}: trained with lambda={trained.tension} p0={trained.null_prob}, but "
+                f"lex-build decodes with lambda={params.tension} p0={params.null_prob}; "
+                "pass matching --tension/--null-prob"
+            )
+        aligners[path.stem] = aligner
+    table = lexicon.assemble_table(seed_list, parallel, aligners, params, min_votes=args.min_votes)
     lexicon.save_lexicon(table, args.out, args.freq_out)
     log.info("lex-build entries=%d languages=%d", len(table), len(table.languages))
     return EXIT_OK

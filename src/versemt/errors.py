@@ -53,6 +53,10 @@ class EmptySentence(PipelineError):
     pass
 
 
+class ParamsMismatch(PipelineError):
+    pass
+
+
 # lexicon
 class EmptyResult(PipelineError):
     pass

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import EmptyCorpus, LengthMismatch, UnresolvedJudgments
-from .fileio import atomic_write_lines
+from .errors import EmptyCorpus, LengthMismatch, MalformedLine, UnresolvedJudgments
+from .fileio import atomic_write_lines, read_json_lines
 from .netag import DecodeTable, check_entity_order
 
 Sentence = Sequence[str] | str
@@ -108,21 +108,20 @@ def judge_sentence(
     Without the human meaning flag the category stays pending-human.
     """
     check = check_entity_order(_tokens(hyp), _tokens(ref), decode)
-    entities_ok = check.set_correct and check.order_correct
+    return _judgment(check.set_correct, check.order_correct, meaning)
+
+
+def _judgment(set_correct: bool, order_correct: bool, meaning: bool | None) -> RubricJudgment:
+    """The rubric's category rules, in one place."""
     if meaning is None:
         category = PENDING_HUMAN
     elif not meaning:
         category = INACCURATE
-    elif entities_ok:
+    elif set_correct and order_correct:
         category = ACCURATE
     else:
         category = ALMOST_ACCURATE
-    return RubricJudgment(
-        set_correct=check.set_correct,
-        order_correct=check.order_correct,
-        meaning_accurate=meaning,
-        category=category,
-    )
+    return RubricJudgment(set_correct, order_correct, meaning, category)
 
 
 def aggregate_rubric(judgments: Sequence[RubricJudgment]) -> dict[str, float]:
@@ -186,28 +185,12 @@ def write_judgments(judgments: Iterable[RubricJudgment], path: str | Path) -> No
 
 def read_judgments(path: str | Path) -> list[RubricJudgment]:
     judgments = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for raw in handle:
-            if not raw.strip():
-                continue
-            record = json.loads(raw)
-            meaning = record.get("meaning")
-            set_correct = bool(record["set_correct"])
-            order_correct = bool(record["order_correct"])
-            if meaning is None:
-                category = PENDING_HUMAN
-            elif not meaning:
-                category = INACCURATE
-            elif set_correct and order_correct:
-                category = ACCURATE
-            else:
-                category = ALMOST_ACCURATE
-            judgments.append(
-                RubricJudgment(
-                    set_correct=set_correct,
-                    order_correct=order_correct,
-                    meaning_accurate=meaning,
-                    category=category,
-                )
-            )
+    for where, record in read_json_lines(path):
+        set_correct, order_correct = record.get("set_correct"), record.get("order_correct")
+        meaning = record.get("meaning")
+        if not (isinstance(set_correct, bool) and isinstance(order_correct, bool)):
+            raise MalformedLine(f"{where}: `set_correct` and `order_correct` must be true or false")
+        if not (meaning is None or isinstance(meaning, bool)):
+            raise MalformedLine(f"{where}: `meaning` must be true, false or null")
+        judgments.append(_judgment(set_correct, order_correct, meaning))
     return judgments

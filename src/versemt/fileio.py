@@ -1,10 +1,15 @@
-"""Atomic file writing helpers used by every stage that produces output."""
+"""Atomic file writing helpers used by every stage that produces output, and
+the shared JSON Lines reader."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterator
+
+from .errors import MalformedLine
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -33,3 +38,22 @@ def atomic_write_lines(path: str | Path, lines: list[str]) -> Path:
     if lines:
         text += "\n"
     return atomic_write_text(path, text)
+
+
+def read_json_lines(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """Yield (``path:line``, record) for every non-blank line of a JSON Lines file.
+
+    Raises MalformedLine, naming the line, unless the line is one JSON object.
+    """
+    with Path(path).open(encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            if not raw.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise MalformedLine(f"{where}: not JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise MalformedLine(f"{where}: expected a JSON object")
+            yield where, record

@@ -5,9 +5,9 @@ from __future__ import annotations
 import logging
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 
 from .alignment import DiagonalParams, TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, registry_order, tokenize
@@ -23,6 +23,11 @@ SEED_LANGUAGE = "en"
 # collect one vote, so they are accepted at a single consistent vote.
 DEFAULT_MIN_VOTES = 2
 
+P = TypeVar("P")
+
+# Trie-node key holding a surface's payload; never equal to a token.
+_PAYLOAD = object()
+
 
 @dataclass
 class LexiconEntry:
@@ -34,10 +39,12 @@ class LexiconEntry:
         return self.surfaces.get(lang, "")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LexiconTable:
     entries: tuple[LexiconEntry, ...]
     languages: tuple[str, ...]
+    # Per-language SurfaceIndex, built by the first lookup_rows call.
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -78,25 +85,46 @@ def filter_seed_list(raw: Iterable[str], stoplist: Iterable[str] = ()) -> list[s
     return sorted(by_fold.values())
 
 
-def _scan_spans(tokens: Sequence[str], surface_tokens: tuple[str, ...]) -> list[tuple[int, int]]:
-    """Non-overlapping occurrences of a token sequence, leftmost first."""
-    spans = []
-    width = len(surface_tokens)
-    i = 0
-    while i + width <= len(tokens):
-        if tuple(tokens[i : i + width]) == surface_tokens:
-            spans.append((i, i + width))
-            i += width
-        else:
-            i += 1
-    return spans
+class SurfaceIndex(Generic[P]):
+    """Token trie for leftmost-longest, case-sensitive, non-overlapping matches.
+
+    Built from (surface tokens, payload) pairs in order; on a duplicate surface
+    the first payload wins. Read-only once built, so threads may share it.
+    """
+
+    def __init__(self, surfaces: Iterable[tuple[Sequence[str], P]]) -> None:
+        self._root: dict = {}
+        for surface_tokens, payload in surfaces:
+            if not surface_tokens:
+                raise ValueError("a surface needs at least one token")
+            node = self._root
+            for token in surface_tokens:
+                node = node.setdefault(token, {})
+            node.setdefault(_PAYLOAD, payload)
+
+    def scan(self, tokens: Sequence[str]) -> list[tuple[int, int, P]]:
+        """(start, end, payload) of each match, ordered by start."""
+        matches: list[tuple[int, int, P]] = []
+        i, n = 0, len(tokens)
+        while i < n:
+            node, j, longest = self._root.get(tokens[i]), i + 1, None
+            while node is not None:
+                if _PAYLOAD in node:
+                    longest = (i, j, node[_PAYLOAD])
+                node = node.get(tokens[j]) if j < n else None
+                j += 1
+            if longest:
+                matches.append(longest)
+            i = longest[1] if longest else i + 1
+        return matches
 
 
 def _count_occurrences(texts: Iterable[Sequence[str]], surface: str) -> int:
-    surface_tokens = tuple(surface.split())
+    surface_tokens = surface.split()
     if not surface_tokens:
         return 0
-    return sum(len(_scan_spans(tokens, surface_tokens)) for tokens in texts)
+    index = SurfaceIndex([(surface_tokens, surface)])
+    return sum(len(index.scan(tokens)) for tokens in texts)
 
 
 def assemble_table(
@@ -126,11 +154,8 @@ def assemble_table(
     surfaces = [(name, tuple(name.split())) for name in sorted(set(seed))]
     en_spans: list[list[tuple[int, int, int]]] = []  # per entry: (verse_idx, start, end)
     for name, surface_tokens in surfaces:
-        spans = [
-            (v, a, b)
-            for v, tokens in enumerate(en_tokens)
-            for a, b in _scan_spans(tokens, surface_tokens)
-        ]
+        index = SurfaceIndex([(surface_tokens, name)])
+        spans = [(v, a, b) for v, tokens in enumerate(en_tokens) for a, b, _ in index.scan(tokens)]
         en_spans.append(spans)
         if not spans:
             log.warning("SeedNotInCorpus: %r has no occurrence in the English side", name)
@@ -243,32 +268,19 @@ def lookup_rows(
 ) -> list[tuple[tuple[int, int], LexiconEntry]]:
     """Leftmost-longest, case-sensitive, non-overlapping surface matches.
 
-    Returns (token span, entry) pairs ordered by span start.
+    Returns (token span, entry) pairs ordered by span start; the earlier row
+    wins a shared surface. Each language's index is built once per table.
     """
     if lang not in table.languages:
         raise UnknownLanguage(f"language {lang!r} not in lexicon table")
-    by_first: dict[str, list[tuple[tuple[str, ...], LexiconEntry]]] = {}
-    for entry in table.entries:
-        surface = entry.surface(lang)
-        if not surface:
-            continue
-        surface_tokens = tuple(surface.split())
-        by_first.setdefault(surface_tokens[0], []).append((surface_tokens, entry))
-    for candidates in by_first.values():
-        candidates.sort(key=lambda item: -len(item[0]))
-
-    matches: list[tuple[tuple[int, int], LexiconEntry]] = []
-    i = 0
-    while i < len(sentence):
-        for surface_tokens, entry in by_first.get(sentence[i], ()):
-            end = i + len(surface_tokens)
-            if end <= len(sentence) and tuple(sentence[i:end]) == surface_tokens:
-                matches.append(((i, end), entry))
-                i = end
-                break
-        else:
-            i += 1
-    return matches
+    index = table._indexes.get(lang)
+    if index is None:
+        built = SurfaceIndex(
+            (entry.surface(lang).split(), entry) for entry in table.entries if entry.surface(lang)
+        )
+        # Publish only a finished index; concurrent first calls keep the first.
+        index = table._indexes.setdefault(lang, built)
+    return [((start, end), entry) for start, end, entry in index.scan(sentence)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +322,9 @@ def load_lexicon(path: str | Path, freq_path: str | Path | None = None) -> Lexic
         if len(fields) != len(columns) + 1:
             raise MalformedLine(f"{path}:{lineno}: expected {len(columns) + 1} columns")
         surfaces = {lang: cell for lang, cell in zip(columns, fields[1:]) if cell}
+        blank = [lang for lang, cell in surfaces.items() if not cell.split()]
+        if blank:
+            raise MalformedLine(f"{path}:{lineno}: whitespace-only {blank[0]} cell")
         entries.append(LexiconEntry(id=fields[0], surfaces=surfaces, frequency={}))
     by_id = {entry.id: entry for entry in entries}
     if freq_path is not None and Path(freq_path).exists():

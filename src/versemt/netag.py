@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import UnknownPlaceholder
-from .fileio import atomic_write_lines
-from .lexicon import LexiconTable, lookup_rows
+from .errors import MalformedLine, UnknownPlaceholder
+from .fileio import atomic_write_lines, read_json_lines
+from .lexicon import LexiconTable, SurfaceIndex, lookup_rows
 
 log = logging.getLogger(__name__)
 
@@ -49,17 +49,9 @@ def _replace_spans(
     tokens: Sequence[str], spans: Sequence[tuple[tuple[int, int], int]]
 ) -> tuple[str, ...]:
     """Replace each (start, end) token span with its numbered placeholder."""
-    out: list[str] = []
-    by_start = {start: (end, index) for (start, end), index in spans}
-    i = 0
-    while i < len(tokens):
-        if i in by_start:
-            end, index = by_start[i]
-            out.append(placeholder(index))
-            i = end
-        else:
-            out.append(tokens[i])
-            i += 1
+    out = list(tokens)
+    for (start, end), index in sorted(spans, reverse=True):
+        out[start:end] = [placeholder(index)]
     return tuple(out)
 
 
@@ -155,23 +147,6 @@ class EntityJudgment:
     spurious: tuple[str, ...]
 
 
-def _surface_sequence(tokens: Sequence[str], surfaces: list[tuple[str, ...]]) -> list[str]:
-    """Left-to-right, longest-first scan for decode-table surfaces."""
-    ordered = sorted(surfaces, key=len, reverse=True)
-    found: list[str] = []
-    i = 0
-    while i < len(tokens):
-        for surface_tokens in ordered:
-            end = i + len(surface_tokens)
-            if end <= len(tokens) and tuple(tokens[i:end]) == surface_tokens:
-                found.append(" ".join(surface_tokens))
-                i = end
-                break
-        else:
-            i += 1
-    return found
-
-
 def _ordered_diff(seq: list[str], deficit: Counter[str]) -> tuple[str, ...]:
     remaining = Counter(deficit)
     out: list[str] = []
@@ -186,9 +161,10 @@ def check_entity_order(
     hyp: Sequence[str], ref: Sequence[str], decode: DecodeTable
 ) -> EntityJudgment:
     """Compare the multiset and ordering of decode-table entities in hyp vs ref."""
-    surfaces = sorted({tuple(tgt.split()) for _, tgt in decode.mapping.values() if tgt})
-    hyp_seq = _surface_sequence(hyp, surfaces)
-    ref_seq = _surface_sequence(ref, surfaces)
+    surfaces = [tgt.split() for _, tgt in decode.mapping.values()]
+    index = SurfaceIndex((tokens, " ".join(tokens)) for tokens in surfaces if tokens)
+    hyp_seq = [surface for _, _, surface in index.scan(hyp)]
+    ref_seq = [surface for _, _, surface in index.scan(ref)]
     hyp_counts = Counter(hyp_seq)
     ref_counts = Counter(ref_seq)
     return EntityJudgment(
@@ -218,14 +194,20 @@ def write_decode_sidecar(tables: Iterable[DecodeTable], path: str | Path) -> Non
 
 
 def read_decode_sidecar(path: str | Path) -> list[DecodeTable]:
+    """Read a sidecar; MalformedLine names the line of any record that is not
+    ``{"map": {"<index>": {"src": str, "tgt": str}, ...}}``."""
     tables: list[DecodeTable] = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for raw in handle:
-            if not raw.strip():
-                continue
-            record = json.loads(raw)
-            mapping = {
-                int(i): (cell["src"], cell["tgt"]) for i, cell in record.get("map", {}).items()
-            }
-            tables.append(DecodeTable(mapping))
+    for where, record in read_json_lines(path):
+        cells = record.get("map")
+        if not isinstance(cells, dict):
+            raise MalformedLine(f"{where}: `map` must be an object")
+        mapping: dict[int, tuple[str, str]] = {}
+        for key, cell in cells.items():
+            if not PLACEHOLDER_RE.fullmatch(f"$NE{key}"):
+                raise MalformedLine(f"{where}: map key {key!r} is not a placeholder index")
+            src, tgt = (cell.get(k) if isinstance(cell, dict) else None for k in ("src", "tgt"))
+            if not (isinstance(src, str) and isinstance(tgt, str)):
+                raise MalformedLine(f"{where}: map entry {key} needs string `src` and `tgt`")
+            mapping[int(key)] = (src, tgt)
+        tables.append(DecodeTable(mapping))
     return tables

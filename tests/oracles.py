@@ -105,3 +105,89 @@ def least_squares_oracle(xs: list[float], ys: list[float]):
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r_squared
+
+
+def lookup_rows_oracle(table, lang, sentence):
+    """Surface matching as lookup_rows did it before the token trie: a
+    first-token index rebuilt per call, candidates tried longest first."""
+    by_first = {}
+    for entry in table.entries:
+        surface = entry.surface(lang)
+        if not surface:
+            continue
+        surface_tokens = tuple(surface.split())
+        by_first.setdefault(surface_tokens[0], []).append((surface_tokens, entry))
+    for candidates in by_first.values():
+        candidates.sort(key=lambda item: -len(item[0]))
+
+    matches = []
+    i = 0
+    while i < len(sentence):
+        for surface_tokens, entry in by_first.get(sentence[i], ()):
+            end = i + len(surface_tokens)
+            if end <= len(sentence) and tuple(sentence[i:end]) == surface_tokens:
+                matches.append(((i, end), entry))
+                i = end
+                break
+        else:
+            i += 1
+    return matches
+
+
+def surface_sequence_oracle(tokens, surfaces):
+    """Left-to-right, longest-first scan for decode-table surfaces."""
+    ordered = sorted(surfaces, key=len, reverse=True)
+    found = []
+    i = 0
+    while i < len(tokens):
+        for surface_tokens in ordered:
+            end = i + len(surface_tokens)
+            if end <= len(tokens) and tuple(tokens[i:end]) == surface_tokens:
+                found.append(" ".join(surface_tokens))
+                i = end
+                break
+        else:
+            i += 1
+    return found
+
+
+def entity_order_oracle(hyp, ref, targets):
+    """(set_correct, order_correct, missing, spurious) of the target surfaces
+    ``targets`` found in hyp vs ref."""
+    surfaces = sorted({tuple(tgt.split()) for tgt in targets if tgt})
+    hyp_seq = surface_sequence_oracle(hyp, surfaces)
+    ref_seq = surface_sequence_oracle(ref, surfaces)
+
+    def surplus(seq, other):
+        remaining = Counter(seq) - Counter(other)
+        out = []
+        for surface in seq:
+            if remaining[surface] > 0:
+                remaining[surface] -= 1
+                out.append(surface)
+        return tuple(out)
+
+    return (
+        Counter(hyp_seq) == Counter(ref_seq),
+        hyp_seq == ref_seq,
+        surplus(ref_seq, hyp_seq),
+        surplus(hyp_seq, ref_seq),
+    )
+
+
+def count_occurrences_oracle(texts, surface):
+    """Non-overlapping occurrences of one surface, scanning leftmost first."""
+    surface_tokens = tuple(surface.split())
+    if not surface_tokens:
+        return 0
+    width = len(surface_tokens)
+    count = 0
+    for tokens in texts:
+        i = 0
+        while i + width <= len(tokens):
+            if tuple(tokens[i : i + width]) == surface_tokens:
+                count += 1
+                i += width
+            else:
+                i += 1
+    return count

@@ -16,7 +16,7 @@ from versemt.alignment import (
     train_em,
     viterbi_align,
 )
-from versemt.errors import EmptyBitext, EmptySentence
+from versemt.errors import EmptyBitext, EmptySentence, MalformedLine
 
 from oracles import model1_em_oracle
 
@@ -162,3 +162,18 @@ class TestTableIo:
             if not line.startswith("#")
         ]
         assert rows == sorted(rows)
+
+    def test_load_returns_header_params(self, tmp_path):
+        params = DiagonalParams(tension=2.5, null_prob=0.1)
+        table = train_em([(["a"], ["x"])], 1, params)
+        save_table(table, tmp_path / "t.tsv", params, iterations=1)
+        assert load_table(tmp_path / "t.tsv").params == params
+
+    def test_load_without_header_has_no_params(self, tmp_path):
+        (tmp_path / "t.tsv").write_text("a\tx\t1\n", encoding="utf-8")
+        assert load_table(tmp_path / "t.tsv").params is None
+
+    def test_malformed_header(self, tmp_path):
+        (tmp_path / "t.tsv").write_text("#lambda=wide\tp0=0.08\na\tx\t1\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match="t.tsv:1"):
+            load_table(tmp_path / "t.tsv")

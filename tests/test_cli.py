@@ -422,3 +422,79 @@ class TestAtomicWrite:
         target.write_text("old")
         atomic_write_text(target, "new")
         assert target.read_text() == "new"
+
+
+class TestMalformedInputs:
+    """Malformed files exit 2 with a `path:line` message, never 3 or a wrong result."""
+
+    def _main(self, argv, capsys):
+        status = cli.main([str(arg) for arg in argv])
+        return status, capsys.readouterr().err
+
+    def test_whitespace_only_lexicon_cell(self, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        _write(lex, "id\ten\tsw\nne1\tNoah\tNoa\nne2\t \tSem\n")
+        src = tmp_path / "test.en"
+        _write(src, "Noah slept .\n")
+        status, err = self._main(
+            ["tag", "--lexicon", lex, "--src", "en", "--tgt", "sw", "--in", src,
+             "--out", tmp_path / "out"], capsys)
+        assert status == cli.EXIT_DATA
+        assert f"{lex}:3" in err
+
+    def _restore(self, tmp_path, capsys, record: str):
+        decode = tmp_path / "decode.jsonl"
+        _write(decode, record + "\n")
+        translated = tmp_path / "mt.sw"
+        _write(translated, "$NE1 sov .\n")
+        status, err = self._main(
+            ["restore", "--in", translated, "--decode", decode, "--out", tmp_path / "out"], capsys)
+        assert status == cli.EXIT_DATA
+        assert f"{decode}:1" in err
+
+    def test_decode_record_without_tgt(self, tmp_path, capsys):
+        self._restore(tmp_path, capsys, '{"line": 1, "map": {"1": {"src": "Noah"}}}')
+
+    def test_decode_record_with_non_integer_key(self, tmp_path, capsys):
+        self._restore(tmp_path, capsys, '{"line": 1, "map": {"one": {"src": "Noah", "tgt": "Noa"}}}')
+
+    def test_decode_record_not_json(self, tmp_path, capsys):
+        self._restore(tmp_path, capsys, '{"line": 1, "map": ')
+
+    def _rubric(self, tmp_path, capsys, record: str):
+        judgments = tmp_path / "judgments.jsonl"
+        _write(judgments, '{"meaning": true, "order_correct": true, "set_correct": true}\n' + record + "\n")
+        status, err = self._main(["rubric", "--in", judgments], capsys)
+        assert status == cli.EXIT_DATA
+        assert f"{judgments}:2" in err
+
+    def test_judgment_with_string_boolean(self, tmp_path, capsys):
+        self._rubric(tmp_path, capsys, '{"meaning": true, "order_correct": true, "set_correct": "false"}')
+
+    def test_judgment_without_order_correct(self, tmp_path, capsys):
+        self._rubric(tmp_path, capsys, '{"meaning": true, "set_correct": true}')
+
+    def test_judgment_with_non_boolean_meaning(self, tmp_path, capsys):
+        self._rubric(tmp_path, capsys, '{"meaning": "yes", "order_correct": true, "set_correct": true}')
+
+    def test_lex_build_rejects_aligner_trained_with_other_params(self, tmp_path, corpus_dir, capsys):
+        src = tmp_path / "bitext.en"
+        tgt = tmp_path / "bitext.sw"
+        _write(src, "".join("the man saw house\n" for _ in range(10)))
+        _write(tgt, "".join("mannen sag huset\n" for _ in range(10)))
+        table = tmp_path / "aligners" / "sw.tsv"
+        assert cli.dispatch([
+            "align-train", "--src", str(src), "--tgt", str(tgt), "--iterations", "2",
+            "--tension", "2", "--out", str(table),
+        ]) == 0
+        seeds = tmp_path / "seed.txt"
+        _write(seeds, "man\n")
+        status, err = self._main(
+            ["lex-build", "--seed-list", seeds, "--corpus", corpus_dir,
+             "--aligners", table.parent, "--out", tmp_path / "lex.tsv"], capsys)
+        assert status == cli.EXIT_DATA
+        assert str(table) in err
+        assert cli.main([
+            "lex-build", "--seed-list", str(seeds), "--corpus", str(corpus_dir),
+            "--aligners", str(table.parent), "--tension", "2", "--out", str(tmp_path / "lex.tsv"),
+        ]) == cli.EXIT_OK

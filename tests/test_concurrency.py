@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from versemt.alignment import DiagonalParams, train_em, viterbi_align
@@ -36,6 +37,26 @@ def test_lookup_rows_parallel_matches_serial():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda s: lookup_rows(table, "en", s), sentences))
     assert parallel == serial
+
+
+def test_lookup_rows_racing_first_calls_see_a_complete_index():
+    entries = tuple(
+        LexiconEntry(id=f"ne{i}", surfaces={"en": f"Name{i} of{i % 7}"}, frequency={})
+        for i in range(300)
+    )
+    sentences = [["and", f"Name{i}", f"of{i % 7}"] for i in range(300)]
+    serial_table = LexiconTable(entries=entries, languages=("en",))
+    serial = [lookup_rows(serial_table, "en", s) for s in sentences]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            table = LexiconTable(entries=entries, languages=("en",))
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                parallel = list(pool.map(lambda s: lookup_rows(table, "en", s), sentences, timeout=60))
+            assert parallel == serial
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_viterbi_parallel_on_shared_table():

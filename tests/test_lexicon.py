@@ -9,6 +9,7 @@ from versemt.alignment import DiagonalParams, train_em
 from versemt.corpus import tokenize
 from versemt.errors import (
     EmptyResult,
+    MalformedLine,
     MissingAligner,
     MissingSelectionFile,
     UnknownLanguage,
@@ -257,3 +258,8 @@ class TestLexiconIo:
         save_lexicon(table, tmp_path / "lex.tsv")
         loaded = load_lexicon(tmp_path / "lex.tsv")
         assert loaded.entries[0].surface("sw") == ""
+
+    def test_whitespace_only_cell_rejected(self, tmp_path):
+        (tmp_path / "lex.tsv").write_text("id\ten\tsw\nne1\tNoah\t \n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match="lex.tsv:2"):
+            load_lexicon(tmp_path / "lex.tsv")

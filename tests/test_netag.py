@@ -261,3 +261,10 @@ class TestSidecar:
             json.loads(line) for line in (tmp_path / "d.jsonl").read_text().splitlines()
         ]
         assert [r["line"] for r in records] == [1, 2]
+
+
+def test_check_entity_order_skips_whitespace_only_target():
+    # A blank target surface matches no token; scanning for it must not stall.
+    decode = DecodeTable({1: ("Noah", " "), 2: ("Shem", "Sem")})
+    judgment = check_entity_order(["Sem", "sov"], ["Sem", "sov"], decode)
+    assert (judgment.set_correct, judgment.order_correct) == (True, True)
