@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,15 +25,15 @@ class DiagonalParams:
     """Positional prior: tension of the diagonal and the NULL alignment mass.
 
     tension = 0 makes all source positions equally likely (lexical model only);
-    null_prob = 0 disables NULL alignment entirely.
+    tension must be finite. null_prob = 0 disables NULL alignment entirely.
     """
 
     tension: float = 4.0
     null_prob: float = 0.08
 
     def __post_init__(self) -> None:
-        if self.tension < 0:
-            raise ValueError(f"tension must be >= 0, got {self.tension}")
+        if not (math.isfinite(self.tension) and self.tension >= 0):
+            raise ValueError(f"tension must be finite and >= 0, got {self.tension}")
         if not 0 <= self.null_prob < 1:
             raise ValueError(f"null_prob must be in [0, 1), got {self.null_prob}")
 
@@ -65,8 +67,17 @@ def _position_priors(n: int, m: int, params: DiagonalParams) -> list[list[float]
     0-based storage); index n is NULL."""
     priors: list[list[float]] = []
     for j in range(1, m + 1):
-        deltas = [math.exp(-params.tension * abs(i / n - j / m)) for i in range(1, n + 1)]
+        distances = [abs(i / n - j / m) for i in range(1, n + 1)]
+        deltas = [math.exp(-params.tension * d) for d in distances]
         z = sum(deltas)
+        if z < sys.float_info.min:
+            # The deltas underflowed (a large tension): all to 0.0, or to
+            # subnormals too coarse to normalize. Measuring distances from the
+            # row's nearest source position leaves the normalized row unchanged
+            # in exact arithmetic and gives the nearest delta 1.0.
+            nearest = min(distances)
+            deltas = [math.exp(-params.tension * (d - nearest)) for d in distances]
+            z = sum(deltas)
         row = [(1.0 - params.null_prob) * d / z for d in deltas]
         row.append(params.null_prob)
         priors.append(row)
@@ -76,12 +87,11 @@ def _position_priors(n: int, m: int, params: DiagonalParams) -> list[list[float]
 def _uniform_table(bitext: Sequence[SentencePair]) -> dict[str, dict[str, float]]:
     support: dict[str, set[str]] = {}
     for src_tokens, tgt_tokens in bitext:
-        for f in tgt_tokens:
-            support.setdefault(NULL_TOKEN, set()).add(f)
-            for e in src_tokens:
-                support.setdefault(e, set()).add(f)
+        if tgt_tokens:
+            for e in (*src_tokens, NULL_TOKEN):
+                support.setdefault(e, set()).update(tgt_tokens)
     return {
-        e: {f: 1.0 / len(targets) for f in sorted(targets)}
+        e: dict.fromkeys(sorted(targets), 1.0 / len(targets))
         for e, targets in sorted(support.items())
     }
 
@@ -102,34 +112,78 @@ def train_em(
         raise EmptyBitext("bitext is empty")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    table = _uniform_table(bitext)
+    # Intern once: every (e, f) pair of the support gets one slot, in table
+    # order (rows sorted by e, each row sorted by f); row r owns the slots
+    # bounds[r]:bounds[r + 1]. t[slot] holds the pair's probability.
+    uniform = _uniform_table(bitext)
+    sources = list(uniform)
+    targets: list[str] = []
+    bounds = [0]
+    t = array("d")
+    slot_of: dict[str, dict[str, int]] = {}
+    for e, row in uniform.items():
+        slot_of[e] = {f: len(targets) + i for i, f in enumerate(row)}
+        targets.extend(row)
+        t.extend(row.values())
+        bounds.append(len(targets))
+    row_of = {e: r for r, e in enumerate(sources)}
+    del uniform
+
+    # Per sentence: the priors of its (n, m), the source row of each position
+    # (NULL last), and per target position the slots of (e_i, f_j) over i.
+    priors: dict[tuple[int, int], list[list[float]]] = {}
+    sentences = []
+    for src_tokens, tgt_tokens in bitext:
+        n, m = len(src_tokens), len(tgt_tokens)
+        if n == 0 or m == 0:
+            continue
+        if (n, m) not in priors:
+            priors[n, m] = _position_priors(n, m, params)
+        positions = (*src_tokens, NULL_TOKEN)
+        rows = array("i", [row_of[e] for e in positions])
+        row_slots = [slot_of[e] for e in positions]
+        cells = [array("i", [slots[f] for slots in row_slots]) for f in tgt_tokens]
+        sentences.append((priors[n, m], rows, cells))
+    del slot_of, row_of
+
+    # The float operations, and their order, are those of the dict-of-dicts
+    # EM kept in tests/oracles.py, so every table is bit-for-bit the same.
+    # That version added q = w / z to a pair's count only when w > 0; here
+    # every q is added. The results agree: adding 0.0 changes no sum, and
+    # z <= 1 (a prior row sums to 1 and t <= 1, up to a few ulps) makes q > 0
+    # exactly when w > 0. So a pair's count is > 0 exactly when that version
+    # gave it a count, and only such pairs stay in their row after the M-step;
+    # `kept` records that, since c / total can underflow to 0.0 when c > 0.
+    kept = bytearray(b"\x01") * len(t)
     history: list[float] = []
     for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {}
-        totals: dict[str, float] = {}
+        counts = array("d", [0.0]) * len(t)
+        totals = [0.0] * len(sources)
         log_likelihood = 0.0
-        for src_tokens, tgt_tokens in bitext:
-            n, m = len(src_tokens), len(tgt_tokens)
-            if n == 0 or m == 0:
-                continue
-            priors = _position_priors(n, m, params)
-            sources = list(src_tokens) + [NULL_TOKEN]
-            for j, f in enumerate(tgt_tokens):
-                weights = [priors[j][i] * table.get(e, {}).get(f, 0.0) for i, e in enumerate(sources)]
+        for prior_rows, rows, cells in sentences:
+            for prior, slots in zip(prior_rows, cells):
+                weights = [p * t[k] for p, k in zip(prior, slots)]
                 z = sum(weights)
                 if z <= 0.0:
                     continue
                 log_likelihood += math.log(z)
-                for e, w in zip(sources, weights):
-                    if w > 0.0:
-                        counts.setdefault(e, {})
-                        counts[e][f] = counts[e].get(f, 0.0) + w / z
-                        totals[e] = totals.get(e, 0.0) + w / z
-        for e, target_counts in counts.items():
-            total = totals[e]
-            table[e] = {f: c / total for f, c in sorted(target_counts.items())}
+                for r, k, w in zip(rows, slots, weights):
+                    q = w / z
+                    counts[k] += q
+                    totals[r] += q
+        # Rows that got no mass keep their values.
+        for r, total in enumerate(totals):
+            if total > 0.0:
+                for k in range(bounds[r], bounds[r + 1]):
+                    c = counts[k]
+                    t[k] = c / total
+                    kept[k] = c > 0.0
         history.append(log_likelihood)
-    return TranslationTable(probs=table, log_likelihood_history=tuple(history), params=params)
+    probs = {
+        e: {targets[k]: t[k] for k in range(bounds[r], bounds[r + 1]) if kept[k]}
+        for r, e in enumerate(sources)
+    }
+    return TranslationTable(probs=probs, log_likelihood_history=tuple(history), params=params)
 
 
 def viterbi_align(

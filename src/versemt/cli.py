@@ -172,7 +172,12 @@ def _cmd_align_train(args: argparse.Namespace) -> int:
     params = _diag_params(args)
     table = alignment.train_em(bitext, args.iterations, params)
     alignment.save_table(table, args.out, params, args.iterations)
-    log.info("align-train pairs=%d iterations=%d", len(bitext), args.iterations)
+    log.info(
+        "align-train pairs=%d iterations=%d ll=%s",
+        len(bitext),
+        args.iterations,
+        ",".join(f"{ll:.1f}" for ll in table.log_likelihood_history),
+    )
     return EXIT_OK
 
 
@@ -372,9 +377,19 @@ def _cmd_emit_config(args: argparse.Namespace) -> int:
 
 
 def _file_digest(path: Path) -> str:
+    """sha256 of a file; of a directory, over its files' sorted relative paths
+    and bytes, recursively."""
     if not path.exists():
         return "missing"
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    if not path.is_dir():
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    files = sorted((p.relative_to(path).as_posix(), p) for p in path.rglob("*") if p.is_file())
+    for name, file in files:
+        data = file.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def _stage_fingerprint(stage: dict) -> str:

@@ -195,9 +195,12 @@ def write_decode_sidecar(tables: Iterable[DecodeTable], path: str | Path) -> Non
 
 def read_decode_sidecar(path: str | Path) -> list[DecodeTable]:
     """Read a sidecar; MalformedLine names the line of any record that is not
-    ``{"map": {"<index>": {"src": str, "tgt": str}, ...}}``."""
+    ``{"line": <its 1-based position>, "map": {"<index>": {"src": str, "tgt": str}, ...}}``."""
     tables: list[DecodeTable] = []
-    for where, record in read_json_lines(path):
+    for position, (where, record) in enumerate(read_json_lines(path), start=1):
+        line = record.get("line")
+        if type(line) is not int or line != position:
+            raise MalformedLine(f"{where}: `line` must be {position} (the record's position)")
         cells = record.get("map")
         if not isinstance(cells, dict):
             raise MalformedLine(f"{where}: `map` must be an object")

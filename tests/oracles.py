@@ -191,3 +191,67 @@ def count_occurrences_oracle(texts, surface):
             else:
                 i += 1
     return count
+
+
+
+def train_em_oracle(bitext, iterations, params):
+    """``alignment.train_em`` as it was before interned slots, with its two
+    helpers: dict-of-dicts tables, priors recomputed per sentence, counts
+    added only when w > 0. Returns an ``alignment.TranslationTable``."""
+    from versemt.alignment import NULL_TOKEN, TranslationTable
+    from versemt.errors import EmptyBitext
+
+    def _position_priors(n, m, params):
+        priors = []
+        for j in range(1, m + 1):
+            deltas = [math.exp(-params.tension * abs(i / n - j / m)) for i in range(1, n + 1)]
+            z = sum(deltas)
+            row = [(1.0 - params.null_prob) * d / z for d in deltas]
+            row.append(params.null_prob)
+            priors.append(row)
+        return priors
+
+    def _uniform_table(bitext):
+        support = {}
+        for src_tokens, tgt_tokens in bitext:
+            for f in tgt_tokens:
+                support.setdefault(NULL_TOKEN, set()).add(f)
+                for e in src_tokens:
+                    support.setdefault(e, set()).add(f)
+        return {
+            e: {f: 1.0 / len(targets) for f in sorted(targets)}
+            for e, targets in sorted(support.items())
+        }
+
+    if not bitext:
+        raise EmptyBitext("bitext is empty")
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    table = _uniform_table(bitext)
+    history = []
+    for _ in range(iterations):
+        counts = {}
+        totals = {}
+        log_likelihood = 0.0
+        for src_tokens, tgt_tokens in bitext:
+            n, m = len(src_tokens), len(tgt_tokens)
+            if n == 0 or m == 0:
+                continue
+            priors = _position_priors(n, m, params)
+            sources = list(src_tokens) + [NULL_TOKEN]
+            for j, f in enumerate(tgt_tokens):
+                weights = [priors[j][i] * table.get(e, {}).get(f, 0.0) for i, e in enumerate(sources)]
+                z = sum(weights)
+                if z <= 0.0:
+                    continue
+                log_likelihood += math.log(z)
+                for e, w in zip(sources, weights):
+                    if w > 0.0:
+                        counts.setdefault(e, {})
+                        counts[e][f] = counts[e].get(f, 0.0) + w / z
+                        totals[e] = totals.get(e, 0.0) + w / z
+        for e, target_counts in counts.items():
+            total = totals[e]
+            table[e] = {f: c / total for f, c in sorted(target_counts.items())}
+        history.append(log_likelihood)
+    return TranslationTable(probs=table, log_likelihood_history=tuple(history), params=params)

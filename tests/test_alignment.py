@@ -11,6 +11,7 @@ from versemt.alignment import (
     AlignmentLink,
     DiagonalParams,
     TranslationTable,
+    _position_priors,
     load_table,
     save_table,
     train_em,
@@ -18,7 +19,7 @@ from versemt.alignment import (
 )
 from versemt.errors import EmptyBitext, EmptySentence, MalformedLine
 
-from oracles import model1_em_oracle
+from oracles import model1_em_oracle, train_em_oracle
 
 MODEL1 = DiagonalParams(tension=0.0, null_prob=0.0)
 
@@ -46,6 +47,24 @@ class TestParams:
             DiagonalParams(tension=-1.0)
         with pytest.raises(ValueError):
             DiagonalParams(null_prob=1.0)
+        for tension in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                DiagonalParams(tension=tension)
+
+
+class TestPositionPriors:
+    @pytest.mark.parametrize("tension", [1e5, 13000.0])
+    def test_underflowing_rows_concentrate_on_nearest_position(self, tension):
+        # At 1e5 every delta of a row with no exact diagonal hit underflows to
+        # 0.0; at 13000 the first row's deltas sum to a subnormal. Such rows
+        # give all non-NULL mass to the nearest position.
+        priors = _position_priors(7, 5, DiagonalParams(tension=tension, null_prob=0.08))
+        for j, row in enumerate(priors, start=1):
+            distances = [abs(i / 7 - j / 5) for i in range(1, 8)]
+            nearest = distances.index(min(distances))
+            assert row[nearest] == pytest.approx(0.92)
+            assert row[7] == 0.08
+            assert sum(row) == pytest.approx(1.0)
 
 
 class TestTrainEm:
@@ -107,6 +126,40 @@ class TestTrainEm:
     def test_deterministic(self):
         bitext = _random_bitext(random.Random(11), pairs=12, vocab=6)
         assert train_em(bitext, 4).probs == train_em(bitext, 4).probs
+
+    def test_underflowed_probability_keeps_its_key(self):
+        # At this tension the count of (e, f) is the smallest subnormal and
+        # count / total rounds to 0.0, but the pair got a count, so it stays.
+        bitext = [(["e", "h"], ["f"])] + [(["e"], ["g"])] * 3
+        params = DiagonalParams(tension=1488.0, null_prob=0.08)
+        table = train_em(bitext, 1, params)
+        assert table.probs["e"] == {"f": 0.0, "g": 1.0}
+        assert table.probs == train_em_oracle(bitext, 1, params).probs
+
+    @given(
+        bitext=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["a", "b", "c", "d", "e", NULL_TOKEN]), max_size=8),
+                st.lists(st.sampled_from(["v", "w", "x", "y", "z", "a"]), max_size=8),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        tension=st.sampled_from([0.0, 4.0, 40.0]),
+        null_prob=st.sampled_from([0.0, 0.08, 0.5]),
+        iterations=st.integers(0, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_pre_slot_oracle_exactly(self, bitext, tension, null_prob, iterations):
+        # Same floats, same row order and same key order in every row.
+        params = DiagonalParams(tension=tension, null_prob=null_prob)
+        table = train_em(bitext, iterations, params)
+        oracle = train_em_oracle(bitext, iterations, params)
+        assert [(e, list(row.items())) for e, row in table.probs.items()] == [
+            (e, list(row.items())) for e, row in oracle.probs.items()
+        ]
+        assert table.log_likelihood_history == oracle.log_likelihood_history
+        assert table.params == params
 
 
 class TestViterbi:

@@ -342,6 +342,40 @@ class TestManifest:
             assert cli.dispatch(["run", "--manifest", str(manifest)]) == 0
         assert any("up to date" in rec.message for rec in caplog.records)
 
+    def test_directory_input_is_hashed(self, tmp_path, caplog):
+        store = tmp_path / "store"
+        _write(store / "en.tsv", "v1\thello world\n")
+        _write(store / "sw.tsv", "v1\tjambo dunia\n")
+        aligned = tmp_path / "aligned"
+        manifest = tmp_path / "pipeline.json"
+        _write(
+            manifest,
+            json.dumps(
+                {
+                    "stages": [
+                        {
+                            "name": "align",
+                            "command": ["align", "--in", str(store), "--out", str(aligned)],
+                            "inputs": [str(store)],
+                            "outputs": [str(aligned)],
+                        }
+                    ]
+                }
+            ),
+        )
+
+        def run() -> bool:
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="versemt"):
+                assert cli.main(["run", "--manifest", str(manifest)]) == cli.EXIT_OK
+            return not any("up to date" in rec.message for rec in caplog.records)
+
+        assert run()
+        assert not run()
+        _write(store / "sw.tsv", "v1\tjambo ulimwengu\n")
+        assert run()
+        assert "ulimwengu" in (aligned / "sw.tsv").read_text()
+
     def test_cycle_detected(self, tmp_path):
         manifest = tmp_path / "pipeline.json"
         _write(
@@ -446,7 +480,7 @@ class TestMalformedInputs:
         decode = tmp_path / "decode.jsonl"
         _write(decode, record + "\n")
         translated = tmp_path / "mt.sw"
-        _write(translated, "$NE1 sov .\n")
+        _write(translated, "$NE1 sov .\n" * (record.count("\n") + 1))
         status, err = self._main(
             ["restore", "--in", translated, "--decode", decode, "--out", tmp_path / "out"], capsys)
         assert status == cli.EXIT_DATA
@@ -460,6 +494,14 @@ class TestMalformedInputs:
 
     def test_decode_record_not_json(self, tmp_path, capsys):
         self._restore(tmp_path, capsys, '{"line": 1, "map": ')
+
+    def test_decode_records_out_of_order(self, tmp_path, capsys):
+        self._restore(
+            tmp_path,
+            capsys,
+            '{"line": 2, "map": {"1": {"src": "Shem", "tgt": "Sem"}}}\n'
+            '{"line": 1, "map": {"1": {"src": "Noah", "tgt": "Noa"}}}',
+        )
 
     def _rubric(self, tmp_path, capsys, record: str):
         judgments = tmp_path / "judgments.jsonl"
@@ -498,3 +540,43 @@ class TestMalformedInputs:
             "lex-build", "--seed-list", str(seeds), "--corpus", str(corpus_dir),
             "--aligners", str(table.parent), "--tension", "2", "--out", str(tmp_path / "lex.tsv"),
         ]) == cli.EXIT_OK
+
+
+class TestAlignTrainTension:
+    """A 7-token vs 5-token pair through `align-train` at extreme tensions."""
+
+    def _train(self, tmp_path, tension, capsys):
+        src = tmp_path / "bitext.en"
+        tgt = tmp_path / "bitext.sw"
+        _write(src, "a b c d e f g\n")
+        _write(tgt, "v w x y z\n")
+        out = tmp_path / "table.tsv"
+        status = cli.main([
+            "align-train", "--src", str(src), "--tgt", str(tgt), "--iterations", "2",
+            "--tension", tension, "--out", str(out),
+        ])
+        return status, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize("tension", ["nan", "inf"])
+    def test_non_finite_tension_is_data_error(self, tmp_path, tension, capsys):
+        status, err, out = self._train(tmp_path, tension, capsys)
+        assert status == cli.EXIT_DATA
+        assert "tension must be finite" in err
+        assert not out.exists()
+
+    def test_huge_tension_trains(self, tmp_path, capsys):
+        status, err, out = self._train(tmp_path, "1e5", capsys)
+        assert status == cli.EXIT_OK, err
+        probs = [float(line.split("\t")[2]) for line in out.read_text().splitlines()[1:]]
+        assert probs and all(0.0 <= p <= 1.0 for p in probs)
+        # a is the nearest source position of target v, and gets all of v's mass.
+        assert "a\tv\t1\n" in out.read_text()
+
+    def test_log_likelihood_history_logged(self, tmp_path, caplog, capsys):
+        with caplog.at_level(logging.INFO, logger="versemt"):
+            status, err, _ = self._train(tmp_path, "4", capsys)
+        assert status == cli.EXIT_OK, err
+        [message] = [rec.message for rec in caplog.records if rec.message.startswith("align-train")]
+        ll = message.partition(" ll=")[2].split(",")
+        assert len(ll) == 2
+        assert float(ll[0]) <= float(ll[1]) < 0.0
