@@ -190,13 +190,21 @@ def viterbi_align(
     table: TranslationTable,
     params: DiagonalParams,
     pair: SentencePair,
+    prior_cache: dict[tuple[int, int], list[list[float]]] | None = None,
 ) -> list[AlignmentLink]:
-    """Best source link (or NULL) per target position; NULL links are omitted."""
+    """Best source link (or NULL) per target position; NULL links are omitted.
+
+    ``prior_cache`` maps (n, m) to the position priors of ``params``; a caller
+    aligning many pairs with the same params passes one dict to all calls.
+    """
     src_tokens, tgt_tokens = pair
     if not src_tokens or not tgt_tokens:
         raise EmptySentence("both sentences must be non-empty")
     n, m = len(src_tokens), len(tgt_tokens)
-    priors = _position_priors(n, m, params)
+    cache = {} if prior_cache is None else prior_cache
+    priors = cache.get((n, m))
+    if priors is None:
+        priors = cache[n, m] = _position_priors(n, m, params)
     links: list[AlignmentLink] = []
     for j, f in enumerate(tgt_tokens):
         best_i = -1

@@ -456,6 +456,11 @@ def run_manifest(manifest_path: str | Path) -> int:
             raise StageFailed(f"stage {stage['name']}: {exc}") from exc
         if status != EXIT_OK:
             raise StageFailed(f"stage {stage['name']} exited with status {status}")
+        missing = [str(o) for o in outputs if not o.exists()]
+        if missing:
+            raise StageFailed(
+                f"stage {stage['name']} did not write declared output(s): {', '.join(missing)}"
+            )
         state[stage["name"]] = fingerprint
         atomic_write_text(state_path, json.dumps(state, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

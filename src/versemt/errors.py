@@ -35,6 +35,10 @@ class EmptySplit(PipelineError):
     pass
 
 
+class UnknownVerse(PipelineError):
+    pass
+
+
 # subword
 class EmptyCorpus(PipelineError):
     pass

@@ -6,14 +6,17 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .errors import MalformedLine
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` via a same-directory temp file + rename.
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Open a same-directory temp file for writing; on a clean exit rename it
+    to ``path``, on an exception unlink it and re-raise.
 
     A crash mid-write never leaves a partially written file at ``path``.
     """
@@ -22,7 +25,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -30,7 +33,13 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
         except FileNotFoundError:
             pass
         raise
-    return path
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` through ``atomic_writer``."""
+    with atomic_writer(path) as handle:
+        handle.write(text)
+    return Path(path)
 
 
 def atomic_write_lines(path: str | Path, lines: list[str]) -> Path:

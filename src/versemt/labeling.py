@@ -19,8 +19,8 @@ from .corpus import (
     registry_order,
     tokenize,
 )
-from .errors import EmptySplit, MalformedLine, UnknownLanguage
-from .fileio import atomic_write_lines
+from .errors import EmptySplit, MalformedLine, UnknownLanguage, UnknownVerse
+from .fileio import atomic_write_lines, atomic_writer
 
 LABEL_TOKEN_RE = re.compile(r"^__opt_(family_)?(src|tgt)_[a-z]+$")
 
@@ -71,20 +71,27 @@ def expand_multiway_pairs(
             raise UnknownLanguage(f"language {code!r} not in corpus")
     if not split.train:
         raise EmptySplit("split has no train verses")
-    train_ids = sorted(split.train)
     by_id = {v.id: v for v in corpus.verses}
+    missing = sorted(set(split.train) - by_id.keys())
+    if missing:
+        raise UnknownVerse(
+            f"{len(missing)} train verse id(s) not in corpus: {', '.join(map(repr, missing[:5]))}"
+        )
+    train = [by_id[vid] for vid in sorted(split.train)]
+    # Each (verse, language) is tokenized once and shared by all n-1
+    # directions it takes part in on either side.
+    tokens = {
+        code: [tuple(tokenize(verse.text(code))) for verse in train]
+        for code in dict.fromkeys(codes)
+    }
     for src in codes:
         for tgt in codes:
             if src == tgt:
                 continue
             labels = tuple(label_tokens(src, tgt, mode))
-            for vid in train_ids:
-                verse = by_id[vid]
+            for source, target in zip(tokens[src], tokens[tgt]):
                 yield LabeledExample(
-                    source_tokens=labels + tuple(tokenize(verse.text(src))),
-                    target_tokens=tuple(tokenize(verse.text(tgt))),
-                    src=src,
-                    tgt=tgt,
+                    source_tokens=labels + source, target_tokens=target, src=src, tgt=tgt
                 )
 
 
@@ -174,22 +181,33 @@ def read_schedule_steps(path: str | Path) -> list[tuple[int, list[str]]]:
     steps = []
     with Path(path).open(encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            where = f"{path}:{lineno}"
             fields = raw.rstrip("\n").split("\t")
             if len(fields) != 2:
-                raise MalformedLine(f"{path}:{lineno}: expected `step<TAB>languages`")
-            steps.append((int(fields[0]), fields[1].split(",")))
+                raise MalformedLine(f"{where}: expected `step<TAB>languages`")
+            try:
+                step = int(fields[0])
+            except ValueError:
+                raise MalformedLine(f"{where}: step {fields[0]!r} is not an integer") from None
+            langs = fields[1].split(",")
+            if not all(lang.strip() for lang in langs):
+                raise MalformedLine(f"{where}: empty language code in {fields[1]!r}")
+            steps.append((step, langs))
     return steps
 
 
 def write_labeled_bitext(
     examples: Iterable[LabeledExample], src_path: str | Path, tgt_path: str | Path
 ) -> int:
-    """Write trainer-ready line-aligned source/target files; returns line count."""
-    src_lines: list[str] = []
-    tgt_lines: list[str] = []
-    for example in examples:
-        src_lines.append(" ".join(example.source_tokens))
-        tgt_lines.append(" ".join(example.target_tokens))
-    atomic_write_lines(src_path, src_lines)
-    atomic_write_lines(tgt_path, tgt_lines)
-    return len(src_lines)
+    """Stream trainer-ready line-aligned source/target files; returns line count.
+
+    Both files are replaced only once ``examples`` is exhausted; if it raises,
+    neither file is created or replaced.
+    """
+    count = 0
+    with atomic_writer(src_path) as src_out, atomic_writer(tgt_path) as tgt_out:
+        for example in examples:
+            src_out.write(" ".join(example.source_tokens) + "\n")
+            tgt_out.write(" ".join(example.target_tokens) + "\n")
+            count += 1
+    return count

@@ -168,11 +168,17 @@ def assemble_table(
     for lang in target_langs:
         table = aligners[lang]
         links_by_verse: dict[int, dict[int, list[int]]] = {}
-        for v in sorted(wanted_verses):
-            if not en_tokens[v] or not tgt_tokens[lang][v]:
+        # Verses are visited by sentence shape (n, m), so each shape's
+        # position priors are computed once and only one shape's are held.
+        prior_cache: dict[tuple[int, int], list[list[float]]] = {}
+        tgt = tgt_tokens[lang]
+        for v in sorted(wanted_verses, key=lambda v: (len(en_tokens[v]), len(tgt[v]), v)):
+            if not en_tokens[v] or not tgt[v]:
                 continue
+            if (len(en_tokens[v]), len(tgt[v])) not in prior_cache:
+                prior_cache.clear()
             by_src: dict[int, list[int]] = {}
-            for link in viterbi_align(table, params, (en_tokens[v], tgt_tokens[lang][v])):
+            for link in viterbi_align(table, params, (en_tokens[v], tgt[v]), prior_cache):
                 by_src.setdefault(link.src_index, []).append(link.tgt_index)
             links_by_verse[v] = by_src
         for entry_idx, spans in enumerate(en_spans):

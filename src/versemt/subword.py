@@ -110,31 +110,35 @@ def learn_bpe(
                 return pair
         return None
 
-    def bump(pair: tuple[str, str], delta: int) -> None:
-        count = stats[pair] + delta
-        if count <= 0:
-            stats.pop(pair, None)
-        else:
-            stats[pair] = count
-            heapq.heappush(heap, (-count, pair))
-
     merges: list[tuple[str, str]] = []
     for _ in range(num_merges):
         best = pop_best()
         if best is None:
             break
         merges.append(best)
+        delta: Counter[tuple[str, str]] = Counter()
         for wid in sorted(index.get(best, ())):
             old = words[wid]
             new = _merge_symbols(old, best)
             freq = freqs[wid]
             for pair, n in _pair_counts(old).items():
-                bump(pair, -n * freq)
+                delta[pair] -= n * freq
                 index[pair].discard(wid)
             for pair, n in _pair_counts(new).items():
-                bump(pair, n * freq)
+                delta[pair] += n * freq
                 index.setdefault(pair, set()).add(wid)
             words[wid] = new
+        # Only a pair's count after the whole merge needs a heap entry. A pair
+        # whose net delta is 0 keeps its count, so its entry is still valid.
+        for pair, d in delta.items():
+            if d == 0:
+                continue
+            count = stats[pair] + d
+            if count <= 0:
+                stats.pop(pair, None)
+            else:
+                stats[pair] = count
+                heapq.heappush(heap, (-count, pair))
     return BpeModel(merges=tuple(merges), vocab_side=vocab_side, reserved=reserved_set)
 
 

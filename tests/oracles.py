@@ -255,3 +255,119 @@ def train_em_oracle(bitext, iterations, params):
             table[e] = {f: c / total for f, c in sorted(target_counts.items())}
         history.append(log_likelihood)
     return TranslationTable(probs=table, log_likelihood_history=tuple(history), params=params)
+
+
+def expand_multiway_pairs_oracle(langs, corpus, split, mode):
+    """``labeling.expand_multiway_pairs`` as it was before per-call token
+    reuse: both sides re-tokenized for every direction of every verse."""
+    from versemt.corpus import get_language, tokenize
+    from versemt.errors import EmptySplit, UnknownLanguage
+    from versemt.labeling import LabeledExample, label_tokens
+
+    codes = sorted(get_language(c).code for c in set(langs))
+    for code in codes:
+        if code not in corpus.languages:
+            raise UnknownLanguage(f"language {code!r} not in corpus")
+    if not split.train:
+        raise EmptySplit("split has no train verses")
+    train_ids = sorted(split.train)
+    by_id = {v.id: v for v in corpus.verses}
+    for src in codes:
+        for tgt in codes:
+            if src == tgt:
+                continue
+            labels = tuple(label_tokens(src, tgt, mode))
+            for vid in train_ids:
+                verse = by_id[vid]
+                yield LabeledExample(
+                    source_tokens=labels + tuple(tokenize(verse.text(src))),
+                    target_tokens=tuple(tokenize(verse.text(tgt))),
+                    src=src,
+                    tgt=tgt,
+                )
+
+
+def write_labeled_bitext_oracle(examples, src_path, tgt_path):
+    """``labeling.write_labeled_bitext`` as it was before streaming: both
+    files buffered as line lists, then written one after the other."""
+    from versemt.fileio import atomic_write_lines
+
+    src_lines = []
+    tgt_lines = []
+    for example in examples:
+        src_lines.append(" ".join(example.source_tokens))
+        tgt_lines.append(" ".join(example.target_tokens))
+    atomic_write_lines(src_path, src_lines)
+    atomic_write_lines(tgt_path, tgt_lines)
+    return len(src_lines)
+
+
+def learn_bpe_oracle(tokenized_corpus, num_merges, reserved=(), vocab_side="source"):
+    """``subword.learn_bpe`` as it was before per-merge delta batching: one
+    heap push per (word, pair) count change. Returns a ``subword.BpeModel``."""
+    import heapq
+
+    from versemt.errors import EmptyCorpus
+    from versemt.subword import BpeModel, _merge_symbols, _pair_counts, _word_symbols
+
+    if num_merges < 0:
+        raise ValueError("num_merges must be >= 0")
+    reserved_set = frozenset(reserved)
+    word_freq = Counter()
+    saw_token = False
+    for token in tokenized_corpus:
+        saw_token = True
+        if token not in reserved_set:
+            word_freq[token] += 1
+    if num_merges > 0 and not saw_token:
+        raise EmptyCorpus("cannot learn merges from a corpus with no tokens")
+
+    words = []
+    freqs = []
+    stats = Counter()
+    index = {}
+    for word, freq in sorted(word_freq.items()):
+        wid = len(words)
+        symbols = _word_symbols(word)
+        words.append(symbols)
+        freqs.append(freq)
+        for pair, n in _pair_counts(symbols).items():
+            stats[pair] += n * freq
+            index.setdefault(pair, set()).add(wid)
+
+    heap = [(-count, pair) for pair, count in stats.items()]
+    heapq.heapify(heap)
+
+    def pop_best():
+        while heap:
+            neg_count, pair = heapq.heappop(heap)
+            if stats.get(pair, 0) == -neg_count:
+                return pair
+        return None
+
+    def bump(pair, delta):
+        count = stats[pair] + delta
+        if count <= 0:
+            stats.pop(pair, None)
+        else:
+            stats[pair] = count
+            heapq.heappush(heap, (-count, pair))
+
+    merges = []
+    for _ in range(num_merges):
+        best = pop_best()
+        if best is None:
+            break
+        merges.append(best)
+        for wid in sorted(index.get(best, ())):
+            old = words[wid]
+            new = _merge_symbols(old, best)
+            freq = freqs[wid]
+            for pair, n in _pair_counts(old).items():
+                bump(pair, -n * freq)
+                index[pair].discard(wid)
+            for pair, n in _pair_counts(new).items():
+                bump(pair, n * freq)
+                index.setdefault(pair, set()).add(wid)
+            words[wid] = new
+    return BpeModel(merges=tuple(merges), vocab_side=vocab_side, reserved=reserved_set)

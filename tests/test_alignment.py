@@ -188,6 +188,18 @@ class TestViterbi:
         with pytest.raises(EmptySentence):
             viterbi_align(table, DiagonalParams(), ([], ["x"]))
 
+    def test_prior_cache_gives_same_links(self):
+        bitext = _random_bitext(random.Random(5), pairs=30, vocab=6, max_len=5)
+        params = DiagonalParams(tension=4.0, null_prob=0.08)
+        table = train_em(bitext, 3, params)
+        cache: dict = {}
+        for pair in bitext:
+            if pair[0] and pair[1]:
+                assert viterbi_align(table, params, pair, cache) == viterbi_align(table, params, pair)
+        shapes = {(len(src), len(tgt)) for src, tgt in bitext if src and tgt}
+        assert cache.keys() == shapes
+        assert all(cache[n, m] == _position_priors(n, m, params) for n, m in shapes)
+
 
 class TestTableIo:
     def test_roundtrip(self, tmp_path):

@@ -30,3 +30,9 @@ def test_ne_lexicon_tiny_run_is_correct(tmp_path):
     result = _tiny_run("ne-lexicon", tmp_path)
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_multiway_label_tiny_run_is_correct(tmp_path):
+    result = _tiny_run("multiway-label", tmp_path)
+    assert result["correct"] is True
+    assert result["failed"] == 0

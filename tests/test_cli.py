@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import re
 
 import pytest
 
@@ -414,6 +415,34 @@ class TestManifest:
             cli.dispatch(["run", "--manifest", str(manifest)])
         assert cli.main(["run", "--manifest", str(manifest)]) == cli.EXIT_DATA
 
+    def test_missing_declared_output_fails_stage(self, tmp_path, capsys):
+        written = tmp_path / "sched.tsv"
+        declared = tmp_path / "missing.tsv"
+        manifest = tmp_path / "pipeline.json"
+        _write(
+            manifest,
+            json.dumps(
+                {
+                    "stages": [
+                        {
+                            "name": "schedule",
+                            "command": ["schedule", "--anchor", "sw", "--mode", "family-addition",
+                                        "--seed", "0", "--out", str(written)],
+                            "inputs": [],
+                            "outputs": [str(declared)],
+                        }
+                    ]
+                }
+            ),
+        )
+        with pytest.raises(StageFailed, match="stage schedule .*" + re.escape(str(declared))):
+            cli.dispatch(["run", "--manifest", str(manifest)])
+        assert written.exists()
+        state = manifest.with_suffix(".json.state.json")
+        assert not state.exists() or "schedule" not in json.loads(state.read_text())
+        assert cli.main(["run", "--manifest", str(manifest)]) == cli.EXIT_DATA
+        assert str(declared) in capsys.readouterr().err
+
     def test_dependency_order(self, tmp_path):
         # Stage names chosen so naive name order would run them backwards.
         first_out = tmp_path / "seed.txt"
@@ -502,6 +531,40 @@ class TestMalformedInputs:
             '{"line": 2, "map": {"1": {"src": "Shem", "tgt": "Sem"}}}\n'
             '{"line": 1, "map": {"1": {"src": "Noah", "tgt": "Noa"}}}',
         )
+
+    def _label(self, tmp_path, corpus_dir, capsys, splits, schedule):
+        prefix = tmp_path / "bitext"
+        status, err = self._main(
+            ["label", "--corpus", corpus_dir, "--split", splits, "--mode", "family",
+             "--schedule", schedule, "--out-prefix", prefix], capsys)
+        assert status == cli.EXIT_DATA
+        assert not list(tmp_path.glob("bitext*"))
+        return err
+
+    def _valid_split(self, tmp_path, corpus_dir):
+        splits = tmp_path / "splits.tsv"
+        assert cli.dispatch([
+            "split", "--corpus", str(corpus_dir), "--ratios", "0.75,0.15,0.10",
+            "--seed", "42", "--out", str(splits),
+        ]) == 0
+        return splits
+
+    def test_split_train_id_missing_from_corpus(self, tmp_path, corpus_dir, capsys):
+        splits = self._valid_split(tmp_path, corpus_dir)
+        with splits.open("a", encoding="utf-8") as handle:
+            handle.write("zzz999\ttrain\n")
+        schedule = tmp_path / "sched.tsv"
+        _write(schedule, "1\ten,sw\n")
+        err = self._label(tmp_path, corpus_dir, capsys, splits, schedule)
+        assert "zzz999" in err
+
+    @pytest.mark.parametrize("line", ["x\ten,sw", "1\t", "1\ten,,sw"])
+    def test_malformed_schedule_line(self, tmp_path, corpus_dir, capsys, line):
+        splits = self._valid_split(tmp_path, corpus_dir)
+        schedule = tmp_path / "sched.tsv"
+        _write(schedule, line + "\n")
+        err = self._label(tmp_path, corpus_dir, capsys, splits, schedule)
+        assert f"{schedule}:1" in err
 
     def _rubric(self, tmp_path, capsys, record: str):
         judgments = tmp_path / "judgments.jsonl"

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from versemt.corpus import FAMILIES, REGISTRY, split_corpus
-from versemt.errors import EmptySplit, UnknownLanguage
+from versemt import labeling
+from versemt.corpus import FAMILIES, REGISTRY, SplitAssignment, split_corpus, tokenize
+from versemt.errors import EmptySplit, MalformedLine, PipelineError, UnknownLanguage
 from versemt.labeling import (
     LABEL_TOKEN_RE,
     LabelMode,
@@ -20,6 +23,7 @@ from versemt.labeling import (
 )
 
 from conftest import make_corpus
+from oracles import expand_multiway_pairs_oracle, write_labeled_bitext_oracle
 
 ALL_CODES = sorted(REGISTRY)
 
@@ -132,6 +136,86 @@ class TestExpandMultiway:
         with pytest.raises(UnknownLanguage):
             list(expand_multiway_pairs(["en", "fr"], corpus, split, LabelMode.LANGUAGE_ONLY))
 
+    def test_train_id_missing_from_corpus_is_data_error(self):
+        corpus = _pair_corpus(["en", "sw"], 3)
+        split = _full_train_split(corpus)
+        stale = SplitAssignment(
+            train=split.train | {"zzz999"}, val=frozenset(), test=frozenset(),
+            ratios=split.ratios, seed=0,
+        )
+        with pytest.raises(PipelineError, match="zzz999"):
+            list(expand_multiway_pairs(["en", "sw"], corpus, stale, LabelMode.LANGUAGE_ONLY))
+
+    def test_tokenizes_each_verse_once_per_language(self, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(labeling, "tokenize", counting_tokenize)
+        langs = ["en", "sw", "fr", "de"]
+        corpus = _pair_corpus(langs, 5)
+        split = _full_train_split(corpus)
+        examples = list(expand_multiway_pairs(langs, corpus, split, LabelMode.WITH_FAMILY))
+        assert len(examples) == 5 * 4 * 3
+        assert len(calls) == 5 * 4
+
+
+# Tokens chosen to exercise tokenize: peeled leading/trailing punctuation,
+# connector punctuation that stays attached, and label-like tokens.
+_TEXT_PIECES = ["Noah", "Noah,", "(Sem)", "«Ham»", "...", "_", "a_b", "__opt_src_fr", "'t", "x"]
+_CORPUS_LANGS = ["en", "sw", "fr", "uk", "ru"]
+
+
+@st.composite
+def _labeling_case(draw):
+    corpus_langs = draw(st.lists(st.sampled_from(_CORPUS_LANGS), min_size=1, max_size=4, unique=True))
+    n_verses = draw(st.integers(1, 4))
+    text = st.lists(st.sampled_from(_TEXT_PIECES), max_size=5).flatmap(
+        lambda pieces: st.sampled_from([" ", "  ", "\t"]).map(lambda sep: sep.join(pieces))
+    )
+    texts = {
+        lang: {f"v{i}": draw(text) for i in range(n_verses)} for lang in corpus_langs
+    }
+    corpus = make_corpus(texts)
+    # Repeats, and the Ukrainian alias "ur" beside "uk".
+    aliases = ["ur"] if "uk" in corpus_langs else []
+    langs = draw(st.lists(st.sampled_from(corpus_langs + aliases), min_size=1, max_size=6))
+    train = draw(st.sets(st.sampled_from(corpus.ids()), min_size=1))
+    split = SplitAssignment(
+        train=frozenset(train), val=frozenset(), test=frozenset(), ratios=(1.0, 0.0, 0.0), seed=0
+    )
+    return langs, corpus, split, draw(st.sampled_from(list(LabelMode)))
+
+
+class TestExpandMatchesOracle:
+    """Per-call token reuse and the streaming writer equal the buffered,
+    per-direction tokenizing versions they replaced."""
+
+    @given(case=_labeling_case())
+    @settings(max_examples=150, deadline=None)
+    def test_examples_equal_oracle(self, case):
+        langs, corpus, split, mode = case
+        assert list(expand_multiway_pairs(langs, corpus, split, mode)) == list(
+            expand_multiway_pairs_oracle(langs, corpus, split, mode)
+        )
+
+    @given(case=_labeling_case())
+    @settings(max_examples=60, deadline=None)
+    def test_written_files_equal_oracle(self, tmp_path_factory, case):
+        langs, corpus, split, mode = case
+        out = tmp_path_factory.mktemp("bitext")
+        count = write_labeled_bitext(
+            expand_multiway_pairs(langs, corpus, split, mode), out / "new.src", out / "new.tgt"
+        )
+        expected = write_labeled_bitext_oracle(
+            expand_multiway_pairs_oracle(langs, corpus, split, mode), out / "old.src", out / "old.tgt"
+        )
+        assert count == expected
+        assert (out / "new.src").read_bytes() == (out / "old.src").read_bytes()
+        assert (out / "new.tgt").read_bytes() == (out / "old.tgt").read_bytes()
+
 
 def _full_train_split(corpus):
     from versemt.corpus import SplitAssignment
@@ -226,6 +310,44 @@ class TestLabelingIo:
         steps = read_schedule_steps(tmp_path / "sched.tsv")
         assert [set(langs) for _, langs in steps] == [set(s) for s in schedule.steps]
         assert [k for k, _ in steps] == list(range(1, len(schedule.steps) + 1))
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [("x\ten,sw", "not an integer"), ("1\t", "empty language"), ("1\ten,,sw", "empty language")],
+    )
+    def test_malformed_schedule_line_names_its_location(self, tmp_path, line, problem):
+        sched = tmp_path / "sched.tsv"
+        sched.write_text("1\ten,sw\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=re.escape(f"{sched}:2: ") + f".*{problem}"):
+            read_schedule_steps(sched)
+
+    def test_failing_examples_leave_existing_files_alone(self, tmp_path):
+        src, tgt = tmp_path / "a.src", tmp_path / "a.tgt"
+        src.write_bytes(b"old source\n")
+        tgt.write_bytes(b"old target\n")
+        corpus = _pair_corpus(["en", "sw"], 3)
+        examples = expand_multiway_pairs(["en", "sw"], corpus, _full_train_split(corpus),
+                                         LabelMode.LANGUAGE_ONLY)
+
+        def failing():
+            yield next(examples)
+            yield next(examples)
+            raise RuntimeError("source went away")
+
+        with pytest.raises(RuntimeError, match="went away"):
+            write_labeled_bitext(failing(), src, tgt)
+        assert src.read_bytes() == b"old source\n"
+        assert tgt.read_bytes() == b"old target\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.src", "a.tgt"]
+
+    def test_failing_examples_create_no_files(self, tmp_path):
+        def failing():
+            raise RuntimeError("nothing to write")
+            yield
+
+        with pytest.raises(RuntimeError):
+            write_labeled_bitext(failing(), tmp_path / "a.src", tmp_path / "a.tgt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bitext_files_line_aligned(self, tmp_path):
         corpus = _pair_corpus(["en", "sw"], 3)

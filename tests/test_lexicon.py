@@ -175,6 +175,30 @@ class TestAssemble:
         second = assemble_table(["Egypt", "Noah"], corpus, aligners)
         assert first == second
 
+    def test_priors_computed_once_per_shape_and_one_shape_held(self, monkeypatch):
+        from versemt import alignment, lexicon
+
+        corpus, aligners, _ = _projection_fixture()
+        computed = []
+        held = []
+
+        def counting_priors(n, m, params):
+            computed.append((n, m))
+            return _position_priors(n, m, params)
+
+        def recording_viterbi(table, params, pair, prior_cache=None):
+            links = viterbi_align(table, params, pair, prior_cache)
+            held.append(len(prior_cache))
+            return links
+
+        _position_priors = alignment._position_priors
+        viterbi_align = alignment.viterbi_align
+        monkeypatch.setattr(alignment, "_position_priors", counting_priors)
+        monkeypatch.setattr(lexicon, "viterbi_align", recording_viterbi)
+        assemble_table(["Egypt", "Noah"], corpus, aligners)
+        assert len(held) > len(computed) == len(set(computed))
+        assert set(held) == {1}
+
     def test_unique_ids(self):
         corpus, aligners, _ = _projection_fixture()
         table = assemble_table(["Egypt", "Noah", "Moses"], corpus, aligners)

@@ -16,7 +16,7 @@ from versemt.subword import (
     save_model,
 )
 
-from oracles import best_pair_oracle, pair_count_oracle
+from oracles import best_pair_oracle, learn_bpe_oracle, pair_count_oracle
 
 RESERVED = frozenset({"$NE1", "$NE2", "__opt_src_fr", "__opt_tgt_en"})
 
@@ -84,6 +84,31 @@ class TestLearn:
     def test_deterministic(self):
         corpus = _corpus({"banana": 4, "bandana": 2, "cabana": 3})
         assert learn_bpe(corpus, 10) == learn_bpe(corpus, 10)
+
+    @given(
+        word_freq=st.dictionaries(
+            st.text(alphabet="abc", min_size=1, max_size=7), st.integers(1, 3), max_size=12
+        ),
+        reserved_freq=st.dictionaries(st.sampled_from(sorted(RESERVED)), st.integers(1, 4)),
+        merges=st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_pair_update_oracle(self, word_freq, reserved_freq, merges):
+        # A three-letter alphabet and frequencies 1-3 make equal pair counts,
+        # so the lexicographic tie-break decides many merges; runs such as
+        # "aaaa" make a merge change one pair's count in both directions.
+        corpus = _corpus(word_freq) + _corpus(reserved_freq)
+        if not corpus and merges:
+            return
+        assert learn_bpe(corpus, merges, reserved=RESERVED) == learn_bpe_oracle(
+            corpus, merges, reserved=RESERVED
+        )
+
+    def test_net_zero_delta_keeps_pair_poppable(self):
+        # Merging (a, a) in "aaab" takes the (a, b) pair out of that word and
+        # puts it back, so its count is unchanged; it must still be learned.
+        corpus = ["aaab"] * 3 + ["ab"] * 2
+        assert learn_bpe(corpus, 6) == learn_bpe_oracle(corpus, 6)
 
 
 class TestApplyRevert:
