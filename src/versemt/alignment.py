@@ -205,16 +205,20 @@ def viterbi_align(
     priors = cache.get((n, m))
     if priors is None:
         priors = cache[n, m] = _position_priors(n, m, params)
+    # Each source row is fetched once per sentence, not once per cell.
+    rows = [table.probs.get(e, {}) for e in src_tokens]
+    null_row = table.probs.get(NULL_TOKEN, {})
     links: list[AlignmentLink] = []
     for j, f in enumerate(tgt_tokens):
+        prior = priors[j]
         best_i = -1
         best_weight = 0.0
-        for i, e in enumerate(src_tokens):
-            weight = priors[j][i] * table.prob(e, f)
+        for i, row in enumerate(rows):
+            weight = prior[i] * row.get(f, 0.0)
             if weight > best_weight:
                 best_weight = weight
                 best_i = i
-        null_weight = priors[j][n] * table.prob(NULL_TOKEN, f)
+        null_weight = prior[n] * null_row.get(f, 0.0)
         if best_i < 0 or null_weight > best_weight:
             log.debug("target token %r at %d aligned to NULL", f, j)
             continue

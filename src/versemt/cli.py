@@ -630,10 +630,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built by the first dispatch and reused by the rest: a manifest run parses
+# one command line per stage, and parse_args keeps no state between calls.
+_parser: _Parser | None = None
+
+
 def dispatch(argv: Sequence[str]) -> int:
     """Parse argv and execute exactly one pipeline stage."""
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(list(argv))
     if not getattr(args, "command", None):
         raise UsageError("a subcommand is required (see --help)")
     try:

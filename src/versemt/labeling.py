@@ -65,7 +65,8 @@ def expand_multiway_pairs(
 
     Output is ordered by (src, tgt, verse id); the total is |train| * n(n-1).
     """
-    codes = sorted(get_language(c).code for c in set(langs))
+    # Aliases resolve before duplicates go, so `ur` beside `uk` is one language.
+    codes = sorted({get_language(c).code for c in langs})
     for code in codes:
         if code not in corpus.languages:
             raise UnknownLanguage(f"language {code!r} not in corpus")
@@ -80,10 +81,7 @@ def expand_multiway_pairs(
     train = [by_id[vid] for vid in sorted(split.train)]
     # Each (verse, language) is tokenized once and shared by all n-1
     # directions it takes part in on either side.
-    tokens = {
-        code: [tuple(tokenize(verse.text(code))) for verse in train]
-        for code in dict.fromkeys(codes)
-    }
+    tokens = {code: [tuple(tokenize(verse.text(code))) for verse in train] for code in codes}
     for src in codes:
         for tgt in codes:
             if src == tgt:

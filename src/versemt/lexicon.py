@@ -119,12 +119,51 @@ class SurfaceIndex(Generic[P]):
         return matches
 
 
+class _OccurrenceIndex:
+    """Postings token -> [(verse, position)] over one language's verses.
+
+    Only the first tokens of the surfaces to be counted are indexed, so one
+    pass over the verses serves every surface without holding postings for
+    the whole vocabulary.
+    """
+
+    def __init__(self, texts: Sequence[Sequence[str]], first_tokens: Iterable[str]) -> None:
+        self._texts = texts
+        self._postings: dict[str, list[tuple[int, int]]] = {token: [] for token in first_tokens}
+        postings = self._postings
+        for v, tokens in enumerate(texts):
+            for i, token in enumerate(tokens):
+                hits = postings.get(token)
+                if hits is not None:
+                    hits.append((v, i))
+
+    def spans(self, surface_tokens: Sequence[str]) -> list[tuple[int, int, int]]:
+        """(verse, start, end) of the leftmost non-overlapping, case-sensitive
+        occurrences of one surface: per verse, a one-surface SurfaceIndex scan."""
+        if not surface_tokens:
+            raise ValueError("a surface needs at least one token")
+        surface = tuple(surface_tokens)
+        width = len(surface)
+        found: list[tuple[int, int, int]] = []
+        last_verse, resume = -1, 0
+        for v, i in self._postings[surface[0]]:
+            if v == last_verse and i < resume:
+                continue  # inside the previous match
+            end = i + width
+            if width == 1 or tuple(self._texts[v][i:end]) == surface:
+                found.append((v, i, end))
+                last_verse, resume = v, end
+        return found
+
+    def count(self, surface: str) -> int:
+        """Occurrences of a whitespace-split surface; 0 for a blank one."""
+        surface_tokens = surface.split()
+        return len(self.spans(surface_tokens)) if surface_tokens else 0
+
+
 def _count_occurrences(texts: Iterable[Sequence[str]], surface: str) -> int:
-    surface_tokens = surface.split()
-    if not surface_tokens:
-        return 0
-    index = SurfaceIndex([(surface_tokens, surface)])
-    return sum(len(index.scan(tokens)) for tokens in texts)
+    """Leftmost non-overlapping occurrences of one whitespace-split surface."""
+    return _OccurrenceIndex(list(texts), surface.split()[:1]).count(surface)
 
 
 def assemble_table(
@@ -152,10 +191,10 @@ def assemble_table(
     tgt_tokens = {lang: [tokenize(text) for text in corpus.texts(lang)] for lang in target_langs}
 
     surfaces = [(name, tuple(name.split())) for name in sorted(set(seed))]
+    en_index = _OccurrenceIndex(en_tokens, (t for _, tokens in surfaces for t in tokens[:1]))
     en_spans: list[list[tuple[int, int, int]]] = []  # per entry: (verse_idx, start, end)
     for name, surface_tokens in surfaces:
-        index = SurfaceIndex([(surface_tokens, name)])
-        spans = [(v, a, b) for v, tokens in enumerate(en_tokens) for a, b, _ in index.scan(tokens)]
+        spans = en_index.spans(surface_tokens)
         en_spans.append(spans)
         if not spans:
             log.warning("SeedNotInCorpus: %r has no occurrence in the English side", name)
@@ -192,13 +231,10 @@ def assemble_table(
                 candidate = " ".join(tgt_tokens[lang][v][linked[0] : linked[-1] + 1])
                 votes[entry_idx][lang][candidate] += 1
 
-    entries: list[LexiconEntry] = []
-    width = max(4, len(str(len(surfaces))))
+    chosen: list[dict[str, str]] = []  # per entry: lang -> surface
     for entry_idx, (name, _) in enumerate(surfaces):
-        en_freq = len(en_spans[entry_idx])
         entry_surfaces = {SEED_LANGUAGE: name}
-        entry_freq = {SEED_LANGUAGE: en_freq}
-        required = 1 if en_freq == 1 else min_votes
+        required = 1 if len(en_spans[entry_idx]) == 1 else min_votes
         for lang in target_langs:
             counter = votes[entry_idx][lang]
             if counter:
@@ -211,16 +247,24 @@ def assemble_table(
                     log.debug("%s/%s surface variants: %s", name, lang, variants)
                 if top >= required:
                     entry_surfaces[lang] = best
-                    entry_freq[lang] = _count_occurrences(tgt_tokens[lang], best)
-        entries.append(
-            LexiconEntry(
-                id=f"ne{entry_idx + 1:0{width}d}",
-                surfaces=entry_surfaces,
-                frequency=entry_freq,
-            )
+        chosen.append(entry_surfaces)
+
+    frequencies = [{SEED_LANGUAGE: len(spans)} for spans in en_spans]
+    for lang in target_langs:
+        index = _OccurrenceIndex(
+            tgt_tokens[lang], (s[lang].split()[0] for s in chosen if lang in s)
         )
+        for entry_surfaces, entry_freq in zip(chosen, frequencies):
+            if lang in entry_surfaces:
+                entry_freq[lang] = index.count(entry_surfaces[lang])
+
+    width = max(4, len(str(len(surfaces))))
+    entries = tuple(
+        LexiconEntry(id=f"ne{k:0{width}d}", surfaces=entry_surfaces, frequency=entry_freq)
+        for k, (entry_surfaces, entry_freq) in enumerate(zip(chosen, frequencies), start=1)
+    )
     languages = tuple([SEED_LANGUAGE] + target_langs)
-    return LexiconTable(entries=tuple(entries), languages=languages)
+    return LexiconTable(entries=entries, languages=languages)
 
 
 @dataclass(frozen=True)
@@ -250,9 +294,9 @@ def trim_table(
     if policy.kind == "frequency-equals-one":
         if corpus is not None:
             en_texts = [tokenize(text) for text in corpus.texts(SEED_LANGUAGE)]
-            kept = tuple(
-                e for e in table.entries if _count_occurrences(en_texts, e.surface(SEED_LANGUAGE)) == 1
-            )
+            surfaces = [e.surface(SEED_LANGUAGE) for e in table.entries]
+            index = _OccurrenceIndex(en_texts, (t for s in surfaces for t in s.split()[:1]))
+            kept = tuple(e for e, s in zip(table.entries, surfaces) if index.count(s) == 1)
         else:
             kept = tuple(e for e in table.entries if e.frequency.get(SEED_LANGUAGE) == 1)
         return LexiconTable(entries=kept, languages=table.languages)

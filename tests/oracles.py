@@ -259,12 +259,14 @@ def train_em_oracle(bitext, iterations, params):
 
 def expand_multiway_pairs_oracle(langs, corpus, split, mode):
     """``labeling.expand_multiway_pairs`` as it was before per-call token
-    reuse: both sides re-tokenized for every direction of every verse."""
+    reuse: both sides re-tokenized for every direction of every verse.
+    Aliases resolve before duplicates are dropped, so `ur` beside `uk` is one
+    language (the one deliberate change from that version)."""
     from versemt.corpus import get_language, tokenize
     from versemt.errors import EmptySplit, UnknownLanguage
     from versemt.labeling import LabeledExample, label_tokens
 
-    codes = sorted(get_language(c).code for c in set(langs))
+    codes = sorted({get_language(c).code for c in langs})
     for code in codes:
         if code not in corpus.languages:
             raise UnknownLanguage(f"language {code!r} not in corpus")
@@ -371,3 +373,176 @@ def learn_bpe_oracle(tokenized_corpus, num_merges, reserved=(), vocab_side="sour
                 index.setdefault(pair, set()).add(wid)
             words[wid] = new
     return BpeModel(merges=tuple(merges), vocab_side=vocab_side, reserved=reserved_set)
+
+
+def viterbi_align_oracle(table, params, pair, prior_cache=None):
+    """``alignment.viterbi_align`` as it was before rows were fetched once per
+    sentence: ``table.prob(e, f)`` for every (source, target) cell."""
+    import logging
+
+    from versemt.alignment import NULL_TOKEN, AlignmentLink, _position_priors
+    from versemt.errors import EmptySentence
+
+    log = logging.getLogger("versemt.alignment")
+
+    src_tokens, tgt_tokens = pair
+    if not src_tokens or not tgt_tokens:
+        raise EmptySentence("both sentences must be non-empty")
+    n, m = len(src_tokens), len(tgt_tokens)
+    cache = {} if prior_cache is None else prior_cache
+    priors = cache.get((n, m))
+    if priors is None:
+        priors = cache[n, m] = _position_priors(n, m, params)
+    links = []
+    for j, f in enumerate(tgt_tokens):
+        best_i = -1
+        best_weight = 0.0
+        for i, e in enumerate(src_tokens):
+            weight = priors[j][i] * table.prob(e, f)
+            if weight > best_weight:
+                best_weight = weight
+                best_i = i
+        null_weight = priors[j][n] * table.prob(NULL_TOKEN, f)
+        if best_i < 0 or null_weight > best_weight:
+            log.debug("target token %r at %d aligned to NULL", f, j)
+            continue
+        links.append(AlignmentLink(src_index=best_i, tgt_index=j))
+    return links
+
+
+def _count_occurrences_scan(texts, surface):
+    """``lexicon._count_occurrences`` as it was before occurrence indexes: one
+    single-surface SurfaceIndex scan of every verse."""
+    from versemt.lexicon import SurfaceIndex
+
+    surface_tokens = surface.split()
+    if not surface_tokens:
+        return 0
+    index = SurfaceIndex([(surface_tokens, surface)])
+    return sum(len(index.scan(tokens)) for tokens in texts)
+
+
+def assemble_table_oracle(seed, corpus, aligners, params, min_votes):
+    """``lexicon.assemble_table`` as it was before occurrence indexes: one
+    single-surface SurfaceIndex scan of the English side per seed and of the
+    target side per accepted surface, decoded with ``viterbi_align_oracle``.
+    Logs to the ``versemt.lexicon`` logger like the package does."""
+    import logging
+
+    from versemt.corpus import tokenize
+    from versemt.errors import MissingAligner, UnknownLanguage
+    from versemt.lexicon import SEED_LANGUAGE, LexiconEntry, LexiconTable, SurfaceIndex
+
+    log = logging.getLogger("versemt.lexicon")
+    viterbi_align = viterbi_align_oracle
+    _count_occurrences = _count_occurrences_scan
+
+    if SEED_LANGUAGE not in corpus.languages:
+        raise UnknownLanguage(f"corpus has no {SEED_LANGUAGE!r} side")
+    target_langs = [lang for lang in corpus.languages if lang != SEED_LANGUAGE]
+    missing = [lang for lang in target_langs if lang not in aligners]
+    if missing:
+        raise MissingAligner(f"no aligner for language(s): {', '.join(missing)}")
+
+    en_tokens = [tokenize(text) for text in corpus.texts(SEED_LANGUAGE)]
+    tgt_tokens = {lang: [tokenize(text) for text in corpus.texts(lang)] for lang in target_langs}
+
+    surfaces = [(name, tuple(name.split())) for name in sorted(set(seed))]
+    en_spans = []  # per entry: (verse_idx, start, end)
+    for name, surface_tokens in surfaces:
+        index = SurfaceIndex([(surface_tokens, name)])
+        spans = [(v, a, b) for v, tokens in enumerate(en_tokens) for a, b, _ in index.scan(tokens)]
+        en_spans.append(spans)
+        if not spans:
+            log.warning("SeedNotInCorpus: %r has no occurrence in the English side", name)
+
+    # One Viterbi pass per (verse, language), shared by all entries.
+    votes = [{lang: Counter() for lang in target_langs} for _ in surfaces]
+    wanted_verses = {v for spans in en_spans for v, _, _ in spans}
+    for lang in target_langs:
+        table = aligners[lang]
+        links_by_verse = {}
+        prior_cache = {}
+        tgt = tgt_tokens[lang]
+        for v in sorted(wanted_verses, key=lambda v: (len(en_tokens[v]), len(tgt[v]), v)):
+            if not en_tokens[v] or not tgt[v]:
+                continue
+            if (len(en_tokens[v]), len(tgt[v])) not in prior_cache:
+                prior_cache.clear()
+            by_src = {}
+            for link in viterbi_align(table, params, (en_tokens[v], tgt[v]), prior_cache):
+                by_src.setdefault(link.src_index, []).append(link.tgt_index)
+            links_by_verse[v] = by_src
+        for entry_idx, spans in enumerate(en_spans):
+            for v, a, b in spans:
+                by_src = links_by_verse.get(v, {})
+                linked = sorted(j for i in range(a, b) for j in by_src.get(i, []))
+                if not linked:
+                    continue
+                if linked[-1] - linked[0] + 1 != len(set(linked)):
+                    continue  # non-contiguous projection, no vote
+                candidate = " ".join(tgt_tokens[lang][v][linked[0] : linked[-1] + 1])
+                votes[entry_idx][lang][candidate] += 1
+
+    entries = []
+    width = max(4, len(str(len(surfaces))))
+    for entry_idx, (name, _) in enumerate(surfaces):
+        en_freq = len(en_spans[entry_idx])
+        entry_surfaces = {SEED_LANGUAGE: name}
+        entry_freq = {SEED_LANGUAGE: en_freq}
+        required = 1 if en_freq == 1 else min_votes
+        for lang in target_langs:
+            counter = votes[entry_idx][lang]
+            if counter:
+                top = max(counter.values())
+                best = min(c for c, n in counter.items() if n == top)
+                if len(counter) > 1:
+                    variants = ", ".join(
+                        f"{c}:{n}" for c, n in sorted(counter.items(), key=lambda kv: -kv[1])
+                    )
+                    log.debug("%s/%s surface variants: %s", name, lang, variants)
+                if top >= required:
+                    entry_surfaces[lang] = best
+                    entry_freq[lang] = _count_occurrences(tgt_tokens[lang], best)
+        entries.append(
+            LexiconEntry(
+                id=f"ne{entry_idx + 1:0{width}d}",
+                surfaces=entry_surfaces,
+                frequency=entry_freq,
+            )
+        )
+    languages = tuple([SEED_LANGUAGE] + target_langs)
+    return LexiconTable(entries=tuple(entries), languages=languages)
+
+
+def trim_table_oracle(table, policy, corpus=None):
+    """``lexicon.trim_table`` as it was before occurrence indexes: one
+    single-surface scan of the English side per entry."""
+    from versemt.corpus import tokenize
+    from versemt.errors import MissingSelectionFile
+    from versemt.lexicon import SEED_LANGUAGE, LexiconTable
+
+    _count_occurrences = _count_occurrences_scan
+
+    if policy.kind == "none":
+        return table
+    if policy.kind == "frequency-equals-one":
+        if corpus is not None:
+            en_texts = [tokenize(text) for text in corpus.texts(SEED_LANGUAGE)]
+            kept = tuple(
+                e for e in table.entries if _count_occurrences(en_texts, e.surface(SEED_LANGUAGE)) == 1
+            )
+        else:
+            kept = tuple(e for e in table.entries if e.frequency.get(SEED_LANGUAGE) == 1)
+        return LexiconTable(entries=kept, languages=table.languages)
+    if policy.kind == "manual-selection":
+        if policy.selection_file is None or not policy.selection_file.exists():
+            raise MissingSelectionFile(f"selection file not found: {policy.selection_file}")
+        selected = {
+            line.strip()
+            for line in policy.selection_file.read_text(encoding="utf-8").splitlines()
+            if line.strip()
+        }
+        kept = tuple(e for e in table.entries if e.surface(SEED_LANGUAGE) in selected)
+        return LexiconTable(entries=kept, languages=table.languages)
+    raise ValueError(f"unknown trim policy {policy.kind!r}")

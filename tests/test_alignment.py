@@ -19,7 +19,7 @@ from versemt.alignment import (
 )
 from versemt.errors import EmptyBitext, EmptySentence, MalformedLine
 
-from oracles import model1_em_oracle, train_em_oracle
+from oracles import model1_em_oracle, train_em_oracle, viterbi_align_oracle
 
 MODEL1 = DiagonalParams(tension=0.0, null_prob=0.0)
 
@@ -199,6 +199,39 @@ class TestViterbi:
         shapes = {(len(src), len(tgt)) for src, tgt in bitext if src and tgt}
         assert cache.keys() == shapes
         assert all(cache[n, m] == _position_priors(n, m, params) for n, m in shapes)
+
+
+_viterbi_words = st.lists(st.sampled_from(["a", "b", "c", "A"]), max_size=5)
+_viterbi_targets = st.lists(st.sampled_from(["x", "y", "z", "X"]), max_size=5)
+
+
+@given(
+    bitext=st.lists(st.tuples(_viterbi_words, _viterbi_targets), min_size=1, max_size=8),
+    extra=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(["a", "b", "q"]), min_size=1, max_size=5),
+            st.lists(st.sampled_from(["x", "y", "w"]), min_size=1, max_size=5),
+        ),
+        max_size=3,
+    ),
+    tension=st.sampled_from([0.0, 4.0, 40.0]),
+    null_prob=st.sampled_from([0.0, 0.08, 0.5]),
+    iterations=st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_viterbi_links_equal_oracle(bitext, extra, tension, null_prob, iterations):
+    """Rows fetched once per sentence give the links of per-cell lookups,
+    with and without a shared prior cache; `extra` adds unseen words."""
+    params = DiagonalParams(tension=tension, null_prob=null_prob)
+    table = train_em(bitext, iterations, params)
+    cache, oracle_cache = {}, {}
+    for pair in bitext + extra:
+        if not pair[0] or not pair[1]:
+            continue
+        want = viterbi_align_oracle(table, params, pair)
+        assert viterbi_align(table, params, pair) == want
+        assert viterbi_align(table, params, pair, cache) == want
+        assert viterbi_align_oracle(table, params, pair, oracle_cache) == want
 
 
 class TestTableIo:

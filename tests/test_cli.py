@@ -96,6 +96,25 @@ class TestPipelineStages:
         assert len(src_lines) == 30  # 15 train verses x 2 directions
         assert src_lines[0].startswith("__opt_family_src_")
 
+    def test_label_alias_beside_its_code_is_one_language(self, tmp_path):
+        raw = tmp_path / "raw"
+        _write(raw / "en.txt", "".join(f"v{i}\tthe man {i}\n" for i in range(6)))
+        _write(raw / "uk.txt", "".join(f"v{i}\tcholovik {i}\n" for i in range(6)))
+        store, aligned = tmp_path / "store", tmp_path / "aligned"
+        for lang in ("en", "uk"):
+            raw_file = str(raw / f"{lang}.txt")
+            assert cli.dispatch(["ingest", "--lang", lang, "--in", raw_file, "--out", str(store)]) == 0
+        assert cli.dispatch(["align", "--in", str(store), "--out", str(aligned)]) == 0
+        splits = tmp_path / "splits.tsv"
+        _write(splits, "".join(f"v{i}\ttrain\n" for i in range(6)))
+        prefix = tmp_path / "bitext"
+        assert cli.dispatch([
+            "label", "--corpus", str(aligned), "--split", str(splits),
+            "--mode", "language", "--langs", "en,ur,uk", "--out-prefix", str(prefix),
+        ]) == 0
+        src_lines = (tmp_path / "bitext.src").read_text().splitlines()
+        assert len(src_lines) == 6 * 2  # en->uk and uk->en, once each
+
     def test_schedule_command(self, tmp_path):
         out = tmp_path / "sched.tsv"
         assert cli.dispatch([
@@ -471,6 +490,63 @@ class TestManifest:
         )
         assert cli.dispatch(["run", "--manifest", str(manifest)]) == 0
         assert second_out.exists()
+
+
+class TestParserReuse:
+    def test_manifest_builds_parser_once(self, tmp_path, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        stages = [
+            {
+                "name": f"config-{i}",
+                "command": ["emit-config", "--profile", "multilingual", "--out", str(tmp_path / f"{i}.cfg")],
+                "inputs": [],
+                "outputs": [str(tmp_path / f"{i}.cfg")],
+            }
+            for i in range(3)
+        ]
+        manifest = tmp_path / "pipeline.json"
+        _write(manifest, json.dumps({"stages": stages}))
+        assert cli.dispatch(["run", "--manifest", str(manifest)]) == 0
+        assert all((tmp_path / f"{i}.cfg").exists() for i in range(3))
+        assert len(built) == 1
+
+    def test_consecutive_dispatches_share_no_option_values(self, tmp_path, corpus_dir, monkeypatch):
+        from versemt import lexicon
+
+        src, tgt = tmp_path / "bitext.en", tmp_path / "bitext.sw"
+        _write(src, "".join("the man saw house\n" for _ in range(10)))
+        _write(tgt, "".join("mannen sag huset\n" for _ in range(10)))
+        aligners = tmp_path / "aligners"
+        aligners.mkdir()
+        assert cli.dispatch([
+            "align-train", "--src", str(src), "--tgt", str(tgt), "--iterations", "2",
+            "--out", str(aligners / "sw.tsv"),
+        ]) == 0
+        seeds = tmp_path / "seed.txt"
+        _write(seeds, "man\n")
+        seen = []
+        assemble_table = lexicon.assemble_table
+
+        def recording_assemble(*args, min_votes, **kwargs):
+            seen.append(min_votes)
+            return assemble_table(*args, min_votes=min_votes, **kwargs)
+
+        monkeypatch.setattr(lexicon, "assemble_table", recording_assemble)
+        command = [
+            "lex-build", "--seed-list", str(seeds), "--corpus", str(corpus_dir),
+            "--aligners", str(aligners), "--out", str(tmp_path / "lex.tsv"),
+        ]
+        assert cli.dispatch(command + ["--min-votes", "1"]) == 0
+        assert cli.dispatch(command) == 0
+        assert seen == [1, lexicon.DEFAULT_MIN_VOTES] == [1, 2]
 
 
 class TestAtomicWrite:

@@ -146,6 +146,14 @@ class TestExpandMultiway:
         with pytest.raises(PipelineError, match="zzz999"):
             list(expand_multiway_pairs(["en", "sw"], corpus, stale, LabelMode.LANGUAGE_ONLY))
 
+    def test_alias_beside_its_code_is_one_language(self):
+        corpus = _pair_corpus(["en", "uk"], 3)
+        split = _full_train_split(corpus)
+        examples = list(
+            expand_multiway_pairs(["en", "ur", "uk"], corpus, split, LabelMode.LANGUAGE_ONLY)
+        )
+        assert [(e.src, e.tgt) for e in examples] == [("en", "uk")] * 3 + [("uk", "en")] * 3
+
     def test_tokenizes_each_verse_once_per_language(self, monkeypatch):
         calls = []
 
