@@ -6,129 +6,4 @@ construction, order-preserving placeholder tagging/restoration, ablation
 sampling with generalization-loss early stopping, and BLEU/rubric evaluation.
 """
 
-from .alignment import AlignmentLink, DiagonalParams, TranslationTable, train_em, viterbi_align
-from .corpus import (
-    FAMILIES,
-    REGISTRY,
-    CorpusStats,
-    Language,
-    ParallelCorpus,
-    SplitAssignment,
-    Verse,
-    corpus_stats,
-    get_language,
-    ingest_language_file,
-    intersect_alignment,
-    split_corpus,
-    tokenize,
-)
-from .evaluation import (
-    BleuReport,
-    RubricJudgment,
-    aggregate_rubric,
-    corpus_bleu,
-    judge_sentence,
-)
-from .harness import (
-    AblationPlan,
-    GlState,
-    PowerLawFit,
-    SampleResult,
-    TrainerConfig,
-    emit_trainer_config,
-    fit_power_law,
-    gl_update,
-    sample_low_resource,
-)
-from .labeling import (
-    AdditionSchedule,
-    LabeledExample,
-    LabelMode,
-    ScheduleMode,
-    build_addition_schedule,
-    expand_multiway_pairs,
-    label_tokens,
-    language_set_spans,
-)
-from .lexicon import (
-    LexiconEntry,
-    LexiconTable,
-    TrimPolicy,
-    assemble_table,
-    filter_seed_list,
-    lookup_rows,
-    trim_table,
-)
-from .netag import (
-    DecodeTable,
-    EntityJudgment,
-    TaggedSentence,
-    check_entity_order,
-    restore_placeholders,
-    tag_source,
-    tag_training_pair,
-)
-from .subword import BpeModel, apply_bpe, learn_bpe, revert_bpe
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AblationPlan",
-    "AdditionSchedule",
-    "AlignmentLink",
-    "BleuReport",
-    "BpeModel",
-    "CorpusStats",
-    "DecodeTable",
-    "DiagonalParams",
-    "EntityJudgment",
-    "FAMILIES",
-    "GlState",
-    "LabelMode",
-    "LabeledExample",
-    "Language",
-    "LexiconEntry",
-    "LexiconTable",
-    "ParallelCorpus",
-    "PowerLawFit",
-    "REGISTRY",
-    "RubricJudgment",
-    "SampleResult",
-    "ScheduleMode",
-    "SplitAssignment",
-    "TaggedSentence",
-    "TrainerConfig",
-    "TranslationTable",
-    "TrimPolicy",
-    "Verse",
-    "aggregate_rubric",
-    "apply_bpe",
-    "assemble_table",
-    "build_addition_schedule",
-    "check_entity_order",
-    "corpus_bleu",
-    "corpus_stats",
-    "emit_trainer_config",
-    "expand_multiway_pairs",
-    "filter_seed_list",
-    "fit_power_law",
-    "get_language",
-    "gl_update",
-    "ingest_language_file",
-    "intersect_alignment",
-    "judge_sentence",
-    "label_tokens",
-    "language_set_spans",
-    "learn_bpe",
-    "lookup_rows",
-    "restore_placeholders",
-    "revert_bpe",
-    "sample_low_resource",
-    "split_corpus",
-    "tag_source",
-    "tag_training_pair",
-    "tokenize",
-    "train_em",
-    "trim_table",
-    "viterbi_align",
-]

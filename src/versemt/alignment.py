@@ -51,12 +51,12 @@ class TranslationTable:
     The source vocabulary includes NULL_TOKEN. ``log_likelihood_history``
     records the corpus log-likelihood observed during each E-step (one entry
     per EM iteration, non-decreasing). ``params`` is the positional prior the
-    table was trained with, when known.
+    table was trained with, and the one it is decoded with.
     """
 
     probs: dict[str, dict[str, float]]
     log_likelihood_history: tuple[float, ...] = ()
-    params: DiagonalParams | None = None
+    params: DiagonalParams = DiagonalParams()
 
     def prob(self, source_word: str, target_word: str) -> float:
         return self.probs.get(source_word, {}).get(target_word, 0.0)
@@ -231,12 +231,8 @@ def viterbi_align(
 # ---------------------------------------------------------------------------
 
 
-def save_table(
-    table: TranslationTable,
-    path: str | Path,
-    params: DiagonalParams,
-    iterations: int,
-) -> None:
+def save_table(table: TranslationTable, path: str | Path, iterations: int) -> None:
+    params = table.params
     lines = [f"#lambda={params.tension}\tp0={params.null_prob}\titerations={iterations}"]
     for source_word in sorted(table.probs):
         for target_word, prob in sorted(table.probs[source_word].items()):
@@ -245,27 +241,32 @@ def save_table(
 
 
 def _parse_header(line: str, where: str) -> DiagonalParams:
-    fields = dict(item.partition("=")[::2] for item in line[1:].split("\t"))
-    try:
-        return DiagonalParams(tension=float(fields["lambda"]), null_prob=float(fields["p0"]))
-    except (KeyError, ValueError):
-        raise MalformedLine(f"{where}: bad parameter header {line!r}") from None
+    if line.startswith("#lambda="):
+        fields = dict(item.partition("=")[::2] for item in line[1:].split("\t"))
+        try:
+            return DiagonalParams(tension=float(fields["lambda"]), null_prob=float(fields["p0"]))
+        except (KeyError, ValueError):
+            pass
+    raise MalformedLine(f"{where}: expected a `#lambda=...<TAB>p0=...` header, got {line!r}")
 
 
 def load_table(path: str | Path) -> TranslationTable:
-    """Read a table; ``params`` comes from the ``#lambda=`` header, if present."""
+    """Read a table; ``params`` comes from its required ``#lambda=`` header."""
     probs: dict[str, dict[str, float]] = {}
-    params = None
     with Path(path).open(encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+        params = _parse_header(handle.readline().rstrip("\n"), f"{path}:1")
+        for lineno, raw in enumerate(handle, start=2):
             line = raw.rstrip("\n")
-            if lineno == 1 and line.startswith("#lambda="):
-                params = _parse_header(line, f"{path}:1")
-                continue
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
                 raise MalformedLine(f"{path}:{lineno}: expected `source<TAB>target<TAB>prob`")
-            probs.setdefault(fields[0], {})[fields[1]] = float(fields[2])
+            try:
+                prob = float(fields[2])
+            except ValueError:
+                prob = math.nan
+            if not 0.0 <= prob <= 1.0:  # also false for nan
+                raise MalformedLine(f"{path}:{lineno}: probability {fields[2]!r} is not in [0, 1]")
+            probs.setdefault(fields[0], {})[fields[1]] = prob
     return TranslationTable(probs=probs, params=params)

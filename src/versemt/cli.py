@@ -6,13 +6,14 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
-from .errors import CycleDetected, ParamsMismatch, PipelineError, StageFailed, UsageError
+from .errors import CycleDetected, MalformedLine, PipelineError, StageFailed, UsageError
 from .fileio import atomic_write_lines, atomic_write_text
 
 log = logging.getLogger("versemt")
@@ -101,16 +102,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_split_assignment(path: str) -> corpus.SplitAssignment:
-    parts = corpus.read_split(path)
-    return corpus.SplitAssignment(
-        train=parts["train"], val=parts["val"], test=parts["test"], ratios=(0.0, 0.0, 0.0), seed=0
-    )
-
-
 def _cmd_label(args: argparse.Namespace) -> int:
     parallel = corpus.read_corpus_dir(args.corpus)
-    split = _read_split_assignment(args.split)
+    split = corpus.read_split(args.split)
     mode = _label_mode(args.mode)
     if bool(args.langs) == bool(args.schedule):
         raise UsageError("exactly one of --langs / --schedule is required")
@@ -157,10 +151,6 @@ def _cmd_bpe_apply(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _diag_params(args: argparse.Namespace) -> alignment.DiagonalParams:
-    return alignment.DiagonalParams(tension=args.tension, null_prob=args.null_prob)
-
-
 def _cmd_align_train(args: argparse.Namespace) -> int:
     src_lines = _read_lines(args.src)
     tgt_lines = _read_lines(args.tgt)
@@ -169,9 +159,9 @@ def _cmd_align_train(args: argparse.Namespace) -> int:
             f"bitext length mismatch: {len(src_lines)} source vs {len(tgt_lines)} target lines"
         )
     bitext = [(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)]
-    params = _diag_params(args)
+    params = alignment.DiagonalParams(tension=args.tension, null_prob=args.null_prob)
     table = alignment.train_em(bitext, args.iterations, params)
-    alignment.save_table(table, args.out, params, args.iterations)
+    alignment.save_table(table, args.out, args.iterations)
     log.info(
         "align-train pairs=%d iterations=%d ll=%s",
         len(bitext),
@@ -192,19 +182,10 @@ def _cmd_lex_filter(args: argparse.Namespace) -> int:
 def _cmd_lex_build(args: argparse.Namespace) -> int:
     seed_list = [line for line in _read_lines(args.seed_list) if line.strip()]
     parallel = corpus.read_corpus_dir(args.corpus)
-    params = _diag_params(args)
-    aligners = {}
-    for path in sorted(Path(args.aligners).glob("*.tsv")):
-        aligner = alignment.load_table(path)
-        trained = aligner.params
-        if trained is not None and trained != params:
-            raise ParamsMismatch(
-                f"{path}: trained with lambda={trained.tension} p0={trained.null_prob}, but "
-                f"lex-build decodes with lambda={params.tension} p0={params.null_prob}; "
-                "pass matching --tension/--null-prob"
-            )
-        aligners[path.stem] = aligner
-    table = lexicon.assemble_table(seed_list, parallel, aligners, params, min_votes=args.min_votes)
+    aligners = {
+        path.stem: alignment.load_table(path) for path in sorted(Path(args.aligners).glob("*.tsv"))
+    }
+    table = lexicon.assemble_table(seed_list, parallel, aligners, min_votes=args.min_votes)
     lexicon.save_lexicon(table, args.out, args.freq_out)
     log.info("lex-build entries=%d languages=%d", len(table), len(table.languages))
     return EXIT_OK
@@ -301,14 +282,20 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_gl_monitor(args: argparse.Namespace) -> int:
     state = harness.GlState(alpha=args.alpha)
-    for raw in sys.stdin:
+    for lineno, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
         if not line:
             continue
         fields = line.split("\t")
-        if len(fields) != 2:
-            raise PipelineError(f"gl-monitor expects `epoch<TAB>score`, got {line!r}")
-        state, gl, decision = harness.gl_update(state, int(fields[0]), float(fields[1]))
+        try:
+            epoch, score = int(fields[0]), float(fields[1])
+            if len(fields) != 2 or not math.isfinite(score):
+                raise ValueError(line)
+        except (IndexError, ValueError):
+            raise MalformedLine(
+                f"<stdin>:{lineno}: expected `integer epoch<TAB>finite score`, got {line!r}"
+            ) from None
+        state, gl, decision = harness.gl_update(state, epoch, score)
         print(f"{fields[0]}\t{fields[1]}\t{gl:.4f}\t{decision}", flush=True)
         if decision == "stop":
             break
@@ -392,6 +379,29 @@ def _file_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _validated_stages(manifest: object, where: Path) -> list[dict]:
+    """The manifest's stages, once every field a run reads has its type."""
+    if not isinstance(manifest, dict):
+        raise MalformedLine(f"{where}: the top level must be a JSON object")
+    stages = manifest.get("stages", [])
+    if not isinstance(stages, list):
+        raise MalformedLine(f"{where}: `stages` must be a list")
+    names: set[str] = set()
+    for index, stage in enumerate(stages):
+        at = f"{where}: stages[{index}]"
+        if not isinstance(stage, dict):
+            raise MalformedLine(f"{at}: a stage must be a JSON object")
+        name = stage.get("name")
+        if not (isinstance(name, str) and name) or name in names:
+            raise MalformedLine(f"{at}: `name` must be a non-empty string unique across stages")
+        names.add(name)
+        for key in ("command", "inputs", "outputs"):
+            value = stage.get(key, [])
+            if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
+                raise MalformedLine(f"{at}: `{key}` must be a list of strings")
+    return stages
+
+
 def _stage_fingerprint(stage: dict) -> str:
     payload = {
         "command": stage.get("command", []),
@@ -432,11 +442,7 @@ def _topological_stages(stages: list[dict]) -> list[dict]:
 def run_manifest(manifest_path: str | Path) -> int:
     """Run manifest stages in dependency order, skipping up-to-date ones."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    stages = manifest.get("stages", [])
-    names = [stage.get("name") for stage in stages]
-    if len(names) != len(set(names)) or any(not n for n in names):
-        raise PipelineError("manifest stages need unique non-empty names")
+    stages = _validated_stages(json.loads(manifest_path.read_text(encoding="utf-8")), manifest_path)
 
     state_path = manifest_path.with_suffix(manifest_path.suffix + ".state.json")
     state: dict = {}
@@ -548,8 +554,6 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--aligners", required=True, help="directory of <lang>.tsv tables")
     p.add_argument("--min-votes", type=int, default=lexicon.DEFAULT_MIN_VOTES)
-    p.add_argument("--tension", type=float, default=4.0)
-    p.add_argument("--null-prob", type=float, default=0.08)
     p.add_argument("--out", required=True)
     p.add_argument("--freq-out", default=None)
     p.set_defaults(func=_cmd_lex_build)

@@ -132,13 +132,6 @@ class ParallelCorpus:
             raise UnknownLanguage(f"language {lang!r} not in corpus")
         return [v.text(lang) for v in self.verses]
 
-    def restricted(self, ids: Iterable[str]) -> "ParallelCorpus":
-        keep = set(ids)
-        return ParallelCorpus(
-            verses=tuple(v for v in self.verses if v.id in keep),
-            languages=self.languages,
-        )
-
 
 def ingest_language_file(path: str | Path, lang: str) -> dict[str, str]:
     """Read a ``verse_id<TAB>text`` TSV into an id -> NFC-normalized text map."""
@@ -188,8 +181,6 @@ class SplitAssignment:
     train: frozenset[str]
     val: frozenset[str]
     test: frozenset[str]
-    ratios: tuple[float, float, float]
-    seed: int
 
 
 def split_corpus(
@@ -215,8 +206,6 @@ def split_corpus(
         train=frozenset(ids[:cut1]),
         val=frozenset(ids[cut1:cut2]),
         test=frozenset(ids[cut2:]),
-        ratios=(ratios[0], ratios[1], ratios[2]),
-        seed=seed,
     )
 
 
@@ -279,7 +268,7 @@ def write_split(split: SplitAssignment, path: str | Path) -> None:
     atomic_write_lines(path, sorted(lines))
 
 
-def read_split(path: str | Path) -> dict[str, frozenset[str]]:
+def read_split(path: str | Path) -> SplitAssignment:
     parts: dict[str, set[str]] = {"train": set(), "val": set(), "test": set()}
     with Path(path).open(encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -287,7 +276,7 @@ def read_split(path: str | Path) -> dict[str, frozenset[str]]:
             if len(fields) != 2 or fields[1] not in parts:
                 raise MalformedLine(f"{path}:{lineno}: expected `verse_id<TAB>train|val|test`")
             parts[fields[1]].add(fields[0])
-    return {part: frozenset(ids) for part, ids in parts.items()}
+    return SplitAssignment(**{part: frozenset(ids) for part, ids in parts.items()})
 
 
 def write_stats_report(corpus: ParallelCorpus, path: str | Path) -> None:

@@ -57,10 +57,6 @@ class EmptySentence(PipelineError):
     pass
 
 
-class ParamsMismatch(PipelineError):
-    pass
-
-
 # lexicon
 class EmptyResult(PipelineError):
     pass

@@ -42,13 +42,11 @@ def corpus_bleu(
     hypotheses: Sequence[Sentence],
     references: Sequence[Sentence],
     max_n: int = 4,
-    smooth: bool = False,
 ) -> BleuReport:
     """Corpus-level BLEU with clipped n-gram counts and brevity penalty.
 
-    Single reference per hypothesis; unsmoothed by default, so the score is 0
-    whenever any modified precision is 0. The add-one ``smooth`` flag is for
-    sentence-level diagnostics only.
+    Single reference per hypothesis; unsmoothed, so the score is 0 whenever
+    any modified precision is 0.
     """
     if len(hypotheses) != len(references):
         raise LengthMismatch(
@@ -72,12 +70,7 @@ def corpus_bleu(
 
     c = sum(len(h) for h in hyp_tokens)
     r = sum(len(t) for t in ref_tokens)
-    precisions = []
-    for n in range(1, max_n + 1):
-        m, t = matched[n - 1], total[n - 1]
-        if smooth and n > 1:
-            m, t = m + 1, t + 1
-        precisions.append(m / t if t > 0 else 0.0)
+    precisions = [m / t if t > 0 else 0.0 for m, t in zip(matched, total)]
 
     if c == 0:
         return BleuReport(tuple(precisions), 0.0, 0.0, c, r)

@@ -84,8 +84,8 @@ def gl_update(state: GlState, epoch: int, val_score: float) -> tuple[GlState, fl
     including the current epoch, so a new best always yields 0. Returns the
     new state, the loss, and "stop" or "continue".
     """
-    if val_score < 0:
-        raise ValueError(f"val_score must be >= 0, got {val_score}")
+    if not (math.isfinite(val_score) and val_score >= 0):
+        raise ValueError(f"val_score must be finite and >= 0, got {val_score}")
     if state.history and epoch <= state.history[-1][0]:
         raise NonMonotoneEpoch(
             f"epoch {epoch} does not follow epoch {state.history[-1][0]}"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -21,8 +20,6 @@ from .corpus import (
 )
 from .errors import EmptySplit, MalformedLine, UnknownLanguage, UnknownVerse
 from .fileio import atomic_write_lines, atomic_writer
-
-LABEL_TOKEN_RE = re.compile(r"^__opt_(family_)?(src|tgt)_[a-z]+$")
 
 
 class LabelMode(Enum):
@@ -93,21 +90,9 @@ def expand_multiway_pairs(
                 )
 
 
-def language_set_spans(langs: Iterable[str], families: Iterable[str]) -> bool:
-    """True iff the language set contains at least one member of every family."""
-    covered = {get_language(c).family for c in langs}
-    return all(f in covered for f in families)
-
-
 class ScheduleMode(Enum):
     FAMILY_ADDITION = "family-addition"
     SPARSE_ADDITION = "sparse-addition"
-
-
-# Family progression for family addition. The three-family prefix follows the
-# experiment ladder (germanic, slavic, romance); the remainder keeps family
-# table order. Configurable per run.
-DEFAULT_FAMILY_ORDER: tuple[str, ...] = FAMILIES
 
 
 @dataclass(frozen=True)
@@ -121,21 +106,17 @@ def build_addition_schedule(
     anchor: str,
     mode: ScheduleMode,
     seed: int,
-    family_order: tuple[str, ...] = DEFAULT_FAMILY_ORDER,
 ) -> AdditionSchedule:
     """Construct a cumulative language schedule anchored at a target language.
 
     Family addition grows by whole families: the anchor's own family first,
-    then each remaining family in ``family_order``. Sparse addition draws
+    then each remaining family in ``FAMILIES`` order, whose first three follow
+    the experiment ladder (germanic, slavic, romance). Sparse addition draws
     seeded random languages with the same step sizes, covering not-yet-spanned
     families first so the cumulative set spans all eight as early as possible.
     """
     anchor_lang = get_language(anchor)
-    if sorted(family_order) != sorted(FAMILIES):
-        raise ValueError("family_order must be a permutation of the eight families")
-    ordered_families = [anchor_lang.family] + [
-        f for f in family_order if f != anchor_lang.family
-    ]
+    ordered_families = [anchor_lang.family] + [f for f in FAMILIES if f != anchor_lang.family]
 
     family_steps: list[frozenset[str]] = []
     cumulative: set[str] = set()

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 
-from .alignment import DiagonalParams, TranslationTable, viterbi_align
+from .alignment import TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, registry_order, tokenize
 from .errors import EmptyResult, MalformedLine, MissingAligner, MissingSelectionFile, UnknownLanguage
 from .fileio import atomic_write_lines
@@ -161,22 +161,17 @@ class _OccurrenceIndex:
         return len(self.spans(surface_tokens)) if surface_tokens else 0
 
 
-def _count_occurrences(texts: Iterable[Sequence[str]], surface: str) -> int:
-    """Leftmost non-overlapping occurrences of one whitespace-split surface."""
-    return _OccurrenceIndex(list(texts), surface.split()[:1]).count(surface)
-
-
 def assemble_table(
     seed: Sequence[str],
     corpus: ParallelCorpus,
     aligners: Mapping[str, TranslationTable],
-    params: DiagonalParams = DiagonalParams(),
     min_votes: int = DEFAULT_MIN_VOTES,
 ) -> LexiconTable:
     """Project an English seed list across the corpus languages via alignment.
 
     For each seed entry and language, Viterbi-linked target tokens are
-    collected over every verse whose English side contains the seed surface;
+    collected over every verse whose English side contains the seed surface,
+    decoding with the positional prior that language's table was trained with;
     the majority candidate becomes the surface once it has enough votes.
     Multi-token candidates count only when the linked tokens are contiguous.
     """
@@ -217,7 +212,7 @@ def assemble_table(
             if (len(en_tokens[v]), len(tgt[v])) not in prior_cache:
                 prior_cache.clear()
             by_src: dict[int, list[int]] = {}
-            for link in viterbi_align(table, params, (en_tokens[v], tgt[v]), prior_cache):
+            for link in viterbi_align(table, table.params, (en_tokens[v], tgt[v]), prior_cache):
                 by_src.setdefault(link.src_index, []).append(link.tgt_index)
             links_by_verse[v] = by_src
         for entry_idx, spans in enumerate(en_spans):

@@ -23,7 +23,6 @@ class BpeModel:
     merges: tuple[tuple[str, str], ...]
     vocab_side: str = "source"
     reserved: frozenset[str] = field(default_factory=frozenset)
-    end_of_word: str = END_OF_WORD
 
     # cached_property writes to __dict__ directly, so it works on a frozen
     # dataclass and stays out of the generated __eq__; the rank table and

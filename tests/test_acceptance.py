@@ -257,7 +257,7 @@ def test_criterion_09_alignment_recovery():
     precision = correct_links / total_links if total_links else 0.0
 
     corpus = make_corpus({"en": verses_en, "sw": verses_sw})
-    lex = assemble_table(entities, corpus, {"sw": table}, params)
+    lex = assemble_table(entities, corpus, {"sw": table})
     recovered = sum(
         1 for entry in lex.entries if entry.surface("sw") == mapping[entry.surface("en")]
     )

@@ -239,7 +239,7 @@ class TestTableIo:
         bitext = _random_bitext(random.Random(3), pairs=10, vocab=5)
         params = DiagonalParams()
         table = train_em(bitext, 3, params)
-        save_table(table, tmp_path / "table.tsv", params, iterations=3)
+        save_table(table, tmp_path / "table.tsv", iterations=3)
         loaded = load_table(tmp_path / "table.tsv")
         for source_word, row in table.probs.items():
             for target_word, prob in row.items():
@@ -247,13 +247,13 @@ class TestTableIo:
 
     def test_header_records_params(self, tmp_path):
         table = train_em([(["a"], ["x"])], 1)
-        save_table(table, tmp_path / "t.tsv", DiagonalParams(), iterations=1)
+        save_table(table, tmp_path / "t.tsv", iterations=1)
         header = (tmp_path / "t.tsv").read_text().splitlines()[0]
         assert header == "#lambda=4.0\tp0=0.08\titerations=1"
 
     def test_sorted_rows(self, tmp_path):
         table = train_em([(["b", "a"], ["y", "x"])], 2)
-        save_table(table, tmp_path / "t.tsv", DiagonalParams(), 2)
+        save_table(table, tmp_path / "t.tsv", 2)
         rows = [
             line.split("\t")[:2]
             for line in (tmp_path / "t.tsv").read_text().splitlines()
@@ -264,12 +264,22 @@ class TestTableIo:
     def test_load_returns_header_params(self, tmp_path):
         params = DiagonalParams(tension=2.5, null_prob=0.1)
         table = train_em([(["a"], ["x"])], 1, params)
-        save_table(table, tmp_path / "t.tsv", params, iterations=1)
+        save_table(table, tmp_path / "t.tsv", iterations=1)
         assert load_table(tmp_path / "t.tsv").params == params
 
-    def test_load_without_header_has_no_params(self, tmp_path):
-        (tmp_path / "t.tsv").write_text("a\tx\t1\n", encoding="utf-8")
-        assert load_table(tmp_path / "t.tsv").params is None
+    @pytest.mark.parametrize("text", ["a\tx\t1\n", ""], ids=["headerless", "empty"])
+    def test_load_without_header_is_malformed(self, tmp_path, text):
+        (tmp_path / "t.tsv").write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedLine, match="t.tsv:1"):
+            load_table(tmp_path / "t.tsv")
+
+    @pytest.mark.parametrize("prob", ["nan", "inf", "-inf", "-0.5", "1.5", "half"])
+    def test_probability_outside_unit_interval_is_malformed(self, tmp_path, prob):
+        (tmp_path / "t.tsv").write_text(
+            f"#lambda=4.0\tp0=0.08\titerations=1\na\tx\t1\na\ty\t{prob}\n", encoding="utf-8"
+        )
+        with pytest.raises(MalformedLine, match="t.tsv:3"):
+            load_table(tmp_path / "t.tsv")
 
     def test_malformed_header(self, tmp_path):
         (tmp_path / "t.tsv").write_text("#lambda=wide\tp0=0.08\na\tx\t1\n", encoding="utf-8")

@@ -658,7 +658,9 @@ class TestMalformedInputs:
     def test_judgment_with_non_boolean_meaning(self, tmp_path, capsys):
         self._rubric(tmp_path, capsys, '{"meaning": "yes", "order_correct": true, "set_correct": true}')
 
-    def test_lex_build_rejects_aligner_trained_with_other_params(self, tmp_path, corpus_dir, capsys):
+    def test_lex_build_decodes_with_table_params(self, tmp_path, corpus_dir, capsys):
+        from versemt import alignment, corpus, lexicon
+
         src = tmp_path / "bitext.en"
         tgt = tmp_path / "bitext.sw"
         _write(src, "".join("the man saw house\n" for _ in range(10)))
@@ -669,16 +671,66 @@ class TestMalformedInputs:
             "--tension", "2", "--out", str(table),
         ]) == 0
         seeds = tmp_path / "seed.txt"
+        _write(seeds, "man\nhouse\n")
+        command = ["lex-build", "--seed-list", seeds, "--corpus", corpus_dir,
+                   "--aligners", table.parent, "--out", tmp_path / "lex.tsv"]
+        status, err = self._main(command, capsys)
+        assert status == cli.EXIT_OK, err
+        aligner = alignment.load_table(table)
+        assert aligner.params == alignment.DiagonalParams(tension=2.0)
+        expected = lexicon.assemble_table(
+            ["man", "house"], corpus.read_corpus_dir(corpus_dir), {"sw": aligner}
+        )
+        lexicon.save_lexicon(expected, tmp_path / "expected.tsv")
+        assert (tmp_path / "lex.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+        status, err = self._main(command + ["--tension", "2"], capsys)
+        assert status == cli.EXIT_USAGE
+        assert "--tension" in err
+
+    def test_lex_build_rejects_non_finite_table_probability(self, tmp_path, corpus_dir, capsys):
+        table = tmp_path / "aligners" / "sw.tsv"
+        _write(table, "#lambda=4.0\tp0=0.08\titerations=1\nman\tmannen\t1\nman\tsag\tnan\n")
+        seeds = tmp_path / "seed.txt"
         _write(seeds, "man\n")
         status, err = self._main(
             ["lex-build", "--seed-list", seeds, "--corpus", corpus_dir,
              "--aligners", table.parent, "--out", tmp_path / "lex.tsv"], capsys)
         assert status == cli.EXIT_DATA
-        assert str(table) in err
-        assert cli.main([
-            "lex-build", "--seed-list", str(seeds), "--corpus", str(corpus_dir),
-            "--aligners", str(table.parent), "--tension", "2", "--out", str(tmp_path / "lex.tsv"),
-        ]) == cli.EXIT_OK
+        assert f"{table}:3" in err
+        assert not (tmp_path / "lex.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "stdin, lineno",
+        [("1\t40.0\n2\tnan\n", 2), ("1\tinf\n", 1), ("1\t40.0\n\n2.5\t41.0\n", 3)],
+        ids=["nan-score", "inf-score", "fractional-epoch"],
+    )
+    def test_gl_monitor_rejects_bad_line(self, monkeypatch, capsys, stdin, lineno):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        status, err = self._main(["gl-monitor"], capsys)
+        assert status == cli.EXIT_DATA
+        assert f"<stdin>:{lineno}:" in err
+
+    @pytest.mark.parametrize(
+        "manifest, where",
+        [
+            ([], ""),
+            ({"stages": 5}, ""),
+            ({"stages": [5]}, "stages[0]"),
+            ({"stages": [{"name": "a", "command": ["emit-config", "--profile", "multilingual",
+                                                   "--out", "a.cfg"]},
+                         {"name": "b", "command": "ingest"}]}, "stages[1]"),
+        ],
+        ids=["top-level-list", "stages-not-list", "stage-not-object", "command-string"],
+    )
+    def test_malformed_manifest_runs_no_stage(self, tmp_path, monkeypatch, capsys, manifest, where):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "pipeline.json"
+        _write(path, json.dumps(manifest))
+        status, err = self._main(["run", "--manifest", path], capsys)
+        assert status == cli.EXIT_DATA
+        assert f"{path}: {where}" in err
+        assert not (tmp_path / "a.cfg").exists()
+        assert not path.with_suffix(".json.state.json").exists()
 
 
 class TestAlignTrainTension:

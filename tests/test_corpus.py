@@ -243,10 +243,7 @@ class TestCorpusIo:
     def test_split_roundtrip(self, tmp_path):
         split = split_corpus(_verse_corpus(40), (0.75, 0.15, 0.10), seed=3)
         write_split(split, tmp_path / "splits.tsv")
-        parts = read_split(tmp_path / "splits.tsv")
-        assert parts["train"] == split.train
-        assert parts["val"] == split.val
-        assert parts["test"] == split.test
+        assert read_split(tmp_path / "splits.tsv") == split
 
     def test_stats_report(self, tmp_path):
         corpus = make_corpus({"en": {"v1": "a b a"}})

@@ -105,6 +105,11 @@ class TestGl:
         with pytest.raises(ValueError):
             gl_update(GlState(), 1, -1.0)
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf")])
+    def test_non_finite_score(self, score):
+        with pytest.raises(ValueError, match="finite"):
+            gl_update(GlState(), 1, score)
+
     def test_zero_scores(self):
         state, gl, decision = gl_update(GlState(), 1, 0.0)
         assert (gl, decision) == (0.0, "continue")

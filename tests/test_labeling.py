@@ -7,16 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from versemt import labeling
-from versemt.corpus import FAMILIES, REGISTRY, SplitAssignment, split_corpus, tokenize
+from versemt.corpus import FAMILIES, REGISTRY, SplitAssignment, get_language, split_corpus, tokenize
 from versemt.errors import EmptySplit, MalformedLine, PipelineError, UnknownLanguage
 from versemt.labeling import (
-    LABEL_TOKEN_RE,
     LabelMode,
     ScheduleMode,
     build_addition_schedule,
     expand_multiway_pairs,
     label_tokens,
-    language_set_spans,
     read_schedule_steps,
     write_labeled_bitext,
     write_schedule,
@@ -26,6 +24,14 @@ from conftest import make_corpus
 from oracles import expand_multiway_pairs_oracle, write_labeled_bitext_oracle
 
 ALL_CODES = sorted(REGISTRY)
+
+LABEL_TOKEN_RE = re.compile(r"^__opt_(family_)?(src|tgt)_[a-z]+$")
+
+
+def language_set_spans(langs, families) -> bool:
+    """True iff the language set contains at least one member of every family."""
+    covered = {get_language(c).family for c in langs}
+    return all(f in covered for f in families)
 
 
 class TestLabelTokens:
@@ -80,7 +86,6 @@ class TestExpandMultiway:
         # 10 verses at these ratios put 8 in train: force all 10 into train
         split = type(split)(
             train=frozenset(corpus.ids()), val=frozenset(), test=frozenset(),
-            ratios=split.ratios, seed=0,
         )
         examples = list(
             expand_multiway_pairs(["en", "sw"], corpus, split, LabelMode.LANGUAGE_ONLY)
@@ -125,7 +130,7 @@ class TestExpandMultiway:
         corpus = _pair_corpus(["en", "sw"], 3)
         split = _full_train_split(corpus)
         empty = type(split)(
-            train=frozenset(), val=split.train, test=frozenset(), ratios=split.ratios, seed=0
+            train=frozenset(), val=split.train, test=frozenset()
         )
         with pytest.raises(EmptySplit):
             list(expand_multiway_pairs(["en", "sw"], corpus, empty, LabelMode.LANGUAGE_ONLY))
@@ -141,7 +146,6 @@ class TestExpandMultiway:
         split = _full_train_split(corpus)
         stale = SplitAssignment(
             train=split.train | {"zzz999"}, val=frozenset(), test=frozenset(),
-            ratios=split.ratios, seed=0,
         )
         with pytest.raises(PipelineError, match="zzz999"):
             list(expand_multiway_pairs(["en", "sw"], corpus, stale, LabelMode.LANGUAGE_ONLY))
@@ -192,7 +196,7 @@ def _labeling_case(draw):
     langs = draw(st.lists(st.sampled_from(corpus_langs + aliases), min_size=1, max_size=6))
     train = draw(st.sets(st.sampled_from(corpus.ids()), min_size=1))
     split = SplitAssignment(
-        train=frozenset(train), val=frozenset(), test=frozenset(), ratios=(1.0, 0.0, 0.0), seed=0
+        train=frozenset(train), val=frozenset(), test=frozenset()
     )
     return langs, corpus, split, draw(st.sampled_from(list(LabelMode)))
 
@@ -232,8 +236,6 @@ def _full_train_split(corpus):
         train=frozenset(corpus.ids()),
         val=frozenset(),
         test=frozenset(),
-        ratios=(1.0, 0.0, 0.0),
-        seed=0,
     )
 
 

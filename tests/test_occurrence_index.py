@@ -117,7 +117,7 @@ def test_assemble_table_equals_per_surface_scans(case, caplog):
     seed, corpus, aligners, params, min_votes = case
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="versemt.lexicon"):
-        got = assemble_table(seed, corpus, aligners, params, min_votes)
+        got = assemble_table(seed, corpus, aligners, min_votes)
         got_warnings = _warnings(caplog)
         want = assemble_table_oracle(seed, corpus, aligners, params, min_votes)
         want_warnings = _warnings(caplog)
@@ -132,7 +132,7 @@ def test_assemble_table_equals_per_surface_scans(case, caplog):
 @settings(max_examples=200, deadline=None)
 def test_trim_frequency_one_equals_per_entry_scans(case, extra):
     seed, corpus, aligners, params, min_votes = case
-    table = assemble_table(seed, corpus, aligners, params, min_votes)
+    table = assemble_table(seed, corpus, aligners, min_votes)
     # Loaded tables may hold any English cell, or none.
     loose = tuple(
         LexiconEntry(id=f"x{i}", surfaces={"en": name} if name else {"sw": "x"}, frequency={})

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from versemt import lexicon
-from versemt.lexicon import LexiconEntry, LexiconTable, SurfaceIndex, _count_occurrences, lookup_rows
+from versemt.lexicon import LexiconEntry, LexiconTable, SurfaceIndex, _OccurrenceIndex, lookup_rows
 from versemt.netag import DecodeTable, check_entity_order
 
 from oracles import count_occurrences_oracle, entity_order_oracle, lookup_rows_oracle
@@ -61,7 +61,8 @@ def test_check_entity_order_matches_oracle(targets, hyp, ref):
 @given(texts=st.lists(sentence, max_size=5), surface=surface_text | st.just(""))
 @settings(max_examples=200, deadline=None)
 def test_count_occurrences_matches_oracle(texts, surface):
-    assert _count_occurrences(texts, surface) == count_occurrences_oracle(texts, surface)
+    index = _OccurrenceIndex(texts, surface.split()[:1])
+    assert index.count(surface) == count_occurrences_oracle(texts, surface)
 
 
 def test_first_payload_wins_on_duplicate_surface():
