@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import EmptyBitext, EmptySentence, MalformedLine
-from .fileio import atomic_write_lines
+from .fileio import atomic_write_lines, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -253,20 +253,19 @@ def _parse_header(line: str, where: str) -> DiagonalParams:
 def load_table(path: str | Path) -> TranslationTable:
     """Read a table; ``params`` comes from its required ``#lambda=`` header."""
     probs: dict[str, dict[str, float]] = {}
-    with Path(path).open(encoding="utf-8") as handle:
-        params = _parse_header(handle.readline().rstrip("\n"), f"{path}:1")
-        for lineno, raw in enumerate(handle, start=2):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise MalformedLine(f"{path}:{lineno}: expected `source<TAB>target<TAB>prob`")
-            try:
-                prob = float(fields[2])
-            except ValueError:
-                prob = math.nan
-            if not 0.0 <= prob <= 1.0:  # also false for nan
-                raise MalformedLine(f"{path}:{lineno}: probability {fields[2]!r} is not in [0, 1]")
-            probs.setdefault(fields[0], {})[fields[1]] = prob
+    lines = read_lines(path)
+    params = _parse_header(next(lines, (1, ""))[1], f"{path}:1")
+    for lineno, line in lines:
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLine(f"{path}:{lineno}: expected `source<TAB>target<TAB>prob`")
+        try:
+            prob = float(fields[2])
+        except ValueError:
+            prob = math.nan
+        if not 0.0 <= prob <= 1.0:  # also false for nan
+            raise MalformedLine(f"{path}:{lineno}: probability {fields[2]!r} is not in [0, 1]")
+        probs.setdefault(fields[0], {})[fields[1]] = prob
     return TranslationTable(probs=probs, params=params)

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import argparse
+import graphlib
 import hashlib
+import heapq
 import json
 import logging
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
 from .errors import CycleDetected, MalformedLine, PipelineError, StageFailed, UsageError
-from .fileio import atomic_write_lines, atomic_write_text
+from .fileio import atomic_write_lines, atomic_write_text, read_json, read_lines, read_rows
 
 log = logging.getLogger("versemt")
 
@@ -36,10 +38,6 @@ def _default_seed(value: int | None) -> int:
         return value
     env = os.environ.get(SEED_ENV_VAR)
     return int(env) if env else 0
-
-
-def _read_lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -133,9 +131,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_bpe_learn(args: argparse.Namespace) -> int:
-    reserved = set(_read_lines(args.reserved)) if args.reserved else set()
-    reserved.discard("")
-    tokens = (token for line in _read_lines(args.infile) for token in line.split())
+    reserved = {line for _, line in read_lines(args.reserved)} - {""} if args.reserved else set()
+    tokens = (token for _, line in read_lines(args.infile) for token in line.split())
     model = subword.learn_bpe(tokens, args.merges, reserved, vocab_side=args.side)
     subword.save_model(model, args.out)
     log.info("bpe-learn side=%s merges=%d", args.side, len(model.merges))
@@ -145,15 +142,15 @@ def _cmd_bpe_learn(args: argparse.Namespace) -> int:
 def _cmd_bpe_apply(args: argparse.Namespace) -> int:
     model = subword.load_model(args.model)
     out_lines = [
-        " ".join(subword.apply_bpe(model, line.split())) for line in _read_lines(args.infile)
+        " ".join(subword.apply_bpe(model, line.split())) for _, line in read_lines(args.infile)
     ]
     atomic_write_lines(args.out, out_lines)
     return EXIT_OK
 
 
 def _cmd_align_train(args: argparse.Namespace) -> int:
-    src_lines = _read_lines(args.src)
-    tgt_lines = _read_lines(args.tgt)
+    src_lines = [line for _, line in read_lines(args.src)]
+    tgt_lines = [line for _, line in read_lines(args.tgt)]
     if len(src_lines) != len(tgt_lines):
         raise PipelineError(
             f"bitext length mismatch: {len(src_lines)} source vs {len(tgt_lines)} target lines"
@@ -172,19 +169,36 @@ def _cmd_align_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_lex_filter(args: argparse.Namespace) -> int:
-    stoplist = set(_read_lines(args.stoplist)) if args.stoplist else set()
-    cleaned = lexicon.filter_seed_list(_read_lines(args.infile), stoplist)
+    stoplist = {line for _, line in read_lines(args.stoplist)} if args.stoplist else set()
+    cleaned = lexicon.filter_seed_list((line for _, line in read_lines(args.infile)), stoplist)
     atomic_write_lines(args.out, cleaned)
     log.info("lex-filter kept=%d", len(cleaned))
     return EXIT_OK
 
 
+class _TableFiles(Mapping[str, alignment.TranslationTable]):
+    """A directory's ``<lang>.tsv`` tables, each read on lookup and not kept."""
+
+    def __init__(self, directory: str | Path) -> None:
+        self._paths = {path.stem: path for path in sorted(Path(directory).glob("*.tsv"))}
+
+    def __getitem__(self, lang: str) -> alignment.TranslationTable:
+        return alignment.load_table(self._paths[lang])
+
+    def __contains__(self, lang: object) -> bool:  # Mapping's default would read the table
+        return lang in self._paths
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
 def _cmd_lex_build(args: argparse.Namespace) -> int:
-    seed_list = [line for line in _read_lines(args.seed_list) if line.strip()]
+    seed_list = [line for _, line in read_lines(args.seed_list) if line.strip()]
     parallel = corpus.read_corpus_dir(args.corpus)
-    aligners = {
-        path.stem: alignment.load_table(path) for path in sorted(Path(args.aligners).glob("*.tsv"))
-    }
+    aligners = _TableFiles(args.aligners)
     table = lexicon.assemble_table(seed_list, parallel, aligners, min_votes=args.min_votes)
     lexicon.save_lexicon(table, args.out, args.freq_out)
     log.info("lex-build entries=%d languages=%d", len(table), len(table.languages))
@@ -198,6 +212,8 @@ def _cmd_lex_trim(args: argparse.Namespace) -> int:
             raise UsageError("--manual-file is required with policy manual-selection")
         policy = lexicon.TrimPolicy.manual(args.manual_file)
     elif args.policy == "frequency-equals-one":
+        if not (args.corpus or args.freq):
+            raise UsageError("policy frequency-equals-one needs --corpus or --freq")
         policy = lexicon.TrimPolicy.frequency_one()
     else:
         policy = lexicon.TrimPolicy.none()
@@ -210,10 +226,10 @@ def _cmd_lex_trim(args: argparse.Namespace) -> int:
 
 def _cmd_tag(args: argparse.Namespace) -> int:
     table = lexicon.load_lexicon(args.lexicon)
-    src_lines = [corpus.tokenize(line) for line in _read_lines(args.infile)]
+    src_lines = [corpus.tokenize(line) for _, line in read_lines(args.infile)]
     decode_path = args.decode or f"{args.out}.decode.jsonl"
     if args.tgt_in:
-        tgt_lines = [corpus.tokenize(line) for line in _read_lines(args.tgt_in)]
+        tgt_lines = [corpus.tokenize(line) for _, line in read_lines(args.tgt_in)]
         if len(src_lines) != len(tgt_lines):
             raise PipelineError("source/target line counts differ")
         if not args.tgt_out:
@@ -243,7 +259,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 def _cmd_restore(args: argparse.Namespace) -> int:
     decodes = netag.read_decode_sidecar(args.decode)
-    lines = _read_lines(args.infile)
+    lines = [line for _, line in read_lines(args.infile)]
     if len(lines) != len(decodes):
         raise PipelineError(
             f"line count mismatch: {len(lines)} translations vs {len(decodes)} decode records"
@@ -257,12 +273,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    verses = []
-    for lineno, line in enumerate(_read_lines(args.infile), start=1):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise PipelineError(f"{args.infile}:{lineno}: expected `verse_id<TAB>text`")
-        verses.append((fields[0], fields[1]))
+    verses = [(vid, text) for _, (vid, text) in read_rows(args.infile, 2, "verse_id<TAB>text")]
     total = args.total if args.total is not None else len(verses)
     plan = harness.AblationPlan(fraction=args.fraction, seed=_default_seed(args.seed), total=total)
     result = harness.sample_low_resource(verses, plan)
@@ -289,13 +300,16 @@ def _cmd_gl_monitor(args: argparse.Namespace) -> int:
         fields = line.split("\t")
         try:
             epoch, score = int(fields[0]), float(fields[1])
-            if len(fields) != 2 or not math.isfinite(score):
+            if len(fields) != 2 or not (math.isfinite(score) and score >= 0):
                 raise ValueError(line)
         except (IndexError, ValueError):
             raise MalformedLine(
-                f"<stdin>:{lineno}: expected `integer epoch<TAB>finite score`, got {line!r}"
+                f"<stdin>:{lineno}: expected `integer epoch<TAB>finite score >= 0`, got {line!r}"
             ) from None
-        state, gl, decision = harness.gl_update(state, epoch, score)
+        try:
+            state, gl, decision = harness.gl_update(state, epoch, score)
+        except PipelineError as exc:  # an epoch that does not follow the last
+            raise type(exc)(f"<stdin>:{lineno}: {exc}") from None
         print(f"{fields[0]}\t{fields[1]}\t{gl:.4f}\t{decision}", flush=True)
         if decision == "stop":
             break
@@ -304,11 +318,14 @@ def _cmd_gl_monitor(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     points = []
-    for lineno, line in enumerate(_read_lines(args.infile), start=1):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise PipelineError(f"{args.infile}:{lineno}: expected `word_count<TAB>score`")
-        points.append((float(fields[0]), float(fields[1])))
+    for lineno, fields in read_rows(args.infile, 2, "word_count<TAB>score"):
+        try:
+            point = (float(fields[0]), float(fields[1]))
+        except ValueError:
+            point = (math.nan, math.nan)
+        if not all(map(math.isfinite, point)):
+            raise MalformedLine(f"{args.infile}:{lineno}: expected two finite numbers, got {fields}")
+        points.append(point)
     fit = harness.fit_power_law(points)
     line = f"slope\t{fit.slope:.9f}\nintercept\t{fit.intercept:.9f}\nr_squared\t{fit.r_squared:.9f}"
     print(line)
@@ -318,7 +335,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_bleu(args: argparse.Namespace) -> int:
-    report = evaluation.corpus_bleu(_read_lines(args.hyp), _read_lines(args.ref), max_n=args.max_n)
+    hyp_lines = [line for _, line in read_lines(args.hyp)]
+    ref_lines = [line for _, line in read_lines(args.ref)]
+    report = evaluation.corpus_bleu(hyp_lines, ref_lines, max_n=args.max_n)
     print(evaluation.format_bleu_summary(report))
     if args.report:
         evaluation.write_bleu_report(report, args.report)
@@ -339,8 +358,8 @@ def _cmd_rubric(args: argparse.Namespace) -> int:
     if not (args.hyp and args.ref and args.decode and args.out):
         raise UsageError("rubric needs either --in, or --hyp/--ref/--decode/--out")
     decodes = netag.read_decode_sidecar(args.decode)
-    hyp_lines = _read_lines(args.hyp)
-    ref_lines = _read_lines(args.ref)
+    hyp_lines = [line for _, line in read_lines(args.hyp)]
+    ref_lines = [line for _, line in read_lines(args.ref)]
     if not (len(hyp_lines) == len(ref_lines) == len(decodes)):
         raise PipelineError("hyp/ref/decode line counts differ")
     judgments = [
@@ -411,43 +430,34 @@ def _stage_fingerprint(stage: dict) -> str:
 
 
 def _topological_stages(stages: list[dict]) -> list[dict]:
-    producer_of: dict[str, str] = {}
-    for stage in stages:
-        for output in stage.get("outputs", []):
-            producer_of[output] = stage["name"]
-    deps: dict[str, set[str]] = {stage["name"]: set() for stage in stages}
-    for stage in stages:
-        for inp in stage.get("inputs", []):
-            if inp in producer_of and producer_of[inp] != stage["name"]:
-                deps[stage["name"]].add(producer_of[inp])
-    ordered: list[str] = []
-    ready = sorted(name for name, d in deps.items() if not d)
-    pending = {name: set(d) for name, d in deps.items() if d}
-    while ready:
-        name = ready.pop(0)
-        ordered.append(name)
-        newly_ready = []
-        for other, d in list(pending.items()):
-            d.discard(name)
-            if not d:
-                newly_ready.append(other)
-                del pending[other]
-        ready = sorted(ready + newly_ready)
-    if pending:
-        raise CycleDetected(f"manifest stages form a cycle: {sorted(pending)}")
+    """Stages in dependency order; among ready stages, the least name first."""
+    producer_of = {output: stage["name"] for stage in stages for output in stage.get("outputs", [])}
     by_name = {stage["name"]: stage for stage in stages}
-    return [by_name[name] for name in ordered]
+    sorter = graphlib.TopologicalSorter(
+        {name: {producer_of.get(i, name) for i in stage.get("inputs", [])} - {name}
+         for name, stage in by_name.items()}
+    )
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        raise CycleDetected(f"manifest stages form a cycle: {exc.args[1]}") from None
+    ordered, ready = [], sorted(sorter.get_ready())  # a sorted list is a heap
+    while ready:
+        name = heapq.heappop(ready)
+        ordered.append(by_name[name])
+        sorter.done(name)
+        for other in sorter.get_ready():
+            heapq.heappush(ready, other)
+    return ordered
 
 
 def run_manifest(manifest_path: str | Path) -> int:
     """Run manifest stages in dependency order, skipping up-to-date ones."""
     manifest_path = Path(manifest_path)
-    stages = _validated_stages(json.loads(manifest_path.read_text(encoding="utf-8")), manifest_path)
+    stages = _validated_stages(read_json(manifest_path), manifest_path)
 
     state_path = manifest_path.with_suffix(manifest_path.suffix + ".state.json")
-    state: dict = {}
-    if state_path.exists():
-        state = json.loads(state_path.read_text(encoding="utf-8"))
+    state = read_json(state_path) if state_path.exists() else {}
 
     for stage in _topological_stages(stages):
         fingerprint = _stage_fingerprint(stage)
@@ -652,7 +662,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except FileNotFoundError as exc:
         raise PipelineError(f"missing file: {exc.filename or exc}") from exc
     except ValueError as exc:
-        # Malformed numbers in input files land here (int()/float() parses).
+        # Out-of-range flag values land here (e.g. a nan --tension).
         raise PipelineError(str(exc)) from exc
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import BadRatios, DuplicateVerseId, EmptyFile, MalformedLine, UnknownLanguage
-from .fileio import atomic_write_lines
+from .fileio import atomic_write_lines, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -136,22 +136,14 @@ class ParallelCorpus:
 def ingest_language_file(path: str | Path, lang: str) -> dict[str, str]:
     """Read a ``verse_id<TAB>text`` TSV into an id -> NFC-normalized text map."""
     get_language(lang)
-    path = Path(path)
     verses: dict[str, str] = {}
-    with path.open(encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise MalformedLine(
-                    f"{path}:{lineno}: expected 2 tab-separated columns, got {len(fields)}"
-                )
-            verse_id = fields[0].strip()
-            if not verse_id:
-                raise MalformedLine(f"{path}:{lineno}: empty verse id")
-            if verse_id in verses:
-                raise DuplicateVerseId(f"{path}:{lineno}: duplicate verse id {verse_id!r}")
-            verses[verse_id] = unicodedata.normalize("NFC", fields[1]).strip()
+    for lineno, (verse_id, text) in read_rows(path, 2, "verse_id<TAB>text"):
+        verse_id = verse_id.strip()
+        if not verse_id:
+            raise MalformedLine(f"{path}:{lineno}: empty verse id")
+        if verse_id in verses:
+            raise DuplicateVerseId(f"{path}:{lineno}: duplicate verse id {verse_id!r}")
+        verses[verse_id] = unicodedata.normalize("NFC", text).strip()
     if not verses:
         raise EmptyFile(f"{path}: no records")
     return verses
@@ -270,12 +262,10 @@ def write_split(split: SplitAssignment, path: str | Path) -> None:
 
 def read_split(path: str | Path) -> SplitAssignment:
     parts: dict[str, set[str]] = {"train": set(), "val": set(), "test": set()}
-    with Path(path).open(encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            fields = raw.rstrip("\n").split("\t")
-            if len(fields) != 2 or fields[1] not in parts:
-                raise MalformedLine(f"{path}:{lineno}: expected `verse_id<TAB>train|val|test`")
-            parts[fields[1]].add(fields[0])
+    for lineno, (verse_id, part) in read_rows(path, 2, "verse_id<TAB>train|val|test"):
+        if part not in parts:
+            raise MalformedLine(f"{path}:{lineno}: expected `verse_id<TAB>train|val|test`")
+        parts[part].add(verse_id)
     return SplitAssignment(**{part: frozenset(ids) for part, ids in parts.items()})
 
 

@@ -1,5 +1,5 @@
-"""Atomic file writing helpers used by every stage that produces output, and
-the shared JSON Lines reader."""
+r"""Every input file is read here: as lines, which end at ``\n``, ``\r\n`` or ``\r``
+and nowhere else; as tab-separated rows; or as JSON. Also atomic file writing."""
 
 from __future__ import annotations
 
@@ -49,20 +49,56 @@ def atomic_write_lines(path: str | Path, lines: list[str]) -> Path:
     return atomic_write_text(path, text)
 
 
-def read_json_lines(path: str | Path) -> Iterator[tuple[str, dict]]:
-    """Yield (``path:line``, record) for every non-blank line of a JSON Lines file.
-
-    Raises MalformedLine, naming the line, unless the line is one JSON object.
-    """
-    with Path(path).open(encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            where = f"{path}:{lineno}"
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line without its end) for every line of a UTF-8 file;
+    a byte sequence that is not UTF-8 raises MalformedLine at ``path:line``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                yield lineno, raw.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            # Text mode decodes ahead in chunks, so its error cannot name the
+            # line: count the line ends before the first bad byte instead.
+            data = Path(path).read_bytes()
             try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(f"{where}: not JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise MalformedLine(f"{where}: expected a JSON object")
-            yield where, record
+                data.decode("utf-8")
+            except UnicodeDecodeError as first:
+                data = data[: first.start]
+            ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+            raise MalformedLine(f"{path}:{ends + 1}: not UTF-8 ({exc.reason})") from None
+
+
+def read_rows(path: str | Path, width: int, shape: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, tab-separated fields) for every line of a file; a line
+    without ``width`` fields raises MalformedLine at ``path:line`` naming ``shape``."""
+    for lineno, line in read_lines(path):
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise MalformedLine(f"{path}:{lineno}: expected `{shape}`")
+        yield lineno, fields
+
+
+def _parse_json(text: str, path: str | Path, first_line: int) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        lineno = first_line + exc.lineno - 1
+        raise MalformedLine(f"{path}:{lineno}: not JSON ({exc.msg})") from None
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON document in a file; MalformedLine names the line of a syntax error."""
+    return _parse_json("\n".join(line for _, line in read_lines(path)), path, 1)
+
+
+def read_json_lines(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """Yield (``path:line``, record) for every non-blank line of a JSON Lines file;
+    MalformedLine names a line that is not one JSON object."""
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        record = _parse_json(line, path, lineno)
+        where = f"{path}:{lineno}"
+        if not isinstance(record, dict):
+            raise MalformedLine(f"{where}: expected a JSON object")
+        yield where, record

@@ -19,7 +19,7 @@ from .corpus import (
     tokenize,
 )
 from .errors import EmptySplit, MalformedLine, UnknownLanguage, UnknownVerse
-from .fileio import atomic_write_lines, atomic_writer
+from .fileio import atomic_write_lines, atomic_writer, read_rows
 
 
 class LabelMode(Enum):
@@ -158,20 +158,15 @@ def write_schedule(schedule: AdditionSchedule, path: str | Path) -> None:
 
 def read_schedule_steps(path: str | Path) -> list[tuple[int, list[str]]]:
     steps = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            where = f"{path}:{lineno}"
-            fields = raw.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise MalformedLine(f"{where}: expected `step<TAB>languages`")
-            try:
-                step = int(fields[0])
-            except ValueError:
-                raise MalformedLine(f"{where}: step {fields[0]!r} is not an integer") from None
-            langs = fields[1].split(",")
-            if not all(lang.strip() for lang in langs):
-                raise MalformedLine(f"{where}: empty language code in {fields[1]!r}")
-            steps.append((step, langs))
+    for lineno, (number, cell) in read_rows(path, 2, "step<TAB>languages"):
+        try:
+            step = int(number)
+        except ValueError:
+            raise MalformedLine(f"{path}:{lineno}: step {number!r} is not an integer") from None
+        langs = cell.split(",")
+        if not all(lang.strip() for lang in langs):
+            raise MalformedLine(f"{path}:{lineno}: empty language code in {cell!r}")
+        steps.append((step, langs))
     return steps
 
 

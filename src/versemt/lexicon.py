@@ -12,7 +12,7 @@ from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 from .alignment import TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, registry_order, tokenize
 from .errors import EmptyResult, MalformedLine, MissingAligner, MissingSelectionFile, UnknownLanguage
-from .fileio import atomic_write_lines
+from .fileio import atomic_write_lines, read_lines, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -225,6 +225,9 @@ def assemble_table(
                     continue  # non-contiguous projection, no vote
                 candidate = " ".join(tgt_tokens[lang][v][linked[0] : linked[-1] + 1])
                 votes[entry_idx][lang][candidate] += 1
+        # Released before the next language's table is read: `aligners` may read
+        # each table on lookup, and then only one is held at a time.
+        del table, prior_cache
 
     chosen: list[dict[str, str]] = []  # per entry: lang -> surface
     for entry_idx, (name, _) in enumerate(surfaces):
@@ -298,11 +301,7 @@ def trim_table(
     if policy.kind == "manual-selection":
         if policy.selection_file is None or not policy.selection_file.exists():
             raise MissingSelectionFile(f"selection file not found: {policy.selection_file}")
-        selected = {
-            line.strip()
-            for line in policy.selection_file.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        }
+        selected = {line.strip() for _, line in read_lines(policy.selection_file)} - {""}
         kept = tuple(e for e in table.entries if e.surface(SEED_LANGUAGE) in selected)
         return LexiconTable(entries=kept, languages=table.languages)
     raise ValueError(f"unknown trim policy {policy.kind!r}")
@@ -356,13 +355,13 @@ def save_lexicon(table: LexiconTable, path: str | Path, freq_path: str | Path | 
 
 
 def load_lexicon(path: str | Path, freq_path: str | Path | None = None) -> LexiconTable:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("id\t"):
-        raise MalformedLine(f"{path}: missing `id<TAB>...` header")
-    columns = lines[0].split("\t")[1:]
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1]
+    if not header.startswith("id\t"):
+        raise MalformedLine(f"{path}:1: missing `id<TAB>...` header")
+    columns = header.split("\t")[1:]
     entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         fields = line.split("\t")
         if len(fields) != len(columns) + 1:
             raise MalformedLine(f"{path}:{lineno}: expected {len(columns) + 1} columns")
@@ -372,11 +371,13 @@ def load_lexicon(path: str | Path, freq_path: str | Path | None = None) -> Lexic
             raise MalformedLine(f"{path}:{lineno}: whitespace-only {blank[0]} cell")
         entries.append(LexiconEntry(id=fields[0], surfaces=surfaces, frequency={}))
     by_id = {entry.id: entry for entry in entries}
-    if freq_path is not None and Path(freq_path).exists():
-        for lineno, raw in enumerate(Path(freq_path).read_text(encoding="utf-8").splitlines(), 1):
-            fields = raw.split("\t")
-            if len(fields) != 3:
-                raise MalformedLine(f"{freq_path}:{lineno}: expected `id<TAB>lang<TAB>count`")
-            if fields[0] in by_id:
-                by_id[fields[0]].frequency[fields[1]] = int(fields[2])
+    if freq_path is not None:
+        for lineno, (entry_id, lang, count) in read_rows(freq_path, 3, "id<TAB>lang<TAB>count"):
+            try:
+                frequency = int(count)
+            except ValueError:
+                where = f"{freq_path}:{lineno}"
+                raise MalformedLine(f"{where}: count {count!r} is not an integer") from None
+            if entry_id in by_id:
+                by_id[entry_id].frequency[lang] = frequency
     return LexiconTable(entries=tuple(entries), languages=tuple(columns))

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DanglingContinuation, EmptyCorpus, MalformedLine
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_lines
 
 END_OF_WORD = "</w>"
 CONTINUATION = "@@"
@@ -206,15 +206,15 @@ def save_model(model: BpeModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BpeModel:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("#bpe v1 "):
-        raise MalformedLine(f"{path}: missing `#bpe v1 <side>` header")
-    side = lines[0][len("#bpe v1 ") :].strip()
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1]
+    if not header.startswith("#bpe v1 "):
+        raise MalformedLine(f"{path}:1: missing `#bpe v1 <side>` header")
+    side = header[len("#bpe v1 ") :].strip()
     merges: list[tuple[str, str]] = []
     reserved: list[str] = []
     in_reserved = False
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if line == "#reserved":
             in_reserved = True
             continue

@@ -3,7 +3,9 @@ from __future__ import annotations
 import io
 import json
 import logging
+import random
 import re
+import weakref
 
 import pytest
 
@@ -771,3 +773,289 @@ class TestAlignTrainTension:
         ll = message.partition(" ll=")[2].split(",")
         assert len(ll) == 2
         assert float(ll[0]) <= float(ll[1]) < 0.0
+
+
+class TestOneLineRule:
+    """A U+2028 inside a line is text, not a line end, in every stage that pairs lines."""
+
+    def test_align_train_pairs_each_line_once(self, tmp_path, caplog, capsys):
+        src = tmp_path / "bitext.en"
+        tgt = tmp_path / "bitext.sw"
+        _write(src, "the\u2028man saw\nthe house\n")
+        _write(tgt, "mannen\u2028sag\nhuset\n")
+        with caplog.at_level(logging.INFO, logger="versemt"):
+            status = cli.main(["align-train", "--src", str(src), "--tgt", str(tgt),
+                               "--iterations", "1", "--out", str(tmp_path / "t.tsv")])
+        assert status == cli.EXIT_OK, capsys.readouterr().err
+        assert any(rec.message.startswith("align-train pairs=2 ") for rec in caplog.records)
+
+    def test_tag_keeps_the_line_count(self, tmp_path):
+        lex = tmp_path / "lex.tsv"
+        _write(lex, "id\ten\tsw\nne1\tNoah\tNoa\n")
+        src = tmp_path / "test.en"
+        _write(src, "Noah\u2028slept\nNoah woke\n")
+        out = tmp_path / "out"
+        assert cli.dispatch(["tag", "--lexicon", str(lex), "--src", "en", "--tgt", "sw",
+                             "--in", str(src), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").split("\n") == ["$NE1 slept", "$NE1 woke", ""]
+        decode = (tmp_path / "out.decode.jsonl").read_text(encoding="utf-8")
+        assert decode.count("\n") == 2
+
+    def test_bleu_sees_equal_line_counts(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp"
+        ref = tmp_path / "ref"
+        _write(hyp, "a b\u2028c d\ne f g h\n")
+        _write(ref, "a b c d\ne f g h\n")
+        assert cli.main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == cli.EXIT_OK
+        assert "100.0" in capsys.readouterr().out
+
+
+def _valid_inputs(root):
+    """One valid input file of every format a subcommand reads, each of three or more lines."""
+    files = {
+        "raw.txt": "v1\tNoah slept\nv2\tShem woke\nv3\tHam ate\n",
+        "aligned/en.tsv": "v1\tNoah slept\nv2\tShem woke\nv3\tHam ate\n",
+        "aligned/sw.tsv": "v1\tNoa alilala\nv2\tSem aliamka\nv3\tHam alikula\n",
+        "splits.tsv": "v1\ttrain\nv2\tval\nv3\ttest\n",
+        "sched.tsv": "1\ten,sw\n2\ten,sw\n3\ten,sw\n",
+        "aligners/sw.tsv": "#lambda=4.0\tp0=0.08\titerations=1\nNoah\tNoa\t1\nShem\tSem\t1\n",
+        "seeds.txt": "Noah\nShem\nHam\n",
+        "lexicon.tsv": "id\ten\tsw\nne1\tNoah\tNoa\nne2\tShem\tSem\n",
+        "freq.tsv": "ne1\ten\t1\nne1\tsw\t1\nne2\ten\t2\n",
+        "keep.txt": "Noah\nShem\nHam\n",
+        "model.bpe": "#bpe v1 source\na b\nab c\n#reserved\n",
+        "text.txt": "Noah slept\nShem woke\nHam ate\n",
+        "decode.jsonl": "".join(f'{{"line": {i}, "map": {{}}}}\n' for i in (1, 2, 3)),
+        "judgments.jsonl": '{"meaning": true, "order_correct": true, "set_correct": true}\n' * 3,
+        "sample.tsv": "v1\ta b\nv2\tc d\nv3\te f\n",
+        "points.tsv": "10\t1\n100\t2\n1000\t3\n",
+        "pipeline.json": '{\n  "stages": [\n  ]\n}\n',
+        "pipeline.json.state.json": "{\n\n}\n",
+    }
+    for name, text in files.items():
+        _write(root / name, text)
+
+
+_READERS = {
+    # corrupted file: argv (file names relative to the work directory)
+    "raw.txt": ["ingest", "--lang", "en", "--in", "raw.txt", "--out", "store"],
+    "splits.tsv": ["label", "--corpus", "aligned", "--split", "splits.tsv", "--langs", "en,sw",
+                   "--out-prefix", "out"],
+    "sched.tsv": ["label", "--corpus", "aligned", "--split", "splits.tsv", "--schedule",
+                  "sched.tsv", "--out-prefix", "out"],
+    "aligners/sw.tsv": ["lex-build", "--seed-list", "seeds.txt", "--corpus", "aligned",
+                        "--aligners", "aligners", "--out", "out"],
+    "seeds.txt": ["lex-build", "--seed-list", "seeds.txt", "--corpus", "aligned",
+                  "--aligners", "aligners", "--out", "out"],
+    "lexicon.tsv": ["tag", "--lexicon", "lexicon.tsv", "--src", "en", "--tgt", "sw",
+                    "--in", "text.txt", "--out", "out"],
+    "freq.tsv": ["lex-trim", "--in", "lexicon.tsv", "--freq", "freq.tsv",
+                 "--policy", "frequency-equals-one", "--out", "out"],
+    "keep.txt": ["lex-trim", "--in", "lexicon.tsv", "--policy", "manual-selection",
+                 "--manual-file", "keep.txt", "--out", "out"],
+    "model.bpe": ["bpe-apply", "--model", "model.bpe", "--in", "text.txt", "--out", "out"],
+    "text.txt": ["bpe-learn", "--in", "text.txt", "--merges", "2", "--out", "out"],
+    "decode.jsonl": ["restore", "--in", "text.txt", "--decode", "decode.jsonl", "--out", "out"],
+    "judgments.jsonl": ["rubric", "--in", "judgments.jsonl"],
+    "sample.tsv": ["sample", "--in", "sample.tsv", "--fraction", "0.5", "--out", "out"],
+    "points.tsv": ["fit", "--in", "points.tsv"],
+    "pipeline.json": ["run", "--manifest", "pipeline.json"],
+    "pipeline.json.state.json": ["run", "--manifest", "pipeline.json"],
+}
+
+# Subcommands whose plain-text inputs are read line by line in the CLI itself.
+_LINE_INPUTS = [
+    ["bpe-learn", "--in", "text.txt", "--reserved", "BAD", "--out", "out"],
+    ["bpe-apply", "--model", "model.bpe", "--in", "BAD", "--out", "out"],
+    ["align-train", "--src", "BAD", "--tgt", "text.txt", "--out", "out"],
+    ["align-train", "--src", "text.txt", "--tgt", "BAD", "--out", "out"],
+    ["lex-filter", "--in", "BAD", "--out", "out"],
+    ["lex-filter", "--in", "text.txt", "--stoplist", "BAD", "--out", "out"],
+    ["tag", "--lexicon", "lexicon.tsv", "--src", "en", "--tgt", "sw", "--in", "BAD",
+     "--out", "out"],
+    ["tag", "--lexicon", "lexicon.tsv", "--src", "en", "--tgt", "sw", "--in", "text.txt",
+     "--tgt-in", "BAD", "--tgt-out", "out2", "--out", "out"],
+    ["restore", "--in", "BAD", "--decode", "decode.jsonl", "--out", "out"],
+    ["bleu", "--hyp", "BAD", "--ref", "text.txt"],
+    ["bleu", "--hyp", "text.txt", "--ref", "BAD"],
+    ["rubric", "--hyp", "BAD", "--ref", "text.txt", "--decode", "decode.jsonl", "--out", "out"],
+    ["rubric", "--hyp", "text.txt", "--ref", "BAD", "--decode", "decode.jsonl", "--out", "out"],
+]
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 on line 3 of any input exits 2 naming `file:3`."""
+
+    def _check(self, tmp_path, monkeypatch, capsys, argv, bad):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        lines = (tmp_path / bad).read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        (tmp_path / bad).write_bytes(b"\n".join(lines))
+        status = cli.main(argv)
+        err = capsys.readouterr().err
+        assert status == cli.EXIT_DATA, err
+        assert f"{bad}:3: not UTF-8" in err
+
+    def test_inputs_are_valid(self, tmp_path, monkeypatch, capsys):
+        commands = [*_READERS.values(), *(
+            [arg.replace("BAD", "keep.txt") for arg in argv] for argv in _LINE_INPUTS
+        )]
+        for index, argv in enumerate(commands):
+            monkeypatch.chdir(tmp_path)
+            _valid_inputs(tmp_path / str(index))
+            monkeypatch.chdir(tmp_path / str(index))
+            assert cli.main(argv) == cli.EXIT_OK, (argv, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("bad", sorted(_READERS))
+    def test_reader(self, tmp_path, monkeypatch, capsys, bad):
+        self._check(tmp_path, monkeypatch, capsys, _READERS[bad], bad)
+
+    @pytest.mark.parametrize("argv", _LINE_INPUTS, ids=lambda argv: f"{argv[0]}-{argv.index('BAD')}")
+    def test_line_input(self, tmp_path, monkeypatch, capsys, argv):
+        argv = [arg.replace("BAD", "bad.txt") for arg in argv]
+        _write(tmp_path / "bad.txt", "Noah slept\nShem woke\nHam ate\n")
+        self._check(tmp_path, monkeypatch, capsys, argv, "bad.txt")
+
+
+class TestLexTrimSources:
+    def _trim(self, tmp_path, capsys, *extra):
+        lex = tmp_path / "lex.tsv"
+        _write(lex, "id\ten\tsw\nne1\tNoah\tNoa\nne2\tShem\tSem\n")
+        status = cli.main(["lex-trim", "--in", str(lex), "--policy", "frequency-equals-one",
+                           "--out", str(tmp_path / "tail.tsv"), *map(str, extra)])
+        return status, capsys.readouterr().err
+
+    def test_frequency_policy_without_corpus_or_freq_is_usage_error(self, tmp_path, capsys):
+        status, err = self._trim(tmp_path, capsys)
+        assert status == cli.EXIT_USAGE
+        assert "--corpus or --freq" in err
+        assert not (tmp_path / "tail.tsv").exists()
+
+    def test_missing_freq_file_is_data_error(self, tmp_path, capsys):
+        status, err = self._trim(tmp_path, capsys, "--freq", tmp_path / "absent.tsv")
+        assert status == cli.EXIT_DATA
+        assert "absent.tsv" in err
+        assert not (tmp_path / "tail.tsv").exists()
+
+    def test_non_integer_count_names_its_line(self, tmp_path, capsys):
+        freq = tmp_path / "freq.tsv"
+        _write(freq, "ne1\ten\t1\nne2\ten\tmany\n")
+        status, err = self._trim(tmp_path, capsys, "--freq", freq)
+        assert status == cli.EXIT_DATA
+        assert f"{freq}:2:" in err
+
+    def test_freq_file_selects_the_tail(self, tmp_path, capsys):
+        freq = tmp_path / "freq.tsv"
+        _write(freq, "ne1\ten\t1\nne2\ten\t3\n")
+        status, err = self._trim(tmp_path, capsys, "--freq", freq)
+        assert status == cli.EXIT_OK, err
+        assert (tmp_path / "tail.tsv").read_text(encoding="utf-8") == "id\ten\tsw\nne1\tNoah\tNoa\n"
+
+
+class TestNumberLocations:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "x"])
+    def test_fit_rejects_a_number_at_its_line(self, tmp_path, capsys, bad):
+        points = tmp_path / "points.tsv"
+        _write(points, f"100\t2\n10\t{bad}\n1000\t3\n")
+        status = cli.main(["fit", "--in", str(points)])
+        err = capsys.readouterr().err
+        assert status == cli.EXIT_DATA
+        assert f"{points}:2:" in err
+
+    @pytest.mark.parametrize(
+        "stdin, lineno",
+        [("1\t40.0\n2\t41.0\n2\t42.0\n", 3), ("1\t-1.0\n", 1)],
+        ids=["non-monotone-epoch", "negative-score"],
+    )
+    def test_gl_monitor_names_its_line(self, monkeypatch, capsys, stdin, lineno):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        status = cli.main(["gl-monitor"])
+        assert status == cli.EXIT_DATA
+        assert f"<stdin>:{lineno}:" in capsys.readouterr().err
+
+    def test_manifest_that_is_not_json_names_its_line(self, tmp_path, capsys):
+        manifest = tmp_path / "pipeline.json"
+        _write(manifest, '{\n  "stages": [\n')
+        status = cli.main(["run", "--manifest", str(manifest)])
+        assert status == cli.EXIT_DATA
+        assert f"{manifest}:2: not JSON" in capsys.readouterr().err
+
+
+def _kahn_order(stages):
+    """The manifest order of the hand-written Kahn loop the runner used before
+    graphlib: least ready name first; None for a cycle."""
+    producer_of = {}
+    for stage in stages:
+        for output in stage["outputs"]:
+            producer_of[output] = stage["name"]
+    deps = {stage["name"]: set() for stage in stages}
+    for stage in stages:
+        for inp in stage["inputs"]:
+            if inp in producer_of and producer_of[inp] != stage["name"]:
+                deps[stage["name"]].add(producer_of[inp])
+    ordered = []
+    ready = sorted(name for name, d in deps.items() if not d)
+    pending = {name: set(d) for name, d in deps.items() if d}
+    while ready:
+        name = ready.pop(0)
+        ordered.append(name)
+        for other, d in list(pending.items()):
+            d.discard(name)
+            if not d:
+                ready.append(other)
+                del pending[other]
+        ready.sort()
+    return None if pending else ordered
+
+
+def test_stage_order_matches_kahn_on_random_manifests():
+    rng = random.Random(7)
+    cycles = 0
+    for _ in range(1500):
+        files = [f"f{i}" for i in range(rng.randint(1, 8))]
+        names = rng.sample("abcdefghij", rng.randint(1, 8))
+        stages = [
+            {"name": name,
+             "inputs": rng.sample(files, rng.randint(0, min(3, len(files)))),
+             "outputs": rng.sample(files, rng.randint(0, min(2, len(files))))}
+            for name in names
+        ]
+        expected = _kahn_order(stages)
+        if expected is None:
+            cycles += 1
+            with pytest.raises(CycleDetected):
+                cli._topological_stages(stages)
+        else:
+            assert [stage["name"] for stage in cli._topological_stages(stages)] == expected
+    assert 0 < cycles < 1500
+
+
+def test_lex_build_holds_one_table_at_a_time(tmp_path, monkeypatch, capsys):
+    from versemt import alignment
+
+    languages = ("fr", "ru", "sw")
+    _write(tmp_path / "aligned" / "en.tsv", "".join(f"v{i}\tNoah saw house {i}\n" for i in range(6)))
+    for lang in languages:
+        _write(tmp_path / "aligned" / f"{lang}.tsv",
+               "".join(f"v{i}\tNoa-{lang} x{i} y{i}\n" for i in range(6)))
+        bitext = [(["Noah", "saw", "house"], [f"Noa-{lang}", "x", "y"])] * 3
+        alignment.save_table(alignment.train_em(bitext, 2), tmp_path / "aligners" / f"{lang}.tsv", 2)
+    _write(tmp_path / "seeds.txt", "Noah\n")
+
+    real_load = alignment.load_table
+    refs, live_at_load = [], []
+
+    def counting_load(path):
+        live_at_load.append(sum(ref() is not None for ref in refs))
+        table = real_load(path)
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(alignment, "load_table", counting_load)
+    status = cli.main(["lex-build", "--seed-list", str(tmp_path / "seeds.txt"),
+                       "--corpus", str(tmp_path / "aligned"), "--aligners", str(tmp_path / "aligners"),
+                       "--out", str(tmp_path / "lex.tsv")])
+    assert status == cli.EXIT_OK, capsys.readouterr().err
+    assert live_at_load == [0, 0, 0]  # one read per language, none alive at the next read
+    assert (tmp_path / "lex.tsv").read_text(encoding="utf-8").split("\n")[0] == "id\ten\tsw\tru\tfr"

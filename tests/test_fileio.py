@@ -1,0 +1,100 @@
+from __future__ import annotations
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+import versemt
+from versemt.errors import MalformedLine
+from versemt.fileio import read_json, read_json_lines, read_lines, read_rows
+
+# Characters that str.splitlines breaks at but a text-mode file does not.
+NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestReadLines:
+    def test_lines_end_only_at_newline_carriage_return_or_both(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(f"a{NOT_LINE_ENDS}b\nc\r\nd\re".encode("utf-8"))
+        assert list(read_lines(path)) == [(1, f"a{NOT_LINE_ENDS}b"), (2, "c"), (3, "d"), (4, "e")]
+
+    def test_blank_lines_are_kept(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\n\nb\n")
+        assert list(read_lines(path)) == [(1, "a"), (2, ""), (3, "b")]
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"")
+        assert list(read_lines(path)) == []
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, end):
+        path = tmp_path / "f.txt"
+        path.write_bytes(end.join([b"one", "twö".encode("utf-8"), b"th\xffree", b"four"]))
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: not UTF-8")):
+            list(read_lines(path))
+
+    def test_undecodable_byte_past_the_first_chunk(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"x" * 20_000 + b"\n" + b"y\n" * 5_000 + b"\xfe\n")
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:5002:")):
+            list(read_lines(path))
+
+    def test_truncated_sequence_at_end_of_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\nb\n" + "é".encode("utf-8")[:1])
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:3:")):
+            list(read_lines(path))
+
+
+class TestReadRows:
+    def test_fields(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_text("a\tb\nc\t\n", encoding="utf-8")
+        assert list(read_rows(path, 2, "x<TAB>y")) == [(1, ["a", "b"]), (2, ["c", ""])]
+
+    def test_wrong_field_count_names_line_and_shape(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_text("a\tb\nc\td\te\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:2: expected `x<TAB>y`")):
+            list(read_rows(path, 2, "x<TAB>y"))
+
+
+class TestReadJson:
+    def test_document(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"a": [1,\r\n 2]}\n', encoding="utf-8")
+        assert read_json(path) == {"a": [1, 2]}
+
+    def test_syntax_error_names_its_line(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{\n  "stages": [\n    {"name": }\n', encoding="utf-8")
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: not JSON")):
+            read_json(path)
+
+    def test_json_lines_error_names_its_line(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": \n', encoding="utf-8")
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: not JSON")):
+            list(read_json_lines(path))
+
+    def test_json_lines_keep_u2028_inside_a_record(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text(json.dumps({"a": "x\u2028y"}, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert [record for _, record in read_json_lines(path)] == [{"a": "x\u2028y"}]
+
+
+def test_only_fileio_reads_text():
+    """Every other module reads its input files through fileio, so they share one line rule."""
+    package = Path(versemt.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "fileio.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1)
+        if re.search(r"read_text\(|\bopen\(|splitlines\(", line)
+    ]
+    assert offenders == []
