@@ -458,6 +458,8 @@ def run_manifest(manifest_path: str | Path) -> int:
 
     state_path = manifest_path.with_suffix(manifest_path.suffix + ".state.json")
     state = read_json(state_path) if state_path.exists() else {}
+    if not isinstance(state, dict):
+        raise MalformedLine(f"{state_path}: the top level must be a JSON object")
 
     for stage in _topological_stages(stages):
         fingerprint = _stage_fingerprint(stage)

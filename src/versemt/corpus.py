@@ -92,6 +92,11 @@ def tokenize(text: str) -> list[str]:
     into standalone tokens ("Noah," -> ["Noah", ","])."""
     tokens: list[str] = []
     for chunk in text.split():
+        # Letters and digits are never punctuation, so a chunk with an
+        # alphanumeric character at both ends has nothing to peel.
+        if chunk[0].isalnum() and chunk[-1].isalnum():
+            tokens.append(chunk)
+            continue
         head: list[str] = []
         tail: list[str] = []
         while chunk and _is_separable_punct(chunk[0]):

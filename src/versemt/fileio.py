@@ -12,6 +12,13 @@ from typing import Iterator, TextIO
 
 from .errors import MalformedLine
 
+# mkstemp creates its file with mode 0600; an output gets the mode open() would
+# give it instead. The umask can only be read by setting it, so it is read once,
+# at import, while a program is still single-threaded.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
 
 @contextmanager
 def atomic_writer(path: str | Path) -> Iterator[TextIO]:
@@ -26,6 +33,7 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
+        os.chmod(tmp_name, _FILE_MODE)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import (
     FAMILIES,
@@ -44,8 +44,7 @@ def label_tokens(src: str, tgt: str, mode: LabelMode) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class LabeledExample:
+class LabeledExample(NamedTuple):
     source_tokens: tuple[str, ...]
     target_tokens: tuple[str, ...]
     src: str

@@ -26,35 +26,36 @@ class BpeModel:
 
     # cached_property writes to __dict__ directly, so it works on a frozen
     # dataclass and stays out of the generated __eq__; the rank table and
-    # per-word memo are shared by every apply_bpe call on the same model.
+    # per-word memo (seeded with the reserved tokens, which stay whole) are
+    # shared by every apply_bpe call on the same model.
     @cached_property
     def merge_ranks(self) -> dict[tuple[str, str], int]:
         return {pair: rank for rank, pair in enumerate(self.merges)}
 
     @cached_property
     def _segment_memo(self) -> dict[str, tuple[str, ...]]:
-        return {}
+        return {token: (token,) for token in self.reserved}
 
 
 def _word_symbols(word: str) -> tuple[str, ...]:
     return tuple(word) + (END_OF_WORD,)
 
 
-def _pair_counts(symbols: Sequence[str]) -> Counter[tuple[str, str]]:
-    return Counter(zip(symbols, symbols[1:]))
-
-
 def _merge_symbols(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
-    merged = pair[0] + pair[1]
+    first, second = pair
+    last = len(symbols) - 1
     out: list[str] = []
     i = 0
-    while i < len(symbols):
-        if i + 1 < len(symbols) and symbols[i] == pair[0] and symbols[i + 1] == pair[1]:
-            out.append(merged)
+    while i < last:
+        symbol = symbols[i]
+        if symbol == first and symbols[i + 1] == second:
+            out.append(first + second)
             i += 2
         else:
-            out.append(symbols[i])
+            out.append(symbol)
             i += 1
+    if i == last:
+        out.append(symbols[last])
     return tuple(out)
 
 
@@ -74,26 +75,26 @@ def learn_bpe(
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
     reserved_set = frozenset(reserved)
-    word_freq: Counter[str] = Counter()
-    saw_token = False
-    for token in tokenized_corpus:
-        saw_token = True
-        if token not in reserved_set:
-            word_freq[token] += 1
-    if num_merges > 0 and not saw_token:
+    word_freq = Counter(tokenized_corpus)
+    if num_merges > 0 and not word_freq:
         raise EmptyCorpus("cannot learn merges from a corpus with no tokens")
+    for token in reserved_set:
+        word_freq.pop(token, None)
 
     words: list[tuple[str, ...]] = []
     freqs: list[int] = []
-    stats: Counter[tuple[str, str]] = Counter()
+    stats: dict[tuple[str, str], int] = {}
+    # index[pair] holds every word that contains pair, and possibly words that
+    # no longer do: a merge only adds entries, so a stale one is skipped when
+    # its word turns out not to change.
     index: dict[tuple[str, str], set[int]] = {}
     for word, freq in sorted(word_freq.items()):
         wid = len(words)
         symbols = _word_symbols(word)
         words.append(symbols)
         freqs.append(freq)
-        for pair, n in _pair_counts(symbols).items():
-            stats[pair] += n * freq
+        for pair in zip(symbols, symbols[1:]):
+            stats[pair] = stats.get(pair, 0) + freq
             index.setdefault(pair, set()).add(wid)
 
     # Max-heap with lazy invalidation: every count change pushes a fresh
@@ -115,24 +116,30 @@ def learn_bpe(
         if best is None:
             break
         merges.append(best)
-        delta: Counter[tuple[str, str]] = Counter()
-        for wid in sorted(index.get(best, ())):
+        merged = best[0] + best[1]
+        # One delta per pair over every affected word: each word's old pairs
+        # count -freq, its new pairs +freq. A pair absent from the old word
+        # holds the merged symbol, so only those pairs need an index entry.
+        delta: dict[tuple[str, str], int] = {}
+        for wid in index.pop(best):
             old = words[wid]
             new = _merge_symbols(old, best)
+            if len(new) == len(old):
+                continue
             freq = freqs[wid]
-            for pair, n in _pair_counts(old).items():
-                delta[pair] -= n * freq
-                index[pair].discard(wid)
-            for pair, n in _pair_counts(new).items():
-                delta[pair] += n * freq
-                index.setdefault(pair, set()).add(wid)
+            for pair in zip(old, old[1:]):
+                delta[pair] = delta.get(pair, 0) - freq
+            for pair in zip(new, new[1:]):
+                delta[pair] = delta.get(pair, 0) + freq
+                if merged in pair:
+                    index.setdefault(pair, set()).add(wid)
             words[wid] = new
         # Only a pair's count after the whole merge needs a heap entry. A pair
         # whose net delta is 0 keeps its count, so its entry is still valid.
         for pair, d in delta.items():
             if d == 0:
                 continue
-            count = stats[pair] + d
+            count = stats.get(pair, 0) + d
             if count <= 0:
                 stats.pop(pair, None)
             else:
@@ -161,14 +168,12 @@ def _segment(word: str, ranks: dict[tuple[str, str], int]) -> list[str]:
 
 
 def apply_bpe(model: BpeModel, sentence: Sequence[str]) -> list[str]:
-    """Segment each token by the model's merges; reserved tokens pass through."""
+    """Segment each token by the model's merges; reserved tokens pass through
+    (the memo maps each of them to itself)."""
     ranks = model.merge_ranks
     memo = model._segment_memo
     out: list[str] = []
     for token in sentence:
-        if token in model.reserved:
-            out.append(token)
-            continue
         pieces = memo.get(token)
         if pieces is None:
             pieces = tuple(_segment(token, ranks))

@@ -7,7 +7,9 @@ numpy where a reference algorithm exists.
 from __future__ import annotations
 
 import math
+import unicodedata
 from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
@@ -304,13 +306,33 @@ def write_labeled_bitext_oracle(examples, src_path, tgt_path):
     return len(src_lines)
 
 
+# `subword._pair_counts` and `subword._merge_symbols` as they were before the
+# learner counted pairs in plain dicts.
+def _pair_counts(symbols: Sequence[str]) -> Counter[tuple[str, str]]:
+    return Counter(zip(symbols, symbols[1:]))
+
+
+def _merge_symbols(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
+    merged = pair[0] + pair[1]
+    out: list[str] = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and symbols[i] == pair[0] and symbols[i + 1] == pair[1]:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return tuple(out)
+
+
 def learn_bpe_oracle(tokenized_corpus, num_merges, reserved=(), vocab_side="source"):
     """``subword.learn_bpe`` as it was before per-merge delta batching: one
     heap push per (word, pair) count change. Returns a ``subword.BpeModel``."""
     import heapq
 
     from versemt.errors import EmptyCorpus
-    from versemt.subword import BpeModel, _merge_symbols, _pair_counts, _word_symbols
+    from versemt.subword import BpeModel, _word_symbols
 
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
@@ -546,3 +568,31 @@ def trim_table_oracle(table, policy, corpus=None):
         kept = tuple(e for e in table.entries if e.surface(SEED_LANGUAGE) in selected)
         return LexiconTable(entries=kept, languages=table.languages)
     raise ValueError(f"unknown trim policy {policy.kind!r}")
+
+
+# `corpus.tokenize` as it was before alphanumeric-edged chunks skipped peeling.
+def _is_separable_punct(ch: str) -> bool:
+    # Connector punctuation (e.g. "_") stays attached so reserved tokens such
+    # as __opt_src_fr survive re-tokenization.
+    cat = unicodedata.category(ch)
+    return cat.startswith("P") and cat != "Pc"
+
+
+def tokenize_oracle(text: str) -> list[str]:
+    """Split on Unicode whitespace, then peel leading/trailing punctuation
+    into standalone tokens ("Noah," -> ["Noah", ","])."""
+    tokens: list[str] = []
+    for chunk in text.split():
+        head: list[str] = []
+        tail: list[str] = []
+        while chunk and _is_separable_punct(chunk[0]):
+            head.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and _is_separable_punct(chunk[-1]):
+            tail.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(head)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(tail))
+    return tokens

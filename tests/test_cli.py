@@ -734,6 +734,21 @@ class TestMalformedInputs:
         assert not (tmp_path / "a.cfg").exists()
         assert not path.with_suffix(".json.state.json").exists()
 
+    @pytest.mark.parametrize("state", ["[]", "5", "null", '"done"'])
+    def test_state_file_not_an_object_runs_no_stage(self, tmp_path, monkeypatch, capsys, state):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "pipeline.json"
+        stage = {"name": "a", "command": ["emit-config", "--profile", "multilingual",
+                                          "--out", "a.cfg"], "outputs": ["a.cfg"]}
+        _write(path, json.dumps({"stages": [stage]}))
+        state_path = path.with_suffix(".json.state.json")
+        _write(state_path, state + "\n")
+        status, err = self._main(["run", "--manifest", path], capsys)
+        assert status == cli.EXIT_DATA, err
+        assert f"{state_path}: the top level must be a JSON object" in err
+        assert not (tmp_path / "a.cfg").exists()
+        assert state_path.read_text() == state + "\n"
+
 
 class TestAlignTrainTension:
     """A 7-token vs 5-token pair through `align-train` at extreme tensions."""

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from versemt.errors import (
 )
 
 from conftest import make_corpus
+from oracles import tokenize_oracle
 
 
 class TestRegistry:
@@ -71,6 +74,30 @@ class TestTokenize:
 
     def test_whitespace_only(self):
         assert tokenize("  \t \n ") == []
+
+    def test_no_code_point_is_alphanumeric_and_punctuation(self):
+        # tokenize appends a chunk with alphanumeric ends unpeeled; that is
+        # only sound if no such character is punctuation.
+        both = [
+            cp for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+        ]
+        assert both == []
+
+    @given(
+        text=st.text(
+            alphabet=st.one_of(
+                st.characters(whitelist_categories=("Lu", "Ll", "Lo", "Nd", "No", "Nl")),
+                st.characters(whitelist_categories=("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po")),
+                st.characters(whitelist_categories=("Mn", "Mc", "Sm", "Sc", "Sk", "So")),
+                st.sampled_from(" \t\n\u00a0\u2028_,.!?\"'"),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=500)
+    def test_equals_peel_every_chunk_oracle(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
 
 
 class TestIngest:

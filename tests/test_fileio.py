@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,6 +89,29 @@ class TestReadJson:
         path = tmp_path / "f.jsonl"
         path.write_text(json.dumps({"a": "x\u2028y"}, ensure_ascii=False) + "\n", encoding="utf-8")
         assert [record for _, record in read_json_lines(path)] == [{"a": "x\u2028y"}]
+
+
+class TestAtomicWriter:
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=["022", "027", "077"])
+    def test_mode_follows_the_umask(self, tmp_path, umask):
+        # fileio reads the umask when it is imported, so each umask needs a
+        # fresh interpreter.
+        created, replaced = tmp_path / "created.txt", tmp_path / "replaced.txt"
+        replaced.write_text("old\n")
+        os.chmod(replaced, 0o600)
+        script = (
+            f"import os, sys; os.umask({umask:#o}); "
+            "from versemt.fileio import atomic_write_text; "
+            "[atomic_write_text(path, 'new\\n') for path in sys.argv[1:]]"
+        )
+        src = str(Path(versemt.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script, str(created), str(replaced)],
+                       check=True, env=env)
+        for path in (created, replaced):
+            assert path.read_text() == "new\n"
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 def test_only_fileio_reads_text():

@@ -158,6 +158,14 @@ class TestExpandMultiway:
         )
         assert [(e.src, e.tgt) for e in examples] == [("en", "uk")] * 3 + [("uk", "en")] * 3
 
+    def test_example_is_a_tuple_of_four_named_fields(self):
+        example = labeling.LabeledExample(
+            source_tokens=("__opt_src_en", "a"), target_tokens=("b",), src="en", tgt="sw"
+        )
+        assert labeling.LabeledExample._fields == ("source_tokens", "target_tokens", "src", "tgt")
+        assert example == (("__opt_src_en", "a"), ("b",), "en", "sw")
+        assert example.target_tokens == ("b",)
+
     def test_tokenizes_each_verse_once_per_language(self, monkeypatch):
         calls = []
 

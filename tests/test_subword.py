@@ -3,7 +3,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from versemt.errors import DanglingContinuation, EmptyCorpus
@@ -73,6 +73,10 @@ class TestLearn:
         with pytest.raises(EmptyCorpus):
             learn_bpe([], num_merges=3)
 
+    def test_reserved_only_corpus_learns_nothing(self):
+        # Reserved tokens count as seen tokens, so this is not EmptyCorpus.
+        assert learn_bpe(["$NE1", "$NE1", "__opt_src_fr"], 3, reserved=RESERVED).merges == ()
+
     def test_empty_corpus_zero_merges_ok(self):
         assert learn_bpe([], num_merges=0).merges == ()
 
@@ -92,6 +96,9 @@ class TestLearn:
         reserved_freq=st.dictionaries(st.sampled_from(sorted(RESERVED)), st.integers(1, 4)),
         merges=st.integers(0, 40),
     )
+    @example(word_freq={"aaaa": 2, "aaaaa": 1, "aab": 3}, reserved_freq={}, merges=8)
+    @example(word_freq={"abab": 1, "aaaaaa": 2}, reserved_freq={"$NE1": 1}, merges=10)
+    @example(word_freq={}, reserved_freq={"$NE1": 2, "__opt_src_fr": 1}, merges=3)
     @settings(max_examples=300, deadline=None)
     def test_equals_per_pair_update_oracle(self, word_freq, reserved_freq, merges):
         # A three-letter alphabet and frequencies 1-3 make equal pair counts,
