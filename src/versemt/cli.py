@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
-from .errors import CycleDetected, MalformedLine, PipelineError, StageFailed, UsageError
+from .errors import CycleDetected, DuplicateVerseId, MalformedLine, PipelineError, StageFailed, UsageError
 from .fileio import atomic_write_lines, atomic_write_text, read_json, read_lines, read_rows
 
 log = logging.getLogger("versemt")
@@ -155,7 +155,7 @@ def _cmd_align_train(args: argparse.Namespace) -> int:
         raise PipelineError(
             f"bitext length mismatch: {len(src_lines)} source vs {len(tgt_lines)} target lines"
         )
-    bitext = [(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)]
+    bitext = [(corpus.tokenize(s), corpus.tokenize(t)) for s, t in zip(src_lines, tgt_lines)]
     params = alignment.DiagonalParams(tension=args.tension, null_prob=args.null_prob)
     table = alignment.train_em(bitext, args.iterations, params)
     alignment.save_table(table, args.out, args.iterations)
@@ -225,34 +225,31 @@ def _cmd_lex_trim(args: argparse.Namespace) -> int:
 
 
 def _cmd_tag(args: argparse.Namespace) -> int:
+    if bool(args.tgt_in) != bool(args.tgt_out):
+        raise UsageError("--tgt-in and --tgt-out must be given together")
     table = lexicon.load_lexicon(args.lexicon)
     src_lines = [corpus.tokenize(line) for _, line in read_lines(args.infile)]
     decode_path = args.decode or f"{args.out}.decode.jsonl"
+    tgt_lines = None
     if args.tgt_in:
         tgt_lines = [corpus.tokenize(line) for _, line in read_lines(args.tgt_in)]
         if len(src_lines) != len(tgt_lines):
             raise PipelineError("source/target line counts differ")
-        if not args.tgt_out:
-            raise UsageError("--tgt-out is required with --tgt-in")
-        tagged_src, tagged_tgt, decodes = [], [], []
-        for src_tokens, tgt_tokens in zip(src_lines, tgt_lines):
-            ts, tt, decode = netag.tag_training_pair(
-                src_tokens, tgt_tokens, table, args.src, args.tgt
-            )
-            tagged_src.append(ts.text)
-            tagged_tgt.append(tt.text)
-            decodes.append(decode)
-        atomic_write_lines(args.out, tagged_src)
-        atomic_write_lines(args.tgt_out, tagged_tgt)
-        netag.write_decode_sidecar(decodes, decode_path)
-    else:
-        tagged_src, decodes = [], []
-        for src_tokens in src_lines:
+    tagged_src, tagged_tgt, decodes = [], [], []
+    for k, src_tokens in enumerate(src_lines):
+        if tgt_lines is None:
             ts, decode = netag.tag_source(src_tokens, table, args.src, args.tgt)
-            tagged_src.append(ts.text)
-            decodes.append(decode)
-        atomic_write_lines(args.out, tagged_src)
-        netag.write_decode_sidecar(decodes, decode_path)
+        else:
+            ts, tt, decode = netag.tag_training_pair(
+                src_tokens, tgt_lines[k], table, args.src, args.tgt
+            )
+            tagged_tgt.append(tt.text)
+        tagged_src.append(ts.text)
+        decodes.append(decode)
+    atomic_write_lines(args.out, tagged_src)
+    if args.tgt_out:
+        atomic_write_lines(args.tgt_out, tagged_tgt)
+    netag.write_decode_sidecar(decodes, decode_path)
     log.info("tag lines=%d decode=%s", len(src_lines), decode_path)
     return EXIT_OK
 
@@ -273,11 +270,14 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    verses = [(vid, text) for _, (vid, text) in read_rows(args.infile, 2, "verse_id<TAB>text")]
-    total = args.total if args.total is not None else len(verses)
+    text_by_id: dict[str, str] = {}
+    for lineno, (vid, text) in read_rows(args.infile, 2, "verse_id<TAB>text"):
+        if vid in text_by_id:
+            raise DuplicateVerseId(f"{args.infile}:{lineno}: duplicate verse id {vid!r}")
+        text_by_id[vid] = text
+    total = args.total if args.total is not None else len(text_by_id)
     plan = harness.AblationPlan(fraction=args.fraction, seed=_default_seed(args.seed), total=total)
-    result = harness.sample_low_resource(verses, plan)
-    text_by_id = dict(verses)
+    result = harness.sample_low_resource(list(text_by_id.items()), plan)
     atomic_write_lines(args.out, [f"{vid}\t{text_by_id[vid]}" for vid in result.ids])
     if args.manifest:
         harness.write_ablation_manifest([(plan, result)], args.manifest)
@@ -293,10 +293,18 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_gl_monitor(args: argparse.Namespace) -> int:
     state = harness.GlState(alpha=args.alpha)
+    if hasattr(sys.stdin, "reconfigure"):
+        # Undecodable bytes surface as lone surrogates in their own line, so the
+        # lines before it are still processed and the error can name its line.
+        sys.stdin.reconfigure(errors="surrogateescape")
     for lineno, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
         if not line:
             continue
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedLine(f"<stdin>:{lineno}: not valid UTF-8") from None
         fields = line.split("\t")
         try:
             epoch, score = int(fields[0]), float(fields[1])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -170,18 +170,7 @@ def emit_trainer_config(profile: str) -> TrainerConfig:
 
 def write_trainer_config(config: TrainerConfig, path: str | Path) -> None:
     """Flat ``key: value`` file consumable by common seq2seq trainers."""
-    lines = [
-        f"profile: {config.profile}",
-        f"minibatch_size: {config.minibatch_size}",
-        f"dropout: {config.dropout}",
-        f"rnn_layers: {config.rnn_layers}",
-        f"rnn_size: {config.rnn_size}",
-        f"word_vec_size: {config.word_vec_size}",
-        f"learning_rate: {config.learning_rate}",
-        f"decay_rate: {config.decay_rate}",
-        f"decay_start_epoch: {config.decay_start_epoch}",
-        f"optimizer: {config.optimizer}",
-    ]
+    lines = [f"{f.name}: {getattr(config, f.name)}" for f in fields(config)]
     atomic_write_lines(path, lines)
 
 

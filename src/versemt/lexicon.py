@@ -156,8 +156,8 @@ class _OccurrenceIndex:
         return found
 
     def count(self, surface: str) -> int:
-        """Occurrences of a whitespace-split surface; 0 for a blank one."""
-        surface_tokens = surface.split()
+        """Occurrences of a surface, tokenized as the verses are; 0 for a blank one."""
+        surface_tokens = tokenize(surface)
         return len(self.spans(surface_tokens)) if surface_tokens else 0
 
 
@@ -185,7 +185,7 @@ def assemble_table(
     en_tokens = [tokenize(text) for text in corpus.texts(SEED_LANGUAGE)]
     tgt_tokens = {lang: [tokenize(text) for text in corpus.texts(lang)] for lang in target_langs}
 
-    surfaces = [(name, tuple(name.split())) for name in sorted(set(seed))]
+    surfaces = [(name, tuple(tokenize(name))) for name in sorted(set(seed))]
     en_index = _OccurrenceIndex(en_tokens, (t for _, tokens in surfaces for t in tokens[:1]))
     en_spans: list[list[tuple[int, int, int]]] = []  # per entry: (verse_idx, start, end)
     for name, surface_tokens in surfaces:
@@ -250,7 +250,7 @@ def assemble_table(
     frequencies = [{SEED_LANGUAGE: len(spans)} for spans in en_spans]
     for lang in target_langs:
         index = _OccurrenceIndex(
-            tgt_tokens[lang], (s[lang].split()[0] for s in chosen if lang in s)
+            tgt_tokens[lang], (tokenize(s[lang])[0] for s in chosen if lang in s)
         )
         for entry_surfaces, entry_freq in zip(chosen, frequencies):
             if lang in entry_surfaces:
@@ -293,7 +293,7 @@ def trim_table(
         if corpus is not None:
             en_texts = [tokenize(text) for text in corpus.texts(SEED_LANGUAGE)]
             surfaces = [e.surface(SEED_LANGUAGE) for e in table.entries]
-            index = _OccurrenceIndex(en_texts, (t for s in surfaces for t in s.split()[:1]))
+            index = _OccurrenceIndex(en_texts, (t for s in surfaces for t in tokenize(s)[:1]))
             kept = tuple(e for e, s in zip(table.entries, surfaces) if index.count(s) == 1)
         else:
             kept = tuple(e for e in table.entries if e.frequency.get(SEED_LANGUAGE) == 1)
@@ -320,7 +320,7 @@ def lookup_rows(
     index = table._indexes.get(lang)
     if index is None:
         built = SurfaceIndex(
-            (entry.surface(lang).split(), entry) for entry in table.entries if entry.surface(lang)
+            (tokenize(entry.surface(lang)), entry) for entry in table.entries if entry.surface(lang)
         )
         # Publish only a finished index; concurrent first calls keep the first.
         index = table._indexes.setdefault(lang, built)
@@ -366,7 +366,7 @@ def load_lexicon(path: str | Path, freq_path: str | Path | None = None) -> Lexic
         if len(fields) != len(columns) + 1:
             raise MalformedLine(f"{path}:{lineno}: expected {len(columns) + 1} columns")
         surfaces = {lang: cell for lang, cell in zip(columns, fields[1:]) if cell}
-        blank = [lang for lang, cell in surfaces.items() if not cell.split()]
+        blank = [lang for lang, cell in surfaces.items() if not cell.strip()]
         if blank:
             raise MalformedLine(f"{path}:{lineno}: whitespace-only {blank[0]} cell")
         entries.append(LexiconEntry(id=fields[0], surfaces=surfaces, frequency={}))

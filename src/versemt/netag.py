@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .corpus import tokenize
 from .errors import MalformedLine, UnknownPlaceholder
 from .fileio import atomic_write_lines, read_json_lines
 from .lexicon import LexiconTable, SurfaceIndex, lookup_rows
@@ -89,7 +90,7 @@ def tag_training_pair(
         if not tgt_surface:
             log.debug("entry %s has no %s surface; left untagged", entry.id, tgt_lang)
             continue
-        tgt_span = _find_unconsumed(tgt, tuple(tgt_surface.split()), consumed)
+        tgt_span = _find_unconsumed(tgt, tuple(tokenize(tgt_surface)), consumed)
         if tgt_span is None:
             log.debug("surface %r not free in target; left untagged", tgt_surface)
             continue
@@ -128,12 +129,12 @@ def tag_source(
 
 
 def restore_placeholders(translated: Sequence[str], decode: DecodeTable) -> list[str]:
-    """Replace every $NEi token with its decode-table target surface."""
+    """Replace every $NEi token with the tokens of its decode-table target surface."""
     out: list[str] = []
     for token in translated:
         match = PLACEHOLDER_RE.match(token)
         if match:
-            out.extend(decode.target(int(match.group(1))).split())
+            out.extend(tokenize(decode.target(int(match.group(1)))))
         else:
             out.append(token)
     return out
@@ -161,7 +162,7 @@ def check_entity_order(
     hyp: Sequence[str], ref: Sequence[str], decode: DecodeTable
 ) -> EntityJudgment:
     """Compare the multiset and ordering of decode-table entities in hyp vs ref."""
-    surfaces = [tgt.split() for _, tgt in decode.mapping.values()]
+    surfaces = [tokenize(tgt) for _, tgt in decode.mapping.values()]
     index = SurfaceIndex((tokens, " ".join(tokens)) for tokens in surfaces if tokens)
     hyp_seq = [surface for _, _, surface in index.scan(hyp)]
     ref_seq = [surface for _, _, surface in index.scan(ref)]

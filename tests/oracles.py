@@ -435,9 +435,10 @@ def viterbi_align_oracle(table, params, pair, prior_cache=None):
 def _count_occurrences_scan(texts, surface):
     """``lexicon._count_occurrences`` as it was before occurrence indexes: one
     single-surface SurfaceIndex scan of every verse."""
+    from versemt.corpus import tokenize
     from versemt.lexicon import SurfaceIndex
 
-    surface_tokens = surface.split()
+    surface_tokens = tokenize(surface)
     if not surface_tokens:
         return 0
     index = SurfaceIndex([(surface_tokens, surface)])
@@ -469,7 +470,7 @@ def assemble_table_oracle(seed, corpus, aligners, params, min_votes):
     en_tokens = [tokenize(text) for text in corpus.texts(SEED_LANGUAGE)]
     tgt_tokens = {lang: [tokenize(text) for text in corpus.texts(lang)] for lang in target_langs}
 
-    surfaces = [(name, tuple(name.split())) for name in sorted(set(seed))]
+    surfaces = [(name, tuple(tokenize(name))) for name in sorted(set(seed))]
     en_spans = []  # per entry: (verse_idx, start, end)
     for name, surface_tokens in surfaces:
         index = SurfaceIndex([(surface_tokens, name)])

@@ -3,12 +3,17 @@ from __future__ import annotations
 import io
 import json
 import logging
+import os
 import random
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import versemt
 from versemt import cli
 from versemt.errors import CycleDetected, StageFailed, UsageError
 from versemt.fileio import atomic_write_text
@@ -1074,3 +1079,39 @@ def test_lex_build_holds_one_table_at_a_time(tmp_path, monkeypatch, capsys):
     assert status == cli.EXIT_OK, capsys.readouterr().err
     assert live_at_load == [0, 0, 0]  # one read per language, none alive at the next read
     assert (tmp_path / "lex.tsv").read_text(encoding="utf-8").split("\n")[0] == "id\ten\tsw\tru\tfr"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8:strict", None], ids=["strict", "default"])
+def test_gl_monitor_names_an_undecodable_line_after_printing_the_ones_before(encoding):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    if encoding:
+        env["PYTHONIOENCODING"] = encoding
+    src = str(Path(versemt.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "versemt.cli", "gl-monitor"],
+                          input=b"1\t40\n2\t\xff\n3\t41\n", capture_output=True, env=env,
+                          timeout=60)
+    assert proc.returncode == cli.EXIT_DATA
+    assert proc.stdout == b"1\t40\t0.0000\tcontinue\n"
+    assert b"MalformedLine: <stdin>:2:" in proc.stderr
+
+
+def test_sample_rejects_a_duplicate_verse_id(tmp_path, capsys):
+    verses = tmp_path / "verses.tsv"
+    _write(verses, "v1\tone\nv2\ttwo\nv1\tuno\n")
+    out = tmp_path / "sample.tsv"
+    status = cli.main(["sample", "--in", str(verses), "--fraction", "1", "--out", str(out)])
+    assert status == cli.EXIT_DATA
+    assert f"{verses}:3: duplicate verse id 'v1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--tgt-in", "--tgt-out"])
+def test_tag_needs_tgt_in_and_tgt_out_together(tmp_path, capsys, flag):
+    # No input file exists: the usage error comes before any read.
+    argv = ["tag", "--lexicon", str(tmp_path / "lex.tsv"), "--src", "en", "--tgt", "sw",
+            "--in", str(tmp_path / "test.en"), "--out", str(tmp_path / "out"),
+            flag, str(tmp_path / "side")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "--tgt-in and --tgt-out" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -211,6 +211,18 @@ class TestTrainerConfig:
         assert parsed["rnn_size"] == "1000"
         assert parsed["optimizer"] == "sgd"
 
+    @pytest.mark.parametrize(
+        "profile, layers, size, vec, rate",
+        [("multilingual", 4, 1000, 600, 0.8), ("single-pair", 2, 500, 500, 1.0)],
+    )
+    def test_config_file_bytes(self, tmp_path, profile, layers, size, vec, rate):
+        write_trainer_config(emit_trainer_config(profile), tmp_path / "train.cfg")
+        assert (tmp_path / "train.cfg").read_bytes() == (
+            f"profile: {profile}\nminibatch_size: 64\ndropout: 0.3\nrnn_layers: {layers}\n"
+            f"rnn_size: {size}\nword_vec_size: {vec}\nlearning_rate: {rate}\n"
+            "decay_rate: 0.7\ndecay_start_epoch: 9\noptimizer: sgd\n"
+        ).encode()
+
 
 class TestManifestIo:
     def test_tsv_columns(self, tmp_path):

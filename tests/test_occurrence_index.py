@@ -28,8 +28,8 @@ from oracles import assemble_table_oracle, trim_table_oracle
 # Case variants and a tiny vocabulary, so tokens repeat, runs like `a a a`
 # overlap a two-token surface, and seeds nest inside other seeds.
 EN_VOCAB = ["a", "A", "b", "B", "c"]
-# `a,` tokenizes to `a ,` in the corpus but stays one token in a seed; `Z`
-# never occurs. Both give absent seeds.
+# `a,` tokenizes to `a ,` in a seed as in the corpus, so it is found where a
+# verse has `a,`; `Z` never occurs, so it gives an absent seed.
 SEED_VOCAB = EN_VOCAB + ["a,", "Z"]
 # A noisy translation of each English token; `c` becomes two target tokens
 # and `A`, like many names, is spelled the same on both sides.
