@@ -207,18 +207,12 @@ def _cmd_lex_build(args: argparse.Namespace) -> int:
 
 def _cmd_lex_trim(args: argparse.Namespace) -> int:
     table = lexicon.load_lexicon(args.infile, args.freq)
-    if args.policy == "manual-selection":
-        if not args.manual_file:
-            raise UsageError("--manual-file is required with policy manual-selection")
-        policy = lexicon.TrimPolicy.manual(args.manual_file)
-    elif args.policy == "frequency-equals-one":
-        if not (args.corpus or args.freq):
-            raise UsageError("policy frequency-equals-one needs --corpus or --freq")
-        policy = lexicon.TrimPolicy.frequency_one()
-    else:
-        policy = lexicon.TrimPolicy.none()
+    if args.policy == "manual-selection" and not args.manual_file:
+        raise UsageError("--manual-file is required with policy manual-selection")
+    if args.policy == "frequency-equals-one" and not (args.corpus or args.freq):
+        raise UsageError("policy frequency-equals-one needs --corpus or --freq")
     parallel = corpus.read_corpus_dir(args.corpus) if args.corpus else None
-    trimmed = lexicon.trim_table(table, policy, parallel)
+    trimmed = lexicon.trim_table(table, args.policy, parallel, args.manual_file)
     lexicon.save_lexicon(trimmed, args.out, args.freq_out)
     log.info("lex-trim policy=%s kept=%d/%d", args.policy, len(trimmed), len(table))
     return EXIT_OK
@@ -344,7 +338,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_bleu(args: argparse.Namespace) -> int:
     hyp_lines = [line for _, line in read_lines(args.hyp)]
-    ref_lines = [line for _, line in read_lines(args.ref)]
+    ref_lines = [corpus.tokenize(line) for _, line in read_lines(args.ref)]
     report = evaluation.corpus_bleu(hyp_lines, ref_lines, max_n=args.max_n)
     print(evaluation.format_bleu_summary(report))
     if args.report:
@@ -367,7 +361,7 @@ def _cmd_rubric(args: argparse.Namespace) -> int:
         raise UsageError("rubric needs either --in, or --hyp/--ref/--decode/--out")
     decodes = netag.read_decode_sidecar(args.decode)
     hyp_lines = [line for _, line in read_lines(args.hyp)]
-    ref_lines = [line for _, line in read_lines(args.ref)]
+    ref_lines = [corpus.tokenize(line) for _, line in read_lines(args.ref)]
     if not (len(hyp_lines) == len(ref_lines) == len(decodes)):
         raise PipelineError("hyp/ref/decode line counts differ")
     judgments = [

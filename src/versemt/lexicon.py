@@ -7,7 +7,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Generic, Iterable, Mapping, Sequence, TypeVar
+from typing import Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .alignment import TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, registry_order, tokenize
@@ -86,7 +86,8 @@ def filter_seed_list(raw: Iterable[str], stoplist: Iterable[str] = ()) -> list[s
 
 
 class SurfaceIndex(Generic[P]):
-    """Token trie for leftmost-longest, case-sensitive, non-overlapping matches.
+    """Token trie for case-sensitive surface matches: every occurrence, or the
+    leftmost-longest non-overlapping ones.
 
     Built from (surface tokens, payload) pairs in order; on a duplicate surface
     the first payload wins. Read-only once built, so threads may share it.
@@ -102,63 +103,59 @@ class SurfaceIndex(Generic[P]):
                 node = node.setdefault(token, {})
             node.setdefault(_PAYLOAD, payload)
 
+    def _walk(self, tokens: Sequence[str], start: int) -> Iterator[tuple[int, P]]:
+        """(end, payload) of each surface starting at `start`, shortest first."""
+        node, end, n = self._root.get(tokens[start]), start + 1, len(tokens)
+        while node is not None:
+            if _PAYLOAD in node:
+                yield end, node[_PAYLOAD]
+            node = node.get(tokens[end]) if end < n else None
+            end += 1
+
+    def occurrences(self, tokens: Sequence[str]) -> list[tuple[int, int, P]]:
+        """(start, end, payload) of every match, overlapping ones included,
+        ordered by start and then end."""
+        root = self._root
+        return [
+            (i, j, payload)
+            for i, token in enumerate(tokens)
+            if token in root  # most tokens start no surface: skip the walk
+            for j, payload in self._walk(tokens, i)
+        ]
+
     def scan(self, tokens: Sequence[str]) -> list[tuple[int, int, P]]:
-        """(start, end, payload) of each match, ordered by start."""
+        """(start, end, payload) of each leftmost-longest match, ordered by start."""
         matches: list[tuple[int, int, P]] = []
-        i, n = 0, len(tokens)
+        i, n, root = 0, len(tokens), self._root
         while i < n:
-            node, j, longest = self._root.get(tokens[i]), i + 1, None
-            while node is not None:
-                if _PAYLOAD in node:
-                    longest = (i, j, node[_PAYLOAD])
-                node = node.get(tokens[j]) if j < n else None
-                j += 1
+            longest = None
+            if tokens[i] in root:  # most tokens start no surface: skip the walk
+                for j, payload in self._walk(tokens, i):
+                    longest = (i, j, payload)
             if longest:
                 matches.append(longest)
             i = longest[1] if longest else i + 1
         return matches
 
 
-class _OccurrenceIndex:
-    """Postings token -> [(verse, position)] over one language's verses.
+def _leftmost_spans(
+    texts: Sequence[Sequence[str]], surfaces: Iterable[tuple[str, ...]]
+) -> dict[tuple[str, ...], list[tuple[int, int, int]]]:
+    """(verse, start, end) of each surface's leftmost non-overlapping occurrences.
 
-    Only the first tokens of the surfaces to be counted are indexed, so one
-    pass over the verses serves every surface without holding postings for
-    the whole vocabulary.
+    Each surface is counted on its own: after a match its count resumes past
+    it, so `a a` occurs once in `a a a`, and a surface nested in another
+    (`John` in `John Mark`) is still found there.
     """
-
-    def __init__(self, texts: Sequence[Sequence[str]], first_tokens: Iterable[str]) -> None:
-        self._texts = texts
-        self._postings: dict[str, list[tuple[int, int]]] = {token: [] for token in first_tokens}
-        postings = self._postings
-        for v, tokens in enumerate(texts):
-            for i, token in enumerate(tokens):
-                hits = postings.get(token)
-                if hits is not None:
-                    hits.append((v, i))
-
-    def spans(self, surface_tokens: Sequence[str]) -> list[tuple[int, int, int]]:
-        """(verse, start, end) of the leftmost non-overlapping, case-sensitive
-        occurrences of one surface: per verse, a one-surface SurfaceIndex scan."""
-        if not surface_tokens:
-            raise ValueError("a surface needs at least one token")
-        surface = tuple(surface_tokens)
-        width = len(surface)
-        found: list[tuple[int, int, int]] = []
-        last_verse, resume = -1, 0
-        for v, i in self._postings[surface[0]]:
-            if v == last_verse and i < resume:
-                continue  # inside the previous match
-            end = i + width
-            if width == 1 or tuple(self._texts[v][i:end]) == surface:
-                found.append((v, i, end))
-                last_verse, resume = v, end
-        return found
-
-    def count(self, surface: str) -> int:
-        """Occurrences of a surface, tokenized as the verses are; 0 for a blank one."""
-        surface_tokens = tokenize(surface)
-        return len(self.spans(surface_tokens)) if surface_tokens else 0
+    spans: dict[tuple[str, ...], list[tuple[int, int, int]]] = {key: [] for key in surfaces}
+    index = SurfaceIndex((key, key) for key in spans)
+    for v, tokens in enumerate(texts):
+        resume: dict[tuple[str, ...], int] = {}
+        for start, end, key in index.occurrences(tokens):
+            if start >= resume.get(key, 0):
+                spans[key].append((v, start, end))
+                resume[key] = end
+    return spans
 
 
 def assemble_table(
@@ -186,11 +183,9 @@ def assemble_table(
     tgt_tokens = {lang: [tokenize(text) for text in corpus.texts(lang)] for lang in target_langs}
 
     surfaces = [(name, tuple(tokenize(name))) for name in sorted(set(seed))]
-    en_index = _OccurrenceIndex(en_tokens, (t for _, tokens in surfaces for t in tokens[:1]))
-    en_spans: list[list[tuple[int, int, int]]] = []  # per entry: (verse_idx, start, end)
-    for name, surface_tokens in surfaces:
-        spans = en_index.spans(surface_tokens)
-        en_spans.append(spans)
+    spans_of = _leftmost_spans(en_tokens, (surface_tokens for _, surface_tokens in surfaces))
+    en_spans = [spans_of[surface_tokens] for _, surface_tokens in surfaces]
+    for (name, _), spans in zip(surfaces, en_spans):
         if not spans:
             log.warning("SeedNotInCorpus: %r has no occurrence in the English side", name)
 
@@ -249,12 +244,10 @@ def assemble_table(
 
     frequencies = [{SEED_LANGUAGE: len(spans)} for spans in en_spans]
     for lang in target_langs:
-        index = _OccurrenceIndex(
-            tgt_tokens[lang], (tokenize(s[lang])[0] for s in chosen if lang in s)
-        )
-        for entry_surfaces, entry_freq in zip(chosen, frequencies):
-            if lang in entry_surfaces:
-                entry_freq[lang] = index.count(entry_surfaces[lang])
+        keys = {k: tuple(tokenize(s[lang])) for k, s in enumerate(chosen) if lang in s}
+        spans_of = _leftmost_spans(tgt_tokens[lang], keys.values())
+        for k, surface_tokens in keys.items():
+            frequencies[k][lang] = len(spans_of[surface_tokens])
 
     width = max(4, len(str(len(surfaces))))
     entries = tuple(
@@ -265,46 +258,34 @@ def assemble_table(
     return LexiconTable(entries=entries, languages=languages)
 
 
-@dataclass(frozen=True)
-class TrimPolicy:
-    kind: str  # none | frequency-equals-one | manual-selection
-    selection_file: Path | None = None
-
-    @classmethod
-    def none(cls) -> "TrimPolicy":
-        return cls(kind="none")
-
-    @classmethod
-    def frequency_one(cls) -> "TrimPolicy":
-        return cls(kind="frequency-equals-one")
-
-    @classmethod
-    def manual(cls, path: str | Path) -> "TrimPolicy":
-        return cls(kind="manual-selection", selection_file=Path(path))
-
-
 def trim_table(
-    table: LexiconTable, policy: TrimPolicy, corpus: ParallelCorpus | None = None
+    table: LexiconTable,
+    policy: str,
+    corpus: ParallelCorpus | None = None,
+    selection_file: str | Path | None = None,
 ) -> LexiconTable:
-    """Keep the frequency-1 tail, a manual selection, or everything."""
-    if policy.kind == "none":
+    """Keep everything (`none`), the frequency-1 tail (`frequency-equals-one`,
+    counted in `corpus` or else read from the stored English frequencies), or
+    the English surfaces listed in `selection_file` (`manual-selection`)."""
+    if policy == "none":
         return table
-    if policy.kind == "frequency-equals-one":
+    if policy == "frequency-equals-one":
         if corpus is not None:
             en_texts = [tokenize(text) for text in corpus.texts(SEED_LANGUAGE)]
-            surfaces = [e.surface(SEED_LANGUAGE) for e in table.entries]
-            index = _OccurrenceIndex(en_texts, (t for s in surfaces for t in tokenize(s)[:1]))
-            kept = tuple(e for e, s in zip(table.entries, surfaces) if index.count(s) == 1)
+            keys = [tuple(tokenize(e.surface(SEED_LANGUAGE))) for e in table.entries]
+            spans_of = _leftmost_spans(en_texts, (key for key in keys if key))
+            counts = [len(spans_of.get(key, ())) for key in keys]
+            kept = tuple(e for e, count in zip(table.entries, counts) if count == 1)
         else:
             kept = tuple(e for e in table.entries if e.frequency.get(SEED_LANGUAGE) == 1)
         return LexiconTable(entries=kept, languages=table.languages)
-    if policy.kind == "manual-selection":
-        if policy.selection_file is None or not policy.selection_file.exists():
-            raise MissingSelectionFile(f"selection file not found: {policy.selection_file}")
-        selected = {line.strip() for _, line in read_lines(policy.selection_file)} - {""}
+    if policy == "manual-selection":
+        if selection_file is None or not Path(selection_file).exists():
+            raise MissingSelectionFile(f"selection file not found: {selection_file}")
+        selected = {line.strip() for _, line in read_lines(selection_file)} - {""}
         kept = tuple(e for e in table.entries if e.surface(SEED_LANGUAGE) in selected)
         return LexiconTable(entries=kept, languages=table.languages)
-    raise ValueError(f"unknown trim policy {policy.kind!r}")
+    raise ValueError(f"unknown trim policy {policy!r}")
 
 
 def lookup_rows(

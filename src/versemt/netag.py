@@ -56,17 +56,52 @@ def _replace_spans(
     return tuple(out)
 
 
-def _find_unconsumed(
-    tokens: Sequence[str], surface_tokens: tuple[str, ...], consumed: list[tuple[int, int]]
-) -> tuple[int, int] | None:
-    width = len(surface_tokens)
-    for start in range(len(tokens) - width + 1):
-        end = start + width
-        if any(start < c_end and c_start < end for c_start, c_end in consumed):
+def _tag(
+    src: Sequence[str],
+    tgt: Sequence[str] | None,
+    table: LexiconTable,
+    src_lang: str,
+    tgt_lang: str,
+) -> tuple[TaggedSentence, list[tuple[tuple[int, int], int]], DecodeTable]:
+    """(tagged source, target spans, decode table): the source matches that
+    have a `tgt_lang` surface become $NE1..$NEk in order of appearance.
+
+    With a target sentence, each match also takes the leftmost occurrence of
+    its target surface that overlaps none taken before; a match whose surface
+    has no such occurrence stays untagged on both sides.
+    """
+    matches: list[tuple[tuple[int, int], str, tuple[str, ...]]] = []
+    for span, entry in lookup_rows(table, src_lang, src):
+        tgt_surface = entry.surface(tgt_lang)
+        if not tgt_surface:
+            log.debug("entry %s has no %s surface; left untagged", entry.id, tgt_lang)
             continue
-        if tuple(tokens[start:end]) == surface_tokens:
-            return (start, end)
-    return None
+        key = tuple(tokenize(tgt_surface)) if tgt is not None else ()
+        matches.append((span, tgt_surface, key))
+    free: dict[tuple[str, ...], list[range]] = {}
+    if tgt is not None:
+        keys = dict.fromkeys(key for _, _, key in matches if key)
+        tgt_index = SurfaceIndex((key, key) for key in keys)
+        for start, end, key in tgt_index.occurrences(tgt):
+            free.setdefault(key, []).append(range(start, end))
+
+    mapping: dict[int, tuple[str, str]] = {}
+    src_spans: list[tuple[tuple[int, int], int]] = []
+    tgt_spans: list[tuple[tuple[int, int], int]] = []
+    consumed: set[int] = set()
+    for span, tgt_surface, key in matches:
+        index = len(mapping) + 1
+        if tgt is not None:
+            tgt_span = next((r for r in free.get(key, ()) if consumed.isdisjoint(r)), None)
+            if tgt_span is None:
+                log.debug("surface %r not free in target; left untagged", tgt_surface)
+                continue
+            consumed.update(tgt_span)
+            tgt_spans.append(((tgt_span.start, tgt_span.stop), index))
+        mapping[index] = (" ".join(src[span[0] : span[1]]), tgt_surface)
+        src_spans.append((span, index))
+    tagged_src = TaggedSentence(_replace_spans(src, src_spans), len(mapping))
+    return tagged_src, tgt_spans, DecodeTable(mapping)
 
 
 def tag_training_pair(
@@ -83,30 +118,9 @@ def tag_training_pair(
     surface is missing from the table or the target sentence stay untagged on
     both sides, and the surviving indices are renumbered densely.
     """
-    consumed: list[tuple[int, int]] = []
-    kept: list[tuple[tuple[int, int], tuple[int, int], str, str]] = []
-    for span, entry in lookup_rows(table, src_lang, src):
-        tgt_surface = entry.surface(tgt_lang)
-        if not tgt_surface:
-            log.debug("entry %s has no %s surface; left untagged", entry.id, tgt_lang)
-            continue
-        tgt_span = _find_unconsumed(tgt, tuple(tokenize(tgt_surface)), consumed)
-        if tgt_span is None:
-            log.debug("surface %r not free in target; left untagged", tgt_surface)
-            continue
-        consumed.append(tgt_span)
-        kept.append((span, tgt_span, " ".join(src[span[0] : span[1]]), tgt_surface))
-
-    mapping: dict[int, tuple[str, str]] = {}
-    src_spans: list[tuple[tuple[int, int], int]] = []
-    tgt_spans: list[tuple[tuple[int, int], int]] = []
-    for index, (src_span, tgt_span, src_surface, tgt_surface) in enumerate(kept, start=1):
-        mapping[index] = (src_surface, tgt_surface)
-        src_spans.append((src_span, index))
-        tgt_spans.append((tgt_span, index))
-    tagged_src = TaggedSentence(_replace_spans(src, src_spans), len(kept))
-    tagged_tgt = TaggedSentence(_replace_spans(tgt, tgt_spans), len(kept))
-    return tagged_src, tagged_tgt, DecodeTable(mapping)
+    tagged_src, tgt_spans, decode = _tag(src, tgt, table, src_lang, tgt_lang)
+    tagged_tgt = TaggedSentence(_replace_spans(tgt, tgt_spans), tagged_src.placeholder_count)
+    return tagged_src, tagged_tgt, decode
 
 
 def tag_source(
@@ -116,16 +130,8 @@ def tag_source(
     tgt_lang: str,
 ) -> tuple[TaggedSentence, DecodeTable]:
     """Tag a source sentence for translation; decode targets come from the table."""
-    mapping: dict[int, tuple[str, str]] = {}
-    spans: list[tuple[tuple[int, int], int]] = []
-    for span, entry in lookup_rows(table, src_lang, src):
-        tgt_surface = entry.surface(tgt_lang)
-        if not tgt_surface:
-            continue
-        index = len(mapping) + 1
-        mapping[index] = (" ".join(src[span[0] : span[1]]), tgt_surface)
-        spans.append((span, index))
-    return TaggedSentence(_replace_spans(src, spans), len(mapping)), DecodeTable(mapping)
+    tagged_src, _, decode = _tag(src, None, table, src_lang, tgt_lang)
+    return tagged_src, decode
 
 
 def restore_placeholders(translated: Sequence[str], decode: DecodeTable) -> list[str]:

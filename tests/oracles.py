@@ -538,18 +538,21 @@ def assemble_table_oracle(seed, corpus, aligners, params, min_votes):
     return LexiconTable(entries=tuple(entries), languages=languages)
 
 
-def trim_table_oracle(table, policy, corpus=None):
+def trim_table_oracle(table, policy, corpus=None, selection_file=None):
     """``lexicon.trim_table`` as it was before occurrence indexes: one
-    single-surface scan of the English side per entry."""
+    single-surface scan of the English side per entry. The policy is its name,
+    and a manual selection comes as ``selection_file``."""
+    from pathlib import Path
+
     from versemt.corpus import tokenize
     from versemt.errors import MissingSelectionFile
     from versemt.lexicon import SEED_LANGUAGE, LexiconTable
 
     _count_occurrences = _count_occurrences_scan
 
-    if policy.kind == "none":
+    if policy == "none":
         return table
-    if policy.kind == "frequency-equals-one":
+    if policy == "frequency-equals-one":
         if corpus is not None:
             en_texts = [tokenize(text) for text in corpus.texts(SEED_LANGUAGE)]
             kept = tuple(
@@ -558,17 +561,65 @@ def trim_table_oracle(table, policy, corpus=None):
         else:
             kept = tuple(e for e in table.entries if e.frequency.get(SEED_LANGUAGE) == 1)
         return LexiconTable(entries=kept, languages=table.languages)
-    if policy.kind == "manual-selection":
-        if policy.selection_file is None or not policy.selection_file.exists():
-            raise MissingSelectionFile(f"selection file not found: {policy.selection_file}")
+    if policy == "manual-selection":
+        if selection_file is None or not Path(selection_file).exists():
+            raise MissingSelectionFile(f"selection file not found: {selection_file}")
         selected = {
             line.strip()
-            for line in policy.selection_file.read_text(encoding="utf-8").splitlines()
+            for line in Path(selection_file).read_text(encoding="utf-8").splitlines()
             if line.strip()
         }
         kept = tuple(e for e in table.entries if e.surface(SEED_LANGUAGE) in selected)
         return LexiconTable(entries=kept, languages=table.languages)
-    raise ValueError(f"unknown trim policy {policy.kind!r}")
+    raise ValueError(f"unknown trim policy {policy!r}")
+
+
+def _find_unconsumed(tokens, surface_tokens, consumed):
+    width = len(surface_tokens)
+    for start in range(len(tokens) - width + 1):
+        end = start + width
+        if any(start < c_end and c_start < end for c_start, c_end in consumed):
+            continue
+        if tuple(tokens[start:end]) == surface_tokens:
+            return (start, end)
+    return None
+
+
+def tag_training_pair_oracle(src, tgt, table, src_lang, tgt_lang):
+    """``netag.tag_training_pair`` as it was before the target side was
+    matched through ``SurfaceIndex.occurrences``: a sliding window per match."""
+    import logging
+
+    from versemt.corpus import tokenize
+    from versemt.lexicon import lookup_rows
+    from versemt.netag import DecodeTable, TaggedSentence, _replace_spans
+
+    log = logging.getLogger("versemt.netag")
+
+    consumed = []
+    kept = []
+    for span, entry in lookup_rows(table, src_lang, src):
+        tgt_surface = entry.surface(tgt_lang)
+        if not tgt_surface:
+            log.debug("entry %s has no %s surface; left untagged", entry.id, tgt_lang)
+            continue
+        tgt_span = _find_unconsumed(tgt, tuple(tokenize(tgt_surface)), consumed)
+        if tgt_span is None:
+            log.debug("surface %r not free in target; left untagged", tgt_surface)
+            continue
+        consumed.append(tgt_span)
+        kept.append((span, tgt_span, " ".join(src[span[0] : span[1]]), tgt_surface))
+
+    mapping = {}
+    src_spans = []
+    tgt_spans = []
+    for index, (src_span, tgt_span, src_surface, tgt_surface) in enumerate(kept, start=1):
+        mapping[index] = (src_surface, tgt_surface)
+        src_spans.append((src_span, index))
+        tgt_spans.append((tgt_span, index))
+    tagged_src = TaggedSentence(_replace_spans(src, src_spans), len(kept))
+    tagged_tgt = TaggedSentence(_replace_spans(tgt, tgt_spans), len(kept))
+    return tagged_src, tagged_tgt, DecodeTable(mapping)
 
 
 # `corpus.tokenize` as it was before alphanumeric-edged chunks skipped peeling.

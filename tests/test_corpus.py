@@ -37,6 +37,17 @@ from conftest import make_corpus
 from oracles import tokenize_oracle
 
 
+PUNCTUATED_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(whitelist_categories=("Lu", "Ll", "Lo", "Nd", "No", "Nl")),
+        st.characters(whitelist_categories=("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po")),
+        st.characters(whitelist_categories=("Mn", "Mc", "Sm", "Sc", "Sk", "So")),
+        st.sampled_from(" \t\n\u00a0\u2028_,.!?\"'"),
+    ),
+    max_size=40,
+)
+
+
 class TestRegistry:
     def test_eight_families_23_languages(self):
         assert len(FAMILIES) == 8
@@ -84,20 +95,17 @@ class TestTokenize:
         ]
         assert both == []
 
-    @given(
-        text=st.text(
-            alphabet=st.one_of(
-                st.characters(whitelist_categories=("Lu", "Ll", "Lo", "Nd", "No", "Nl")),
-                st.characters(whitelist_categories=("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po")),
-                st.characters(whitelist_categories=("Mn", "Mc", "Sm", "Sc", "Sk", "So")),
-                st.sampled_from(" \t\n\u00a0\u2028_,.!?\"'"),
-            ),
-            max_size=40,
-        )
-    )
+    @given(text=PUNCTUATED_TEXT)
     @settings(max_examples=500)
     def test_equals_peel_every_chunk_oracle(self, text):
         assert tokenize(text) == tokenize_oracle(text)
+
+    @given(text=PUNCTUATED_TEXT)
+    @settings(max_examples=500)
+    def test_leaves_its_own_output_as_it_is(self, text):
+        """So `bleu` and `rubric` may tokenize a reference that is already tokenized."""
+        tokens = tokenize(text)
+        assert tokenize(" ".join(tokens)) == tokens
 
 
 class TestIngest:

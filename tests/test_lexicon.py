@@ -17,7 +17,6 @@ from versemt.errors import (
 from versemt.lexicon import (
     LexiconEntry,
     LexiconTable,
-    TrimPolicy,
     assemble_table,
     filter_seed_list,
     load_lexicon,
@@ -222,11 +221,11 @@ class TestTrim:
 
     def test_none_is_identity(self):
         table, corpus = self._table_and_corpus()
-        assert trim_table(table, TrimPolicy.none(), corpus) is table
+        assert trim_table(table, "none", corpus) is table
 
     def test_frequency_one_keeps_tail(self):
         table, corpus = self._table_and_corpus()
-        trimmed = trim_table(table, TrimPolicy.frequency_one(), corpus)
+        trimmed = trim_table(table, "frequency-equals-one", corpus)
         assert [e.surface("en") for e in trimmed.entries] == ["Japheth"]
 
     def test_frequency_one_from_stored_counts(self):
@@ -235,24 +234,24 @@ class TestTrim:
             LexiconEntry(id="b", surfaces={"en": "Aridai"}, frequency={"en": 1}),
         )
         table = LexiconTable(entries=entries, languages=("en",))
-        trimmed = trim_table(table, TrimPolicy.frequency_one())
+        trimmed = trim_table(table, "frequency-equals-one")
         assert [e.surface("en") for e in trimmed.entries] == ["Aridai"]
 
     def test_manual_selection(self, tmp_path):
         table, corpus = self._table_and_corpus()
         selection = tmp_path / "keep.txt"
         selection.write_text("Noah\n", encoding="utf-8")
-        trimmed = trim_table(table, TrimPolicy.manual(selection), corpus)
+        trimmed = trim_table(table, "manual-selection", corpus, selection)
         assert [e.surface("en") for e in trimmed.entries] == ["Noah"]
 
     def test_missing_selection_file(self, tmp_path):
         table, corpus = self._table_and_corpus()
         with pytest.raises(MissingSelectionFile):
-            trim_table(table, TrimPolicy.manual(tmp_path / "nope.txt"), corpus)
+            trim_table(table, "manual-selection", corpus, tmp_path / "nope.txt")
 
     def test_output_subset_of_input(self):
         table, corpus = self._table_and_corpus()
-        trimmed = trim_table(table, TrimPolicy.frequency_one(), corpus)
+        trimmed = trim_table(table, "frequency-equals-one", corpus)
         assert set(e.id for e in trimmed.entries) <= set(e.id for e in table.entries)
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from versemt.corpus import tokenize
 from versemt.errors import UnknownPlaceholder
@@ -16,6 +18,8 @@ from versemt.netag import (
     tag_training_pair,
     write_decode_sidecar,
 )
+
+from oracles import tag_training_pair_oracle
 
 
 def _table(pairs: list[tuple[str, str]]) -> LexiconTable:
@@ -268,3 +272,26 @@ def test_check_entity_order_skips_whitespace_only_target():
     decode = DecodeTable({1: ("Noah", " "), 2: ("Shem", "Sem")})
     judgment = check_entity_order(["Sem", "sov"], ["Sem", "sov"], decode)
     assert (judgment.set_correct, judgment.order_correct) == (True, True)
+
+
+# Three tokens, so target surfaces repeat, nest in one another (`a` in `a b`)
+# and are shared by several entries, also as `a b` against `a  b`.
+TAG_VOCAB = ["a", "b", "A"]
+tag_cell = st.tuples(
+    st.lists(st.sampled_from(TAG_VOCAB), min_size=1, max_size=3), st.sampled_from([" ", "  "])
+).map(lambda parts: parts[1].join(parts[0]))
+
+
+@given(
+    cells=st.lists(st.tuples(tag_cell, tag_cell | st.just("")), max_size=6),
+    src=st.lists(st.sampled_from(TAG_VOCAB), max_size=12),
+    tgt=st.lists(st.sampled_from(TAG_VOCAB), max_size=12),
+)
+@settings(max_examples=500, deadline=None)
+def test_tag_training_pair_matches_sliding_window_oracle(cells, src, tgt):
+    table = _table(cells)
+    got_src, got_tgt, got_decode = tag_training_pair(src, tgt, table, "en", "sw")
+    want_src, want_tgt, want_decode = tag_training_pair_oracle(src, tgt, table, "en", "sw")
+    assert got_decode.mapping == want_decode.mapping
+    assert got_src == want_src
+    assert got_tgt == want_tgt

@@ -1,4 +1,4 @@
-"""Lexicon projection through per-language occurrence indexes, against the
+"""Lexicon projection through one SurfaceIndex per language, against the
 one-scan-per-surface assemble_table and trim_table it replaced."""
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from versemt.lexicon import (
     LexiconEntry,
     LexiconTable,
     SurfaceIndex,
-    TrimPolicy,
-    _OccurrenceIndex,
+    _leftmost_spans,
     assemble_table,
     trim_table,
 )
@@ -55,21 +54,22 @@ def _scan_spans(texts, tokens):
 )
 @settings(max_examples=300, deadline=None)
 def test_spans_equal_one_surface_scan(texts, surfaces):
-    index = _OccurrenceIndex(texts, (tokens[0] for tokens in surfaces))
+    spans = _leftmost_spans(texts, (tuple(tokens) for tokens in surfaces))
+    assert set(spans) == {tuple(tokens) for tokens in surfaces}
     for tokens in surfaces:
-        assert index.spans(tokens) == _scan_spans(texts, tokens)
-        assert index.count("  ".join(tokens)) == len(_scan_spans(texts, tokens))
+        assert spans[tuple(tokens)] == _scan_spans(texts, tokens)
 
 
 def test_spans_resume_past_a_match_and_count_nested_surfaces_alone():
     texts = [["a", "a", "a"], ["John", "Mark", "John"], []]
-    index = _OccurrenceIndex(texts, ["a", "A", "John"])
-    assert index.spans(["a", "a"]) == [(0, 0, 2)]
-    assert index.spans(["John", "Mark"]) == [(1, 0, 2)]
-    assert index.spans(["John"]) == [(1, 0, 1), (1, 2, 3)]
-    assert index.spans(["A"]) == []  # case-sensitive
-    assert index.count("John  Mark") == 1
-    assert index.count("") == 0
+    surfaces = [("a", "a"), ("John", "Mark"), ("John",), ("A",), ("a", "a")]
+    spans = _leftmost_spans(texts, surfaces)
+    assert spans[("a", "a")] == [(0, 0, 2)]
+    assert spans[("John", "Mark")] == [(1, 0, 2)]
+    assert spans[("John",)] == [(1, 0, 1), (1, 2, 3)]
+    assert spans[("A",)] == []  # case-sensitive
+    with pytest.raises(ValueError):
+        _leftmost_spans(texts, [()])
 
 
 @st.composite
@@ -139,7 +139,7 @@ def test_trim_frequency_one_equals_per_entry_scans(case, extra):
         for i, name in enumerate(extra)
     )
     table = LexiconTable(entries=table.entries + loose, languages=table.languages)
-    policy = TrimPolicy.frequency_one()
+    policy = "frequency-equals-one"
     assert trim_table(table, policy, corpus) == trim_table_oracle(table, policy, corpus)
 
 
@@ -162,21 +162,16 @@ def _three_language_case():
     return corpus, aligners
 
 
-def test_assemble_table_builds_one_index_per_language_and_no_surface_index(monkeypatch):
+def test_assemble_table_builds_one_surface_index_per_language(monkeypatch):
     built = []
 
-    class CountingIndex(_OccurrenceIndex):
-        def __init__(self, texts, first_tokens):
-            built.append(texts)
-            super().__init__(texts, first_tokens)
-
-    class NoSurfaceIndex:
+    class CountingIndex(SurfaceIndex):
         def __init__(self, surfaces):
-            raise AssertionError("assemble_table built a SurfaceIndex")
+            built.append(1)
+            super().__init__(surfaces)
 
     corpus, aligners = _three_language_case()
-    monkeypatch.setattr(lexicon, "_OccurrenceIndex", CountingIndex)
-    monkeypatch.setattr(lexicon, "SurfaceIndex", NoSurfaceIndex)
+    monkeypatch.setattr(lexicon, "SurfaceIndex", CountingIndex)
     seed = ["John", "John Mark", "Noah", "Zerubbabel"]
     table = assemble_table(seed, corpus, aligners, min_votes=1)
     assert len(built) == len(corpus.languages) == 3
@@ -185,7 +180,7 @@ def test_assemble_table_builds_one_index_per_language_and_no_surface_index(monke
     assert by_en["Noah"].frequency["en"] == 2
 
     built.clear()
-    trim_table(table, TrimPolicy.frequency_one(), corpus)
+    trim_table(table, "frequency-equals-one", corpus)
     assert len(built) == 1
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from versemt import lexicon
-from versemt.lexicon import LexiconEntry, LexiconTable, SurfaceIndex, _OccurrenceIndex, lookup_rows
+from versemt.corpus import tokenize
+from versemt.lexicon import LexiconEntry, LexiconTable, SurfaceIndex, _leftmost_spans, lookup_rows
 from versemt.netag import DecodeTable, check_entity_order
 
 from oracles import count_occurrences_oracle, entity_order_oracle, lookup_rows_oracle
@@ -61,8 +62,9 @@ def test_check_entity_order_matches_oracle(targets, hyp, ref):
 @given(texts=st.lists(sentence, max_size=5), surface=surface_text | st.just(""))
 @settings(max_examples=200, deadline=None)
 def test_count_occurrences_matches_oracle(texts, surface):
-    index = _OccurrenceIndex(texts, surface.split()[:1])
-    assert index.count(surface) == count_occurrences_oracle(texts, surface)
+    key = tuple(tokenize(surface))
+    count = len(_leftmost_spans(texts, [key])[key]) if key else 0
+    assert count == count_occurrences_oracle(texts, surface)
 
 
 def test_first_payload_wins_on_duplicate_surface():
@@ -90,3 +92,21 @@ def test_lookup_rows_builds_index_once_per_language(monkeypatch):
     assert len(built) == 1
     lookup_rows(table, "sw", ["Noa"])
     assert len(built) == 2
+
+
+@given(
+    cells=st.lists(st.tuples(st.lists(token, min_size=1, max_size=3), st.integers(0, 9)), max_size=8),
+    tokens=sentence,
+)
+@settings(max_examples=300, deadline=None)
+def test_occurrences_lists_every_window_that_is_a_surface(cells, tokens):
+    first_payload: dict[tuple[str, ...], int] = {}
+    for surface, payload in cells:
+        first_payload.setdefault(tuple(surface), payload)
+    want = [
+        (start, end, first_payload[tuple(tokens[start:end])])
+        for start in range(len(tokens))
+        for end in range(start + 1, len(tokens) + 1)
+        if tuple(tokens[start:end]) in first_payload
+    ]
+    assert SurfaceIndex(cells).occurrences(tokens) == want

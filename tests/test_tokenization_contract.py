@@ -128,3 +128,26 @@ def test_restored_cell_is_tokenized_and_matched_by_rubric(
          "--out", tmp_path / "judgments.jsonl")
     judgment = json.loads((tmp_path / "judgments.jsonl").read_text())
     assert (judgment["set_correct"], judgment["order_correct"]) == (True, True)
+
+
+def test_raw_reference_is_tokenized_by_bleu_and_rubric(tmp_path):
+    """`--ref` may be the raw test file: `Paulus,` in it is the tokens `Paulus ,`."""
+    lex = _write(tmp_path / "lex.tsv", ["id\ten\tsw", "ne0001\tPaul\tPaulus"])
+    decode = tmp_path / "decode.jsonl"
+    _run("tag", "--lexicon", lex, "--src", "en", "--tgt", "sw",
+         "--in", _write(tmp_path / "test.en", ["and Paul, said."]),
+         "--out", tmp_path / "test.tagged", "--decode", decode)
+    assert (tmp_path / "test.tagged").read_text() == "and $NE1 , said .\n"
+    _run("restore", "--in", _write(tmp_path / "hyp.txt", ["och $NE1 , sade ."]),
+         "--decode", decode, "--out", tmp_path / "restored.txt")
+    assert (tmp_path / "restored.txt").read_text() == "och Paulus , sade .\n"
+    ref = _write(tmp_path / "test.sw", ["och Paulus, sade."])
+    _run("rubric", "--hyp", tmp_path / "restored.txt", "--ref", ref, "--decode", decode,
+         "--out", tmp_path / "judgments.jsonl")
+    judgment = json.loads((tmp_path / "judgments.jsonl").read_text())
+    assert (judgment["set_correct"], judgment["order_correct"]) == (True, True)
+    _run("bleu", "--hyp", tmp_path / "restored.txt", "--ref", ref, "--max-n", 2,
+         "--report", tmp_path / "bleu.tsv")
+    header, row = (tmp_path / "bleu.tsv").read_text().splitlines()
+    fields = dict(zip(header.split("\t"), row.split("\t")))
+    assert (fields["score"], fields["ref_len"]) == ("100.0000", "5")
