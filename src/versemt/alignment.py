@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import EmptyBitext, EmptySentence, MalformedLine
+from .errors import BadParameter, EmptyBitext, EmptySentence, MalformedLine
 from .fileio import atomic_write_lines, read_lines
 
 log = logging.getLogger(__name__)
@@ -33,9 +33,9 @@ class DiagonalParams:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tension) and self.tension >= 0):
-            raise ValueError(f"tension must be finite and >= 0, got {self.tension}")
+            raise BadParameter(f"tension must be finite and >= 0, got {self.tension}")
         if not 0 <= self.null_prob < 1:
-            raise ValueError(f"null_prob must be in [0, 1), got {self.null_prob}")
+            raise BadParameter(f"null_prob must be in [0, 1), got {self.null_prob}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def train_em(
     if not bitext:
         raise EmptyBitext("bitext is empty")
     if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+        raise BadParameter("iterations must be >= 0")
     # Intern once: every (e, f) pair of the support gets one slot, in table
     # order (rows sorted by e, each row sorted by f); row r owns the slots
     # bounds[r]:bounds[r + 1]. t[slot] holds the pair's probability.

@@ -15,8 +15,9 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
-from .errors import CycleDetected, DuplicateVerseId, MalformedLine, PipelineError, StageFailed, UsageError
+from .errors import CycleDetected, MalformedLine, PipelineError, StageFailed, UsageError
 from .fileio import atomic_write_lines, atomic_write_text, read_json, read_lines, read_rows
+from .fileio import read_parallel_lines, read_word_list
 
 log = logging.getLogger("versemt")
 
@@ -37,7 +38,10 @@ def _default_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -131,7 +135,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_bpe_learn(args: argparse.Namespace) -> int:
-    reserved = {line for _, line in read_lines(args.reserved)} - {""} if args.reserved else set()
+    reserved = set(read_word_list(args.reserved)) if args.reserved else set()
     tokens = (token for _, line in read_lines(args.infile) for token in line.split())
     model = subword.learn_bpe(tokens, args.merges, reserved, vocab_side=args.side)
     subword.save_model(model, args.out)
@@ -149,12 +153,7 @@ def _cmd_bpe_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_align_train(args: argparse.Namespace) -> int:
-    src_lines = [line for _, line in read_lines(args.src)]
-    tgt_lines = [line for _, line in read_lines(args.tgt)]
-    if len(src_lines) != len(tgt_lines):
-        raise PipelineError(
-            f"bitext length mismatch: {len(src_lines)} source vs {len(tgt_lines)} target lines"
-        )
+    src_lines, tgt_lines = read_parallel_lines(args.src, args.tgt)
     bitext = [(corpus.tokenize(s), corpus.tokenize(t)) for s, t in zip(src_lines, tgt_lines)]
     params = alignment.DiagonalParams(tension=args.tension, null_prob=args.null_prob)
     table = alignment.train_em(bitext, args.iterations, params)
@@ -169,8 +168,8 @@ def _cmd_align_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_lex_filter(args: argparse.Namespace) -> int:
-    stoplist = {line for _, line in read_lines(args.stoplist)} if args.stoplist else set()
-    cleaned = lexicon.filter_seed_list((line for _, line in read_lines(args.infile)), stoplist)
+    stoplist = read_word_list(args.stoplist) if args.stoplist else []
+    cleaned = lexicon.filter_seed_list(read_word_list(args.infile), stoplist)
     atomic_write_lines(args.out, cleaned)
     log.info("lex-filter kept=%d", len(cleaned))
     return EXIT_OK
@@ -196,7 +195,7 @@ class _TableFiles(Mapping[str, alignment.TranslationTable]):
 
 
 def _cmd_lex_build(args: argparse.Namespace) -> int:
-    seed_list = [line for _, line in read_lines(args.seed_list) if line.strip()]
+    seed_list = read_word_list(args.seed_list)
     parallel = corpus.read_corpus_dir(args.corpus)
     aligners = _TableFiles(args.aligners)
     table = lexicon.assemble_table(seed_list, parallel, aligners, min_votes=args.min_votes)
@@ -206,11 +205,11 @@ def _cmd_lex_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_lex_trim(args: argparse.Namespace) -> int:
-    table = lexicon.load_lexicon(args.infile, args.freq)
-    if args.policy == "manual-selection" and not args.manual_file:
-        raise UsageError("--manual-file is required with policy manual-selection")
+    if (args.policy == "manual-selection") != bool(args.manual_file):
+        raise UsageError("--manual-file goes with policy manual-selection, and only with it")
     if args.policy == "frequency-equals-one" and not (args.corpus or args.freq):
         raise UsageError("policy frequency-equals-one needs --corpus or --freq")
+    table = lexicon.load_lexicon(args.infile, args.freq)
     parallel = corpus.read_corpus_dir(args.corpus) if args.corpus else None
     trimmed = lexicon.trim_table(table, args.policy, parallel, args.manual_file)
     lexicon.save_lexicon(trimmed, args.out, args.freq_out)
@@ -222,39 +221,28 @@ def _cmd_tag(args: argparse.Namespace) -> int:
     if bool(args.tgt_in) != bool(args.tgt_out):
         raise UsageError("--tgt-in and --tgt-out must be given together")
     table = lexicon.load_lexicon(args.lexicon)
-    src_lines = [corpus.tokenize(line) for _, line in read_lines(args.infile)]
+    files = read_parallel_lines(args.infile, *([args.tgt_in] if args.tgt_in else []))
     decode_path = args.decode or f"{args.out}.decode.jsonl"
-    tgt_lines = None
-    if args.tgt_in:
-        tgt_lines = [corpus.tokenize(line) for _, line in read_lines(args.tgt_in)]
-        if len(src_lines) != len(tgt_lines):
-            raise PipelineError("source/target line counts differ")
     tagged_src, tagged_tgt, decodes = [], [], []
-    for k, src_tokens in enumerate(src_lines):
-        if tgt_lines is None:
-            ts, decode = netag.tag_source(src_tokens, table, args.src, args.tgt)
-        else:
-            ts, tt, decode = netag.tag_training_pair(
-                src_tokens, tgt_lines[k], table, args.src, args.tgt
-            )
+    for src, *tgt in zip(*([corpus.tokenize(line) for line in lines] for lines in files)):
+        if tgt:
+            ts, tt, decode = netag.tag_training_pair(src, tgt[0], table, args.src, args.tgt)
             tagged_tgt.append(tt.text)
+        else:
+            ts, decode = netag.tag_source(src, table, args.src, args.tgt)
         tagged_src.append(ts.text)
         decodes.append(decode)
     atomic_write_lines(args.out, tagged_src)
     if args.tgt_out:
         atomic_write_lines(args.tgt_out, tagged_tgt)
     netag.write_decode_sidecar(decodes, decode_path)
-    log.info("tag lines=%d decode=%s", len(src_lines), decode_path)
+    log.info("tag lines=%d decode=%s", len(decodes), decode_path)
     return EXIT_OK
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
     decodes = netag.read_decode_sidecar(args.decode)
-    lines = [line for _, line in read_lines(args.infile)]
-    if len(lines) != len(decodes):
-        raise PipelineError(
-            f"line count mismatch: {len(lines)} translations vs {len(decodes)} decode records"
-        )
+    [lines] = read_parallel_lines(args.infile, records=(args.decode, len(decodes)))
     restored = [
         " ".join(netag.restore_placeholders(line.split(), decode))
         for line, decode in zip(lines, decodes)
@@ -264,11 +252,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    text_by_id: dict[str, str] = {}
-    for lineno, (vid, text) in read_rows(args.infile, 2, "verse_id<TAB>text"):
-        if vid in text_by_id:
-            raise DuplicateVerseId(f"{args.infile}:{lineno}: duplicate verse id {vid!r}")
-        text_by_id[vid] = text
+    text_by_id = corpus.read_verse_file(args.infile)
     total = args.total if args.total is not None else len(text_by_id)
     plan = harness.AblationPlan(fraction=args.fraction, seed=_default_seed(args.seed), total=total)
     result = harness.sample_low_resource(list(text_by_id.items()), plan)
@@ -299,20 +283,16 @@ def _cmd_gl_monitor(args: argparse.Namespace) -> int:
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise MalformedLine(f"<stdin>:{lineno}: not valid UTF-8") from None
-        fields = line.split("\t")
         try:
-            epoch, score = int(fields[0]), float(fields[1])
-            if len(fields) != 2 or not (math.isfinite(score) and score >= 0):
-                raise ValueError(line)
-        except (IndexError, ValueError):
+            epoch, score = line.split("\t")
+            state, gl, decision = harness.gl_update(state, int(epoch), float(score))
+        except ValueError:  # a field count, a number, or gl_update's BadParameter
             raise MalformedLine(
                 f"<stdin>:{lineno}: expected `integer epoch<TAB>finite score >= 0`, got {line!r}"
             ) from None
-        try:
-            state, gl, decision = harness.gl_update(state, epoch, score)
         except PipelineError as exc:  # an epoch that does not follow the last
             raise type(exc)(f"<stdin>:{lineno}: {exc}") from None
-        print(f"{fields[0]}\t{fields[1]}\t{gl:.4f}\t{decision}", flush=True)
+        print(f"{epoch}\t{score}\t{gl:.4f}\t{decision}", flush=True)
         if decision == "stop":
             break
     return EXIT_OK
@@ -337,9 +317,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_bleu(args: argparse.Namespace) -> int:
-    hyp_lines = [line for _, line in read_lines(args.hyp)]
-    ref_lines = [corpus.tokenize(line) for _, line in read_lines(args.ref)]
-    report = evaluation.corpus_bleu(hyp_lines, ref_lines, max_n=args.max_n)
+    hyp_lines, ref_lines = read_parallel_lines(args.hyp, args.ref)
+    refs = [corpus.tokenize(line) for line in ref_lines]
+    report = evaluation.corpus_bleu(hyp_lines, refs, max_n=args.max_n)
     print(evaluation.format_bleu_summary(report))
     if args.report:
         evaluation.write_bleu_report(report, args.report)
@@ -348,24 +328,21 @@ def _cmd_bleu(args: argparse.Namespace) -> int:
 
 def _cmd_rubric(args: argparse.Namespace) -> int:
     if args.infile:
-        judgments = evaluation.read_judgments(args.infile)
-        percentages = evaluation.aggregate_rubric(judgments)
-        for category, pct in percentages.items():
-            print(f"{category}\t{pct:.1f}")
+        percentages = evaluation.aggregate_rubric(evaluation.read_judgments(args.infile))
+        lines = [f"{category}\t{pct:.1f}" for category, pct in percentages.items()]
+        print("\n".join(lines))
         if args.out:
-            atomic_write_lines(
-                args.out, [f"{category}\t{pct:.1f}" for category, pct in percentages.items()]
-            )
+            atomic_write_lines(args.out, lines)
         return EXIT_OK
     if not (args.hyp and args.ref and args.decode and args.out):
         raise UsageError("rubric needs either --in, or --hyp/--ref/--decode/--out")
     decodes = netag.read_decode_sidecar(args.decode)
-    hyp_lines = [line for _, line in read_lines(args.hyp)]
-    ref_lines = [corpus.tokenize(line) for _, line in read_lines(args.ref)]
-    if not (len(hyp_lines) == len(ref_lines) == len(decodes)):
-        raise PipelineError("hyp/ref/decode line counts differ")
+    hyp_lines, ref_lines = read_parallel_lines(
+        args.hyp, args.ref, records=(args.decode, len(decodes))
+    )
     judgments = [
-        evaluation.judge_sentence(h, r, d) for h, r, d in zip(hyp_lines, ref_lines, decodes)
+        evaluation.judge_sentence(h, corpus.tokenize(r), d)
+        for h, r, d in zip(hyp_lines, ref_lines, decodes)
     ]
     evaluation.write_judgments(judgments, args.out)
     log.info("rubric judged=%d (meaning pending)", len(judgments))
@@ -663,11 +640,8 @@ def dispatch(argv: Sequence[str]) -> int:
         raise UsageError("a subcommand is required (see --help)")
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        raise PipelineError(f"missing file: {exc.filename or exc}") from exc
-    except ValueError as exc:
-        # Out-of-range flag values land here (e.g. a nan --tension).
-        raise PipelineError(str(exc)) from exc
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise PipelineError(f"{exc.strerror}: {exc.filename}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:

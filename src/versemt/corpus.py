@@ -139,8 +139,14 @@ class ParallelCorpus:
 
 
 def ingest_language_file(path: str | Path, lang: str) -> dict[str, str]:
-    """Read a ``verse_id<TAB>text`` TSV into an id -> NFC-normalized text map."""
+    """Read one registered language's verse file (see ``read_verse_file``)."""
     get_language(lang)
+    return read_verse_file(path)
+
+
+def read_verse_file(path: str | Path) -> dict[str, str]:
+    """Read a ``verse_id<TAB>text`` TSV into a stripped id -> stripped NFC text map;
+    an empty or repeated id, or no record at all, raises naming ``path``."""
     verses: dict[str, str] = {}
     for lineno, (verse_id, text) in read_rows(path, 2, "verse_id<TAB>text"):
         verse_id = verse_id.strip()
@@ -159,11 +165,7 @@ def intersect_alignment(maps: Mapping[str, Mapping[str, str]]) -> ParallelCorpus
     if not maps:
         raise ValueError("at least one language map is required")
     languages = tuple(registry_order(maps.keys()))
-    common: set[str] | None = None
-    for verse_map in maps.values():
-        ids = set(verse_map)
-        common = ids if common is None else common & ids
-    assert common is not None
+    common = set.intersection(*(set(verse_map) for verse_map in maps.values()))
     if not common:
         log.warning("EmptyIntersection: no verse id is shared by all %d languages", len(maps))
     verses = tuple(

@@ -9,6 +9,10 @@ class UsageError(Exception):
     """Bad command-line invocation (CLI exit code 1)."""
 
 
+class BadParameter(PipelineError, ValueError):
+    """A parameter out of its range; still a ValueError to library callers."""
+
+
 # corpus
 class DuplicateVerseId(PipelineError):
     pass

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import EmptyCorpus, LengthMismatch, MalformedLine, UnresolvedJudgments
+from .errors import BadParameter, EmptyCorpus, LengthMismatch, MalformedLine, UnresolvedJudgments
 from .fileio import atomic_write_lines, read_json_lines
 from .netag import DecodeTable, check_entity_order
 
@@ -55,7 +55,7 @@ def corpus_bleu(
     if not hypotheses:
         raise EmptyCorpus("no sentences to score")
     if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+        raise BadParameter("max_n must be >= 1")
     hyp_tokens = [_tokens(h) for h in hypotheses]
     ref_tokens = [_tokens(r) for r in references]
 

@@ -1,5 +1,6 @@
 r"""Every input file is read here: as lines, which end at ``\n``, ``\r\n`` or ``\r``
-and nowhere else; as tab-separated rows; or as JSON. Also atomic file writing."""
+and nowhere else; as a word list; as line-aligned files; as tab-separated rows;
+or as JSON. Also atomic file writing."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .errors import MalformedLine
+from .errors import LengthMismatch, MalformedLine
 
 # mkstemp creates its file with mode 0600; an output gets the mode open() would
 # give it instead. The umask can only be read by setting it, so it is read once,
@@ -76,6 +77,24 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             raise MalformedLine(f"{path}:{ends + 1}: not UTF-8 ({exc.reason})") from None
 
 
+def read_word_list(path: str | Path) -> list[str]:
+    """The stripped lines of a file, blank ones dropped, in file order."""
+    return [word for _, line in read_lines(path) if (word := line.strip())]
+
+
+def read_parallel_lines(
+    *paths: str | Path, records: tuple[str | Path, int] | None = None
+) -> list[list[str]]:
+    """The lines of each line-aligned file; if their counts, or the sidecar count in
+    ``records`` = (path, count), differ, LengthMismatch names each file and count."""
+    files = [[line for _, line in read_lines(path)] for path in paths]
+    counts = [*zip(paths, map(len, files)), *([records] if records else [])]
+    if len({count for _, count in counts}) > 1:
+        listing = ", ".join(f"{path} has {count}" for path, count in counts)
+        raise LengthMismatch(f"line counts differ: {listing}")
+    return files
+
+
 def read_rows(path: str | Path, width: int, shape: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, tab-separated fields) for every line of a file; a line
     without ``width`` fields raises MalformedLine at ``path:line`` naming ``shape``."""
@@ -92,6 +111,9 @@ def _parse_json(text: str, path: str | Path, first_line: int) -> object:
     except json.JSONDecodeError as exc:
         lineno = first_line + exc.lineno - 1
         raise MalformedLine(f"{path}:{lineno}: not JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or too deep nesting
+        where = f"{path}:{first_line}" if "\n" not in text else str(path)
+        raise MalformedLine(f"{where}: not readable JSON ({exc})") from None
 
 
 def read_json(path: str | Path) -> object:

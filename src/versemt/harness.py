@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import tokenize
-from .errors import BadFraction, DegenerateInput, NonMonotoneEpoch, UnknownProfile
+from .errors import BadFraction, BadParameter, DegenerateInput, NonMonotoneEpoch, UnknownProfile
 from .fileio import atomic_write_lines
 
 
@@ -23,7 +23,7 @@ class AblationPlan:
         if not 0 < self.fraction <= 1:
             raise BadFraction(f"fraction must be in (0, 1], got {self.fraction}")
         if self.total < 1:
-            raise ValueError(f"total must be >= 1, got {self.total}")
+            raise BadParameter(f"total must be >= 1, got {self.total}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def sample_low_resource(
     covers the distinct sampled sentences only (duplicates add no new words).
     """
     if not verses:
-        raise ValueError("verses must be non-empty")
+        raise BadParameter("verses must be non-empty")
     k = math.floor(plan.fraction * plan.total)
     if k < 1:
         raise BadFraction(
@@ -85,7 +85,7 @@ def gl_update(state: GlState, epoch: int, val_score: float) -> tuple[GlState, fl
     new state, the loss, and "stop" or "continue".
     """
     if not (math.isfinite(val_score) and val_score >= 0):
-        raise ValueError(f"val_score must be finite and >= 0, got {val_score}")
+        raise BadParameter(f"val_score must be finite and >= 0, got {val_score}")
     if state.history and epoch <= state.history[-1][0]:
         raise NonMonotoneEpoch(
             f"epoch {epoch} does not follow epoch {state.history[-1][0]}"
@@ -105,11 +105,11 @@ class PowerLawFit:
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     """Ordinary least squares of score against log10(word count)."""
-    if len(points) < 2 or len({wc for wc, _ in points}) < 2:
-        raise DegenerateInput("need at least 2 points with distinct word counts")
     if any(wc <= 0 for wc, _ in points):
         raise DegenerateInput("word counts must be positive")
     xs = [math.log10(wc) for wc, _ in points]
+    if len(set(xs)) < 2:  # distinct counts that share a float log10 included
+        raise DegenerateInput("need at least 2 points with distinct word counts")
     ys = [score for _, score in points]
     n = len(points)
     x_mean = sum(xs) / n
@@ -118,9 +118,14 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - y_mean) ** 2 for y in ys)
+    try:
+        ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+        ss_tot = sum((y - y_mean) ** 2 for y in ys)
+    except OverflowError:  # float ** raises where * and / give inf
+        ss_res = ss_tot = math.inf
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    if not all(map(math.isfinite, (slope, intercept, r_squared))):
+        raise DegenerateInput("scores too large in magnitude to fit")
     return PowerLawFit(slope=slope, intercept=intercept, r_squared=r_squared)
 
 

@@ -12,7 +12,7 @@ from typing import Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 from .alignment import TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, registry_order, tokenize
 from .errors import EmptyResult, MalformedLine, MissingAligner, MissingSelectionFile, UnknownLanguage
-from .fileio import atomic_write_lines, read_lines, read_rows
+from .fileio import atomic_write_lines, read_lines, read_rows, read_word_list
 
 log = logging.getLogger(__name__)
 
@@ -282,7 +282,7 @@ def trim_table(
     if policy == "manual-selection":
         if selection_file is None or not Path(selection_file).exists():
             raise MissingSelectionFile(f"selection file not found: {selection_file}")
-        selected = {line.strip() for _, line in read_lines(selection_file)} - {""}
+        selected = set(read_word_list(selection_file))
         kept = tuple(e for e in table.entries if e.surface(SEED_LANGUAGE) in selected)
         return LexiconTable(entries=kept, languages=table.languages)
     raise ValueError(f"unknown trim policy {policy!r}")

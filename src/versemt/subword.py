@@ -9,7 +9,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DanglingContinuation, EmptyCorpus, MalformedLine
+from .errors import BadParameter, DanglingContinuation, EmptyCorpus, MalformedLine
 from .fileio import atomic_write_text, read_lines
 
 END_OF_WORD = "</w>"
@@ -73,7 +73,7 @@ def learn_bpe(
     so the model is deterministic. Stops early if no pair is left to merge.
     """
     if num_merges < 0:
-        raise ValueError("num_merges must be >= 0")
+        raise BadParameter("num_merges must be >= 0")
     reserved_set = frozenset(reserved)
     word_freq = Counter(tokenized_corpus)
     if num_merges > 0 and not word_freq:

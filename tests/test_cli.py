@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import logging
@@ -12,9 +13,11 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import versemt
-from versemt import cli
+from versemt import cli, harness
 from versemt.errors import CycleDetected, StageFailed, UsageError
 from versemt.fileio import atomic_write_text
 
@@ -883,7 +886,8 @@ _READERS = {
     "pipeline.json.state.json": ["run", "--manifest", "pipeline.json"],
 }
 
-# Subcommands whose plain-text inputs are read line by line in the CLI itself.
+# Plain-text inputs read as word lists or as line-aligned files (`fileio.read_word_list`,
+# `fileio.read_parallel_lines`), or line by line as text to split into tokens.
 _LINE_INPUTS = [
     ["bpe-learn", "--in", "text.txt", "--reserved", "BAD", "--out", "out"],
     ["bpe-apply", "--model", "model.bpe", "--in", "BAD", "--out", "out"],
@@ -1115,3 +1119,191 @@ def test_tag_needs_tgt_in_and_tgt_out_together(tmp_path, capsys, flag):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "--tgt-in and --tgt-out" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+class TestOneReaderPerFormat:
+    """Word lists, line-aligned file sets and verse files each have one reader."""
+
+    def test_seed_list_lines_are_stripped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        _write(tmp_path / "seeds.txt", "Noah\nNoah \n  \n")
+        status = cli.main(["lex-build", "--seed-list", "seeds.txt", "--corpus", "aligned",
+                           "--aligners", "aligners", "--out", "lex.tsv"])
+        assert status == cli.EXIT_OK, capsys.readouterr().err
+        lex = (tmp_path / "lex.tsv").read_text(encoding="utf-8")
+        assert lex == "id\ten\tsw\nne0001\tNoah\tNoa\n"
+
+    def test_stoplist_and_reserved_lines_are_stripped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "names.txt", "Noah\nThe\n")
+        _write(tmp_path / "stop.txt", "the \n")
+        assert cli.main(["lex-filter", "--in", "names.txt", "--stoplist", "stop.txt",
+                         "--out", "seed.txt"]) == cli.EXIT_OK
+        assert (tmp_path / "seed.txt").read_text(encoding="utf-8") == "Noah\n"
+        _write(tmp_path / "text.txt", "ab ab ab __opt\n")
+        _write(tmp_path / "reserved.txt", "__opt \n")
+        assert cli.main(["bpe-learn", "--in", "text.txt", "--merges", "5", "--reserved",
+                         "reserved.txt", "--out", "model.bpe"]) == cli.EXIT_OK
+        model = (tmp_path / "model.bpe").read_text(encoding="utf-8")
+        assert model.endswith("#reserved\n__opt\n"), capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, counts", [
+        (["align-train", "--src", "short.txt", "--tgt", "text.txt", "--out", "out"],
+         ["short.txt has 2", "text.txt has 3"]),
+        (["tag", "--lexicon", "lexicon.tsv", "--src", "en", "--tgt", "sw", "--in", "text.txt",
+          "--tgt-in", "short.txt", "--tgt-out", "out2", "--out", "out"],
+         ["text.txt has 3", "short.txt has 2"]),
+        (["restore", "--in", "short.txt", "--decode", "decode.jsonl", "--out", "out"],
+         ["short.txt has 2", "decode.jsonl has 3"]),
+        (["bleu", "--hyp", "text.txt", "--ref", "short.txt"],
+         ["text.txt has 3", "short.txt has 2"]),
+        (["rubric", "--hyp", "text.txt", "--ref", "text.txt", "--decode", "short.jsonl",
+          "--out", "out"],
+         ["text.txt has 3, text.txt has 3, short.jsonl has 2"]),
+    ], ids=["align-train", "tag", "restore", "bleu", "rubric"])
+    def test_a_line_count_mismatch_names_every_file(self, tmp_path, monkeypatch, capsys,
+                                                     argv, counts):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        _write(tmp_path / "short.txt", "Noah slept\nShem woke\n")
+        _write(tmp_path / "short.jsonl", '{"line": 1, "map": {}}\n{"line": 2, "map": {}}\n')
+        status = cli.main(argv)
+        err = capsys.readouterr().err
+        assert status == cli.EXIT_DATA, err
+        assert "LengthMismatch: line counts differ: " in err
+        for count in counts:
+            assert count in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sample_names_an_empty_file(self, tmp_path, capsys):
+        verses = tmp_path / "verses.tsv"
+        _write(verses, "")
+        out = tmp_path / "sample.tsv"
+        status = cli.main(["sample", "--in", str(verses), "--fraction", "1", "--out", str(out)])
+        assert status == cli.EXIT_DATA
+        assert f"EmptyFile: {verses}: no records" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_reads_under_ingest_rules(self, tmp_path, capsys):
+        verses = tmp_path / "verses.tsv"
+        _write(verses, " v1 \tCafe\u0301 \n")
+        out = tmp_path / "sample.tsv"
+        status = cli.main(["sample", "--in", str(verses), "--fraction", "1", "--out", str(out)])
+        assert status == cli.EXIT_OK, capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "v1\tCaf\u00e9\n"
+
+    def test_manual_file_without_its_policy_is_usage_error(self, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        _write(lex, "id\ten\tsw\nne1\tNoah\tNoa\nne2\tShem\tSem\n")
+        keep = tmp_path / "keep.txt"
+        _write(keep, "Shem\n")
+        out = tmp_path / "out.tsv"
+        status = cli.main(["lex-trim", "--in", str(lex), "--manual-file", str(keep),
+                           "--out", str(out)])
+        assert status == cli.EXIT_USAGE
+        assert "--manual-file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_over_long_json_integer_names_its_line(self, tmp_path, capsys):
+        decode = tmp_path / "decode.jsonl"
+        _write(decode, '{"line": 1, "map": {}}\n{"line": ' + "9" * 5000 + "}\n")
+        text = tmp_path / "mt.txt"
+        _write(text, "a\nb\n")
+        status = cli.main(["restore", "--in", str(text), "--decode", str(decode),
+                           "--out", str(tmp_path / "out")])
+        assert status == cli.EXIT_DATA
+        assert f"{decode}:2: not readable JSON" in capsys.readouterr().err
+
+
+class TestExitCodeMeaning:
+    """2 is bad input or a bad parameter; 3 is a bug, never bad input."""
+
+    def test_fit_overflow_is_data_error(self, tmp_path, capsys):
+        points = tmp_path / "pts.tsv"
+        _write(points, "10\t1e300\n100\t-1e300\n1000\t3\n")
+        status = cli.main(["fit", "--in", str(points)])
+        assert status == cli.EXIT_DATA
+        assert "DegenerateInput" in capsys.readouterr().err
+
+    def test_fit_counts_with_one_float_log10_are_data_error(self, tmp_path, capsys):
+        points = tmp_path / "pts.tsv"
+        _write(points, "1e300\t1\n1.0000000000000002e300\t2\n")
+        status = cli.main(["fit", "--in", str(points)])
+        assert status == cli.EXIT_DATA
+        assert "distinct word counts" in capsys.readouterr().err
+
+    def test_a_plain_value_error_is_internal(self, tmp_path, monkeypatch, capsys):
+        def broken(points):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(harness, "fit_power_law", broken)
+        points = tmp_path / "pts.tsv"
+        _write(points, "10\t1\n100\t2\n")
+        assert cli.main(["fit", "--in", str(points)]) == cli.EXIT_INTERNAL
+        assert "internal error: ValueError: a bug" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bpe-learn", "--in", "text.txt", "--merges", "-1", "--out", "out"],
+        ["align-train", "--src", "text.txt", "--tgt", "text.txt", "--iterations", "-1",
+         "--out", "out"],
+        ["align-train", "--src", "text.txt", "--tgt", "text.txt", "--null-prob", "1",
+         "--out", "out"],
+        ["bleu", "--hyp", "text.txt", "--ref", "text.txt", "--max-n", "0"],
+        ["sample", "--in", "sample.tsv", "--fraction", "1", "--total", "0", "--out", "out"],
+    ], ids=["merges", "iterations", "null-prob", "max-n", "total"])
+    def test_an_out_of_range_flag_is_data_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        status = cli.main(argv)
+        assert status == cli.EXIT_DATA
+        assert "error: BadParameter: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", ["aligned", "text.txt/x", "absent.txt"])
+    def test_an_input_path_that_is_no_file_is_data_error(self, tmp_path, monkeypatch, capsys,
+                                                          path):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        assert cli.main(["bleu", "--hyp", path, "--ref", "text.txt"]) == cli.EXIT_DATA
+        assert f": {path}" in capsys.readouterr().err
+
+    def test_gl_monitor_bad_score_is_malformed_line(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\t40.0\n2\tnan\n"))
+        assert cli.main(["gl-monitor"]) == cli.EXIT_DATA
+        assert "MalformedLine: <stdin>:2:" in capsys.readouterr().err
+
+    def test_junk_seed_variable_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "seven")
+        status = cli.main(["sample", "--in", "sample.tsv", "--fraction", "1", "--out", "out"])
+        assert status == cli.EXIT_USAGE
+        assert f"{cli.SEED_ENV_VAR} must be an integer, got 'seven'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+# Every corrupted input: the file each `_READERS` command reads, each `_LINE_INPUTS`
+# slot, and the word lists that neither names.
+_FUZZED = [
+    *((name, argv) for name, argv in sorted(_READERS.items())),
+    *(("bad.txt", [arg.replace("BAD", "bad.txt") for arg in argv]) for argv in _LINE_INPUTS),
+    ("bad.txt", ["lex-build", "--seed-list", "bad.txt", "--corpus", "aligned",
+                 "--aligners", "aligners", "--out", "out"]),
+    ("bad.txt", ["lex-trim", "--in", "lexicon.tsv", "--policy", "manual-selection",
+                 "--manual-file", "bad.txt", "--out", "out"]),
+]
+_TEXTY = st.text(st.sampled_from("\t\n\r \x00,.:$-{}[]\"\\01eNviaéΣ\u2028"), max_size=40)
+
+
+@pytest.mark.parametrize("name, argv", _FUZZED, ids=[f"{n}-{a[0]}" for n, a in _FUZZED])
+@settings(max_examples=12, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(st.binary(max_size=48), _TEXTY.map(lambda text: text.encode("utf-8"))))
+def test_corrupted_input_never_exits_3(tmp_path_factory, name, argv, data):
+    root = tmp_path_factory.mktemp("fuzz")
+    _valid_inputs(root)
+    (root / name).write_bytes(data)
+    with contextlib.chdir(root), contextlib.redirect_stderr(io.StringIO()) as err:
+        status = cli.main(argv)
+    assert status in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA), err.getvalue()

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import versemt
-from versemt.errors import MalformedLine
-from versemt.fileio import read_json, read_json_lines, read_lines, read_rows
+from versemt.errors import LengthMismatch, MalformedLine
+from versemt.fileio import (
+    read_json, read_json_lines, read_lines, read_parallel_lines, read_rows, read_word_list,
+)
 
 # Characters that str.splitlines breaks at but a text-mode file does not.
 NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -52,6 +54,32 @@ class TestReadLines:
         path.write_bytes(b"a\nb\n" + "é".encode("utf-8")[:1])
         with pytest.raises(MalformedLine, match=re.escape(f"{path}:3:")):
             list(read_lines(path))
+
+
+class TestReadWordList:
+    def test_lines_are_stripped_and_blank_ones_dropped_in_order(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes("Shem \n\n \t\n Noah\nShem\n".encode("utf-8"))
+        assert read_word_list(path) == ["Shem", "Noah", "Shem"]
+
+
+class TestReadParallelLines:
+    def test_equal_counts_give_each_file_its_lines(self, tmp_path):
+        (tmp_path / "a").write_bytes(b"x\n\ny\n")
+        (tmp_path / "b").write_bytes(b"1\n2\n3")
+        assert read_parallel_lines(tmp_path / "a", tmp_path / "b", records=("d", 3)) == [
+            ["x", "", "y"], ["1", "2", "3"]
+        ]
+
+    @pytest.mark.parametrize("b_count, records", [(1, None), (2, ("d.jsonl", 1))])
+    def test_a_count_mismatch_names_every_file(self, tmp_path, b_count, records):
+        (tmp_path / "a").write_bytes(b"x\ny\n")
+        (tmp_path / "b").write_bytes(b"1\n" * b_count)
+        with pytest.raises(LengthMismatch) as exc:
+            read_parallel_lines(tmp_path / "a", tmp_path / "b", records=records)
+        listing = [f"{tmp_path / 'a'} has 2", f"{tmp_path / 'b'} has {b_count}"]
+        listing += [f"{records[0]} has {records[1]}"] if records else []
+        assert str(exc.value) == "line counts differ: " + ", ".join(listing)
 
 
 class TestReadRows:

@@ -165,6 +165,15 @@ class TestFit:
         with pytest.raises(DegenerateInput):
             fit_power_law([(100.0, 10.0), (100.0, 12.0)])
 
+    def test_word_counts_with_one_float_log10(self):
+        with pytest.raises(DegenerateInput):
+            fit_power_law([(1e300, 1.0), (1.0000000000000002e300, 2.0)])
+
+    @pytest.mark.parametrize("scores", [(1e300, -1e300, 3.0), (1e308, 1e308, -1e308)])
+    def test_scores_too_large_to_fit(self, scores):
+        with pytest.raises(DegenerateInput, match="too large"):
+            fit_power_law(list(zip((10.0, 100.0, 1000.0), scores)))
+
     def test_nonpositive_word_count(self):
         with pytest.raises(DegenerateInput):
             fit_power_law([(0.0, 1.0), (10.0, 2.0)])
