@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import graphlib
 import hashlib
 import heapq
+import io
 import json
 import logging
 import math
 import os
+import pickle
+import select
+import signal
 import sys
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterator, Mapping, NamedTuple, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
 from .errors import CycleDetected, MalformedLine, PipelineError, StageFailed, UsageError
@@ -378,13 +384,15 @@ def _file_digest(path: Path) -> str:
 
 
 def _validated_stages(manifest: object, where: Path) -> list[dict]:
-    """The manifest's stages, once every field a run reads has its type."""
+    """The manifest's stages, once every field a run reads has its type and every
+    output path has one writer."""
     if not isinstance(manifest, dict):
         raise MalformedLine(f"{where}: the top level must be a JSON object")
     stages = manifest.get("stages", [])
     if not isinstance(stages, list):
         raise MalformedLine(f"{where}: `stages` must be a list")
     names: set[str] = set()
+    writer_of: dict[tuple[str, ...], str] = {}
     for index, stage in enumerate(stages):
         at = f"{where}: stages[{index}]"
         if not isinstance(stage, dict):
@@ -397,6 +405,15 @@ def _validated_stages(manifest: object, where: Path) -> list[dict]:
             value = stage.get(key, [])
             if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
                 raise MalformedLine(f"{at}: `{key}` must be a list of strings")
+        if stage.get("command", [])[:1] == ["run"]:
+            # A nested run would recurse on its own manifest, forking workers each time.
+            raise MalformedLine(f"{at}: a stage cannot run a manifest")
+        for output in stage.get("outputs", []):
+            writer = writer_of.setdefault(_path_parts(output), name)
+            if writer != name:
+                raise MalformedLine(
+                    f"{at}: stages {writer!r} and {name!r} both declare the output {output!r}"
+                )
     return stages
 
 
@@ -408,30 +425,297 @@ def _stage_fingerprint(stage: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _topological_stages(stages: list[dict]) -> list[dict]:
-    """Stages in dependency order; among ready stages, the least name first."""
-    producer_of = {output: stage["name"] for stage in stages for output in stage.get("outputs", [])}
-    by_name = {stage["name"]: stage for stage in stages}
-    sorter = graphlib.TopologicalSorter(
-        {name: {producer_of.get(i, name) for i in stage.get("inputs", [])} - {name}
-         for name, stage in by_name.items()}
-    )
+def _path_parts(path: str) -> tuple[str, ...]:
+    return Path(os.path.normpath(path)).parts
+
+
+def _stage_graph(stages: list[dict]) -> dict[str, set[str]]:
+    """Each stage's name -> the stages it follows: every other stage that declares
+    an output at, below or above one of its inputs, so a directory input waits
+    for every file declared inside it."""
+    outputs = [(stage["name"], _path_parts(out)) for stage in stages
+               for out in stage.get("outputs", [])]
+    graph = {}
+    for stage in stages:
+        inputs = [_path_parts(i) for i in stage.get("inputs", [])]
+        graph[stage["name"]] = {
+            name
+            for name, out in outputs
+            for inp in inputs
+            if out[: len(inp)] == inp or inp[: len(out)] == out
+        } - {stage["name"]}
+    return graph
+
+
+def _prepared_sorter(graph: dict[str, set[str]]) -> graphlib.TopologicalSorter:
+    sorter = graphlib.TopologicalSorter(graph)
     try:
         sorter.prepare()
     except graphlib.CycleError as exc:
         raise CycleDetected(f"manifest stages form a cycle: {exc.args[1]}") from None
+    return sorter
+
+
+def _topological_order(graph: dict[str, set[str]]) -> list[str]:
+    """Stage names in dependency order; among ready stages, the least name first.
+    A run on one CPU runs the stages in this order, and every run prints their
+    output in it."""
+    sorter = _prepared_sorter(graph)
     ordered, ready = [], sorted(sorter.get_ready())  # a sorted list is a heap
     while ready:
         name = heapq.heappop(ready)
-        ordered.append(by_name[name])
+        ordered.append(name)
         sorter.done(name)
         for other in sorter.get_ready():
             heapq.heappush(ready, other)
     return ordered
 
 
+class _HeldStream(io.TextIOBase):
+    """Stands in for stdout or stderr while a stage runs; each write is an event."""
+
+    def __init__(self, events: list, name: str) -> None:
+        self._events, self._name = events, name
+
+    def write(self, text: str) -> int:
+        self._events.append((self._name, text))
+        return len(text)
+
+
+class _HeldRecords(logging.Handler):
+    def __init__(self, events: list) -> None:
+        super().__init__()
+        self._events = events
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args = record.getMessage(), None  # the text alone pickles
+        self._events.append(("log", record))
+
+
+@contextlib.contextmanager
+def _held_output() -> Iterator[list]:
+    """Hold back what is logged through the ``versemt`` loggers and written to
+    stdout and stderr, as ``(kind, record or text)`` events in the order they
+    happen, so that a stage's output can be printed later as one block."""
+    events: list = []
+    saved = sys.stdout, sys.stderr, log.handlers, log.propagate
+    sys.stdout, sys.stderr = _HeldStream(events, "stdout"), _HeldStream(events, "stderr")
+    log.handlers, log.propagate = [_HeldRecords(events)], False
+    try:
+        yield events
+    finally:
+        sys.stdout, sys.stderr, log.handlers, log.propagate = saved
+
+
+def _print_events(events: list) -> None:
+    for kind, item in events:
+        if kind == "log":
+            logging.getLogger(item.name).handle(item)
+        else:
+            getattr(sys, kind).write(item)
+
+
+class _Outcome(NamedTuple):
+    events: list  # the stage's held output
+    status: int | None  # its exit status, None if it raised
+    error: Exception | None
+
+
+def _run_stage(name: str, argv: list[str]) -> _Outcome:
+    """Run one stage command in this process with its output held back."""
+    with _held_output() as events:
+        log.info("stage %s: %s", name, " ".join(argv))
+        try:
+            return _Outcome(events, dispatch(argv), None)
+        except SystemExit as exc:  # argparse's --help
+            return _Outcome(events, EXIT_OK if exc.code is None else exc.code, None)
+        except Exception as exc:
+            return _Outcome(events, None, exc)
+
+
+class _Worker:
+    """A forked process that runs the stage commands sent over its pipe, one at a
+    time, and sends back each outcome; it exits when the pipe closes, so also
+    after the current stage when the runner is gone."""
+
+    def __init__(self, others: list[_Worker]) -> None:
+        command_r, command_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(command_w)
+                os.close(reply_r)
+                for other in others:  # or their pipes would not see EOF
+                    other.commands.close()
+                    other.replies.close()
+                with os.fdopen(command_r, "rb") as commands, os.fdopen(reply_w, "wb") as replies:
+                    _serve(commands, replies)
+                status = 0
+            finally:
+                os._exit(status)  # never return into the runner's stack
+        os.close(command_r)
+        os.close(reply_w)
+        self.commands = os.fdopen(command_w, "wb")
+        self.replies = os.fdopen(reply_r, "rb")
+        self.stage: tuple[str, str] | None = None  # (name, fingerprint) while busy
+
+    def start(self, name: str, fingerprint: str, argv: list[str]) -> None:
+        self.stage = name, fingerprint
+        self.commands.write(pickle.dumps((name, argv)))
+        self.commands.flush()
+
+    def receive(self) -> _Outcome:
+        name, _ = self.stage
+        self.stage = None
+        try:
+            return pickle.load(self.replies)
+        except EOFError:
+            error = RuntimeError(f"stage {name}: its worker process ended without a reply")
+            return _Outcome([], None, error)
+
+
+def _serve(commands: BinaryIO, replies: BinaryIO) -> None:
+    while True:
+        try:
+            name, argv = pickle.load(commands)
+        except EOFError:
+            return
+        replies.write(pickle.dumps(_run_stage(name, argv)))
+        replies.flush()
+
+
+def _worker_slots() -> int:
+    """How many workers may run stages beside this process: one per further CPU
+    the process may use, and none where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+class _ManifestRun:
+    """One run of a manifest's stages. Ready stages run at the same time: the least
+    name in this process, the next ones in forked workers. Each stage's output is
+    printed as one block in ``_topological_order``, and the state file is written
+    with sorted keys, so a run prints and records what a one-CPU run does."""
+
+    def __init__(self, stages: list[dict], state: dict, state_path: Path) -> None:
+        self.by_name = {stage["name"]: stage for stage in stages}
+        graph = _stage_graph(stages)
+        self.position = {name: index for index, name in enumerate(_topological_order(graph))}
+        self.sorter = _prepared_sorter(graph)
+        self.state, self.state_path = state, state_path
+        self.blocks: dict[int, list] = {}
+        self.printed = 0
+        self.failures: dict[int, Exception] = {}
+
+    def run(self, slots: int) -> None:
+        ready: list[str] = []  # a heap
+        workers: list[_Worker] = []
+        running: dict[int, _Worker] = {}  # reply pipe fd -> busy worker
+        try:
+            while True:
+                for name in self.sorter.get_ready():
+                    heapq.heappush(ready, name)
+                mine = None
+                while ready and not self.failures and (mine is None or len(running) < slots):
+                    name = heapq.heappop(ready)
+                    fingerprint = self._fingerprint_unless_current(name)
+                    if fingerprint is None:
+                        for other in self.sorter.get_ready():
+                            heapq.heappush(ready, other)
+                    elif mine is None:
+                        mine = name, fingerprint
+                    else:
+                        if len(workers) == len(running):
+                            _get_parser()  # built once, before the fork
+                            workers.append(_Worker(workers))
+                        worker = next(w for w in workers if w.stage is None)
+                        worker.start(name, fingerprint, self._command(name))
+                        running[worker.replies.fileno()] = worker
+                if mine is not None:
+                    name, fingerprint = mine
+                    self._finish(name, fingerprint, _run_stage(name, self._command(name)))
+                elif not running:
+                    break
+                if running:  # after a stage of its own, the runner only collects, never waits
+                    done, _, _ = select.select(list(running), [], [], 0 if mine else None)
+                    for fd in done:
+                        worker = running.pop(fd)
+                        name, fingerprint = worker.stage
+                        self._finish(name, fingerprint, worker.receive())
+        except BaseException:
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGKILL)
+            raise
+        finally:
+            for worker in workers:
+                with contextlib.suppress(OSError):
+                    worker.commands.close()
+                os.waitpid(worker.pid, 0)
+                worker.replies.close()
+        for index in sorted(self.blocks):  # those after a failed stage
+            _print_events(self.blocks.pop(index))
+        if self.failures:
+            raise self.failures[min(self.failures)]
+
+    def _command(self, name: str) -> list[str]:
+        return self.by_name[name].get("command", [])
+
+    def _print_in_turn(self, name: str, events: list) -> None:
+        self.blocks[self.position[name]] = events
+        while self.printed in self.blocks:
+            _print_events(self.blocks.pop(self.printed))
+            self.printed += 1
+
+    def _fingerprint_unless_current(self, name: str) -> str | None:
+        """The stage's fingerprint; None, once it is marked done, if the state file
+        holds that fingerprint and every declared output exists."""
+        stage = self.by_name[name]
+        fingerprint = _stage_fingerprint(stage)
+        if self.state.get(name) != fingerprint or not all(
+            Path(o).exists() for o in stage.get("outputs", [])
+        ):
+            return fingerprint
+        with _held_output() as events:
+            log.info("stage %s up to date, skipping", name)
+        self._print_in_turn(name, events)
+        self.sorter.done(name)
+        return None
+
+    def _finish(self, name: str, fingerprint: str, outcome: _Outcome) -> None:
+        """Print the stage's output in its turn; record the stage as done, or its failure."""
+        events, status, error = outcome
+        self._print_in_turn(name, events)
+        failure = error
+        if isinstance(error, (PipelineError, UsageError)):
+            failure = StageFailed(f"stage {name}: {error}")
+            failure.__cause__ = error
+        elif error is None and status != EXIT_OK:
+            failure = StageFailed(f"stage {name} exited with status {status}")
+        elif error is None:
+            outputs = [Path(o) for o in self.by_name[name].get("outputs", [])]
+            missing = [str(o) for o in outputs if not o.exists()]
+            if missing:
+                failure = StageFailed(
+                    f"stage {name} did not write declared output(s): {', '.join(missing)}"
+                )
+        if failure is not None:
+            self.failures[self.position[name]] = failure
+            return
+        self.state[name] = fingerprint
+        atomic_write_text(self.state_path, json.dumps(self.state, indent=2, sort_keys=True) + "\n")
+        self.sorter.done(name)
+
+
 def run_manifest(manifest_path: str | Path) -> int:
-    """Run manifest stages in dependency order, skipping up-to-date ones."""
+    """Run manifest stages in dependency order, skipping up-to-date ones. Stages
+    whose inputs are ready run at the same time, one per CPU the process may use.
+    After a failed stage no stage starts; those running finish and are recorded
+    if they succeed."""
     manifest_path = Path(manifest_path)
     stages = _validated_stages(read_json(manifest_path), manifest_path)
 
@@ -440,26 +724,7 @@ def run_manifest(manifest_path: str | Path) -> int:
     if not isinstance(state, dict):
         raise MalformedLine(f"{state_path}: the top level must be a JSON object")
 
-    for stage in _topological_stages(stages):
-        fingerprint = _stage_fingerprint(stage)
-        outputs = [Path(o) for o in stage.get("outputs", [])]
-        if state.get(stage["name"]) == fingerprint and all(o.exists() for o in outputs):
-            log.info("stage %s up to date, skipping", stage["name"])
-            continue
-        log.info("stage %s: %s", stage["name"], " ".join(stage.get("command", [])))
-        try:
-            status = dispatch(stage.get("command", []))
-        except (PipelineError, UsageError) as exc:
-            raise StageFailed(f"stage {stage['name']}: {exc}") from exc
-        if status != EXIT_OK:
-            raise StageFailed(f"stage {stage['name']} exited with status {status}")
-        missing = [str(o) for o in outputs if not o.exists()]
-        if missing:
-            raise StageFailed(
-                f"stage {stage['name']} did not write declared output(s): {', '.join(missing)}"
-            )
-        state[stage["name"]] = fingerprint
-        atomic_write_text(state_path, json.dumps(state, indent=2, sort_keys=True) + "\n")
+    _ManifestRun(stages, state, state_path).run(_worker_slots())
     return EXIT_OK
 
 
@@ -625,23 +890,37 @@ def build_parser() -> _Parser:
     return parser
 
 
-# Built by the first dispatch and reused by the rest: a manifest run parses
-# one command line per stage, and parse_args keeps no state between calls.
+# Built by the first dispatch, or before a manifest run forks its workers, and
+# reused by the rest: a manifest run parses one command line per stage, and
+# parse_args keeps no state between calls.
 _parser: _Parser | None = None
+
+# A path that is missing, a directory (`.` is busy), below a file or too long:
+# bad input, not a bug.
+_PATH_ERRNOS = {
+    errno.ENOENT, errno.EISDIR, errno.EBUSY, errno.ENOTDIR, errno.EEXIST, errno.ENAMETOOLONG
+}
+
+
+def _get_parser() -> _Parser:
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    return _parser
 
 
 def dispatch(argv: Sequence[str]) -> int:
     """Parse argv and execute exactly one pipeline stage."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(list(argv))
+    args = _get_parser().parse_args(list(argv))
     if not getattr(args, "command", None):
         raise UsageError("a subcommand is required (see --help)")
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        raise PipelineError(f"{exc.strerror}: {exc.filename}") from exc
+    except OSError as exc:
+        if exc.errno not in _PATH_ERRNOS:
+            raise
+        # os.replace names the output second, after its temporary file.
+        raise PipelineError(f"{exc.strerror}: {exc.filename2 or exc.filename}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:

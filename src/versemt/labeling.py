@@ -155,16 +155,27 @@ def write_schedule(schedule: AdditionSchedule, path: str | Path) -> None:
     atomic_write_lines(path, lines)
 
 
+# A step number becomes part of an output file name (``<prefix>.step<N>.src``).
+MAX_SCHEDULE_STEP = 999_999
+
+
 def read_schedule_steps(path: str | Path) -> list[tuple[int, list[str]]]:
     steps = []
+    line_of: dict[int, int] = {}
     for lineno, (number, cell) in read_rows(path, 2, "step<TAB>languages"):
         try:
             step = int(number)
         except ValueError:
             raise MalformedLine(f"{path}:{lineno}: step {number!r} is not an integer") from None
+        if not 1 <= step <= MAX_SCHEDULE_STEP:
+            raise MalformedLine(
+                f"{path}:{lineno}: step {number!r} is not from 1 to {MAX_SCHEDULE_STEP}"
+            )
         langs = cell.split(",")
         if not all(lang.strip() for lang in langs):
             raise MalformedLine(f"{path}:{lineno}: empty language code in {cell!r}")
+        if line_of.setdefault(step, lineno) != lineno:  # its files would replace the first's
+            raise MalformedLine(f"{path}:{lineno}: step {step} repeats line {line_of[step]}")
         steps.append((step, langs))
     return steps
 

@@ -1008,16 +1008,22 @@ class TestNumberLocations:
 
 def _kahn_order(stages):
     """The manifest order of the hand-written Kahn loop the runner used before
-    graphlib: least ready name first; None for a cycle."""
-    producer_of = {}
-    for stage in stages:
-        for output in stage["outputs"]:
-            producer_of[output] = stage["name"]
-    deps = {stage["name"]: set() for stage in stages}
-    for stage in stages:
-        for inp in stage["inputs"]:
-            if inp in producer_of and producer_of[inp] != stage["name"]:
-                deps[stage["name"]].add(producer_of[inp])
+    graphlib: least ready name first; None for a cycle. A stage follows every
+    stage with an output at, inside or above one of its inputs."""
+
+    def related(a, b):
+        return a == b or a.startswith(b + "/") or b.startswith(a + "/")
+
+    deps = {
+        stage["name"]: {
+            other["name"]
+            for other in stages
+            for out in other["outputs"]
+            for inp in stage["inputs"]
+            if other["name"] != stage["name"] and related(inp, out)
+        }
+        for stage in stages
+    }
     ordered = []
     ready = sorted(name for name, d in deps.items() if not d)
     pending = {name: set(d) for name, d in deps.items() if d}
@@ -1035,9 +1041,10 @@ def _kahn_order(stages):
 
 def test_stage_order_matches_kahn_on_random_manifests():
     rng = random.Random(7)
+    paths = ["f0", "f1", "f2", "d", "d/f3", "d/f4", "d/e", "d/e/f5", "df6"]
     cycles = 0
     for _ in range(1500):
-        files = [f"f{i}" for i in range(rng.randint(1, 8))]
+        files = rng.sample(paths, rng.randint(1, 8))
         names = rng.sample("abcdefghij", rng.randint(1, 8))
         stages = [
             {"name": name,
@@ -1049,9 +1056,9 @@ def test_stage_order_matches_kahn_on_random_manifests():
         if expected is None:
             cycles += 1
             with pytest.raises(CycleDetected):
-                cli._topological_stages(stages)
+                cli._topological_order(cli._stage_graph(stages))
         else:
-            assert [stage["name"] for stage in cli._topological_stages(stages)] == expected
+            assert cli._topological_order(cli._stage_graph(stages)) == expected
     assert 0 < cycles < 1500
 
 
@@ -1268,6 +1275,27 @@ class TestExitCodeMeaning:
         assert cli.main(["bleu", "--hyp", path, "--ref", "text.txt"]) == cli.EXIT_DATA
         assert f": {path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, where", [
+        (["emit-config", "--profile", "multilingual", "--out", "x" * 300], "x" * 300),
+        (["label", "--corpus", "aligned", "--split", "splits.tsv", "--schedule", "long.tsv",
+          "--out-prefix", "out"], "long.tsv:1: step"),
+    ], ids=["output-name", "schedule-step"])
+    def test_a_name_too_long_for_the_file_system_is_data_error(self, tmp_path, monkeypatch,
+                                                                capsys, argv, where):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        _write(tmp_path / "long.tsv", "1" * 300 + "\ten,sw\n")
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["text.txt/out", "."])
+    def test_an_output_path_through_a_file_or_onto_a_directory_is_data_error(
+            self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        assert cli.main(["emit-config", "--profile", "multilingual", "--out", out]) == cli.EXIT_DATA
+        assert "error: PipelineError: " in capsys.readouterr().err
+
     def test_gl_monitor_bad_score_is_malformed_line(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("1\t40.0\n2\tnan\n"))
         assert cli.main(["gl-monitor"]) == cli.EXIT_DATA
@@ -1307,3 +1335,57 @@ def test_corrupted_input_never_exits_3(tmp_path_factory, name, argv, data):
     with contextlib.chdir(root), contextlib.redirect_stderr(io.StringIO()) as err:
         status = cli.main(argv)
     assert status in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA), err.getvalue()
+
+
+# Commands that parse and run on `_valid_inputs`, to be broken at random. `gl-monitor`
+# is left out: it reads the runner's stdin.
+_STAGE_COMMANDS = [
+    *(argv for argv in _READERS.values() if argv[0] != "run"),
+    *([arg.replace("BAD", "text.txt") for arg in argv] for argv in _LINE_INPUTS),
+    ["emit-config", "--profile", "multilingual", "--out", "out"],
+    ["schedule", "--anchor", "sw", "--mode", "family-addition", "--out", "out"],
+    ["split", "--corpus", "aligned", "--out", "out"],
+    ["align", "--in", "aligned", "--out", "d"],
+]
+_JUNK_WORDS = st.sampled_from([
+    "out", "out2", "d", "d/out", "text.txt", "text.txt/out", "aligned", "store", "absent", ".",
+    "x" * 300, "en", "sw", "0", "1", "-1", "2.5", "nan", "--out", "--in", "--help", "run", "",
+])
+_PATHS = st.sampled_from(["out", "out2", "d", "d/out", "text.txt", "aligned", "aligned/en.tsv"])
+
+
+@st.composite
+def _junk_manifests(draw):
+    """Valid manifests (unique names, one writer per output) of broken commands."""
+    stages, written = [], set()
+    for index in range(draw(st.integers(1, 4))):
+        command = list(draw(st.sampled_from(_STAGE_COMMANDS)))
+        for position, word in draw(st.lists(st.tuples(st.integers(0, 20), _JUNK_WORDS),
+                                            max_size=2)):
+            command[position % len(command)] = word
+        if draw(st.booleans()) and draw(st.booleans()):
+            del command[draw(st.integers(1, len(command))):]
+        outputs = [value for flag, value in zip(command, command[1:]) if flag == "--out"]
+        outputs = [path for path in outputs + draw(st.lists(_PATHS, max_size=1))
+                   if path not in written]
+        written.update(outputs)
+        stages.append({"name": f"s{index}", "command": command,
+                       "inputs": draw(st.lists(_PATHS, max_size=2)), "outputs": outputs})
+    return {"stages": stages}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(manifest=_junk_manifests())
+def test_junk_stage_commands_run_on_two_cpus_never_exit_3(tmp_path_factory, monkeypatch, manifest):
+    root = tmp_path_factory.mktemp("junk")
+    _valid_inputs(root)
+    (root / "pipeline.json.state.json").unlink()
+    (root / "pipeline.json").write_text(json.dumps(manifest), encoding="utf-8")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with contextlib.chdir(root), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        status = cli.main(["run", "--manifest", "pipeline.json"])
+    assert status in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA), err.getvalue()
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)

@@ -331,7 +331,9 @@ class TestLabelingIo:
 
     @pytest.mark.parametrize(
         "line, problem",
-        [("x\ten,sw", "not an integer"), ("1\t", "empty language"), ("1\ten,,sw", "empty language")],
+        [("x\ten,sw", "not an integer"), ("1\t", "empty language"), ("1\ten,,sw", "empty language"),
+         ("0\ten,sw", "not from 1 to 999999"), ("1" * 300 + "\ten,sw", "not from 1 to 999999"),
+         ("01\ten,fr", "step 1 repeats line 1")],
     )
     def test_malformed_schedule_line_names_its_location(self, tmp_path, line, problem):
         sched = tmp_path / "sched.tsv"
