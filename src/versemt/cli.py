@@ -384,15 +384,16 @@ def _file_digest(path: Path) -> str:
 
 
 def _validated_stages(manifest: object, where: Path) -> list[dict]:
-    """The manifest's stages, once every field a run reads has its type and every
-    output path has one writer."""
+    """The manifest's stages, once every field a run reads has its type and no
+    output path is at, inside or above another stage's output."""
     if not isinstance(manifest, dict):
         raise MalformedLine(f"{where}: the top level must be a JSON object")
     stages = manifest.get("stages", [])
     if not isinstance(stages, list):
         raise MalformedLine(f"{where}: `stages` must be a list")
     names: set[str] = set()
-    writer_of: dict[tuple[str, ...], str] = {}
+    writer_of: dict[tuple[str, ...], tuple[str, str]] = {}  # output -> (stage, as declared)
+    writers_inside: dict[tuple[str, ...], dict[str, str]] = {}  # directory -> same, below it
     for index, stage in enumerate(stages):
         at = f"{where}: stages[{index}]"
         if not isinstance(stage, dict):
@@ -409,11 +410,17 @@ def _validated_stages(manifest: object, where: Path) -> list[dict]:
             # A nested run would recurse on its own manifest, forking workers each time.
             raise MalformedLine(f"{at}: a stage cannot run a manifest")
         for output in stage.get("outputs", []):
-            writer = writer_of.setdefault(_path_parts(output), name)
-            if writer != name:
-                raise MalformedLine(
-                    f"{at}: stages {writer!r} and {name!r} both declare the output {output!r}"
-                )
+            # Stages with nested outputs would race on the same files.
+            parts = _path_parts(output)
+            related = [writer_of.get(parts[:depth]) for depth in range(len(parts) + 1)]
+            related += sorted(writers_inside.get(parts, {}).items())
+            for other, declared in filter(None, related):
+                if other != name:
+                    raise MalformedLine(f"{at}: stage {name!r} declares the output {output!r}, "
+                                        f"at, inside or above {declared!r} of stage {other!r}")
+            writer_of.setdefault(parts, (name, output))
+            for depth in range(len(parts)):
+                writers_inside.setdefault(parts[:depth], {}).setdefault(name, output)
     return stages
 
 
@@ -538,7 +545,7 @@ class _Worker:
     time, and sends back each outcome; it exits when the pipe closes, so also
     after the current stage when the runner is gone."""
 
-    def __init__(self, others: list[_Worker]) -> None:
+    def __init__(self) -> None:
         command_r, command_w = os.pipe()
         reply_r, reply_w = os.pipe()
         self.pid = os.fork()
@@ -547,9 +554,6 @@ class _Worker:
             try:
                 os.close(command_w)
                 os.close(reply_r)
-                for other in others:  # or their pipes would not see EOF
-                    other.commands.close()
-                    other.replies.close()
                 with os.fdopen(command_r, "rb") as commands, os.fdopen(reply_w, "wb") as replies:
                     _serve(commands, replies)
                 status = 0
@@ -566,14 +570,26 @@ class _Worker:
         self.commands.write(pickle.dumps((name, argv)))
         self.commands.flush()
 
-    def receive(self) -> _Outcome:
-        name, _ = self.stage
+    def done(self) -> bool:
+        """Whether the outcome of the stage it runs can be received without waiting."""
+        return bool(select.select([self.replies], [], [], 0)[0])
+
+    def receive(self) -> tuple[str, str, _Outcome]:
+        """The stage's name, fingerprint and outcome, once it ends."""
+        name, fingerprint = self.stage
         self.stage = None
         try:
-            return pickle.load(self.replies)
+            return name, fingerprint, pickle.load(self.replies)
         except EOFError:
             error = RuntimeError(f"stage {name}: its worker process ended without a reply")
-            return _Outcome([], None, error)
+            return name, fingerprint, _Outcome([], None, error)
+
+    def close(self) -> None:
+        """Close its pipes and wait for it to exit."""
+        with contextlib.suppress(OSError):
+            self.commands.close()
+        os.waitpid(self.pid, 0)
+        self.replies.close()
 
 
 def _serve(commands: BinaryIO, replies: BinaryIO) -> None:
@@ -586,19 +602,20 @@ def _serve(commands: BinaryIO, replies: BinaryIO) -> None:
         replies.flush()
 
 
-def _worker_slots() -> int:
-    """How many workers may run stages beside this process: one per further CPU
-    the process may use, and none where it cannot fork."""
+def _may_fork_a_worker() -> bool:
+    """Whether a worker may run stages beside this process: where the process can
+    fork and may use more than one CPU. It is one worker whatever the CPU count,
+    the one configuration the benchmark has measured (on two CPUs)."""
     if not hasattr(os, "fork"):
-        return 0
+        return False
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) - 1
-    return (os.cpu_count() or 1) - 1
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
 
 
 class _ManifestRun:
-    """One run of a manifest's stages. Ready stages run at the same time: the least
-    name in this process, the next ones in forked workers. Each stage's output is
+    """One run of a manifest's stages. Ready stages run two at a time: the least
+    name in this process, the next one in a forked worker. Each stage's output is
     printed as one block in ``_topological_order``, and the state file is written
     with sorted keys, so a run prints and records what a one-CPU run does."""
 
@@ -608,59 +625,58 @@ class _ManifestRun:
         self.position = {name: index for index, name in enumerate(_topological_order(graph))}
         self.sorter = _prepared_sorter(graph)
         self.state, self.state_path = state, state_path
+        self.ready: list[str] = []  # a heap
         self.blocks: dict[int, list] = {}
         self.printed = 0
         self.failures: dict[int, Exception] = {}
 
-    def run(self, slots: int) -> None:
-        ready: list[str] = []  # a heap
-        workers: list[_Worker] = []
-        running: dict[int, _Worker] = {}  # reply pipe fd -> busy worker
+    def run(self, with_worker: bool) -> None:
+        worker: _Worker | None = None
         try:
             while True:
-                for name in self.sorter.get_ready():
-                    heapq.heappush(ready, name)
-                mine = None
-                while ready and not self.failures and (mine is None or len(running) < slots):
-                    name = heapq.heappop(ready)
-                    fingerprint = self._fingerprint_unless_current(name)
-                    if fingerprint is None:
-                        for other in self.sorter.get_ready():
-                            heapq.heappush(ready, other)
-                    elif mine is None:
-                        mine = name, fingerprint
-                    else:
-                        if len(workers) == len(running):
-                            _get_parser()  # built once, before the fork
-                            workers.append(_Worker(workers))
-                        worker = next(w for w in workers if w.stage is None)
-                        worker.start(name, fingerprint, self._command(name))
-                        running[worker.replies.fileno()] = worker
-                if mine is not None:
+                mine = self._next_stage()
+                idle = with_worker and (worker is None or worker.stage is None)
+                theirs = self._next_stage() if mine and idle else None
+                if theirs:
+                    if worker is None:
+                        _get_parser()  # built once, before the fork
+                        worker = _Worker()
+                    worker.start(*theirs, self._command(theirs[0]))
+                busy = worker is not None and worker.stage is not None
+                if mine:
                     name, fingerprint = mine
                     self._finish(name, fingerprint, _run_stage(name, self._command(name)))
-                elif not running:
+                    if busy and worker.done():  # after its own stage the runner never waits
+                        self._finish(*worker.receive())
+                elif busy:
+                    self._finish(*worker.receive())
+                else:
                     break
-                if running:  # after a stage of its own, the runner only collects, never waits
-                    done, _, _ = select.select(list(running), [], [], 0 if mine else None)
-                    for fd in done:
-                        worker = running.pop(fd)
-                        name, fingerprint = worker.stage
-                        self._finish(name, fingerprint, worker.receive())
         except BaseException:
-            for worker in workers:
+            if worker is not None:
                 os.kill(worker.pid, signal.SIGKILL)
             raise
         finally:
-            for worker in workers:
-                with contextlib.suppress(OSError):
-                    worker.commands.close()
-                os.waitpid(worker.pid, 0)
-                worker.replies.close()
+            if worker is not None:
+                worker.close()
         for index in sorted(self.blocks):  # those after a failed stage
             _print_events(self.blocks.pop(index))
         if self.failures:
             raise self.failures[min(self.failures)]
+
+    def _next_stage(self) -> tuple[str, str] | None:
+        """The least ready stage that is not up to date, with its fingerprint;
+        None once a stage has failed or none is ready."""
+        while not self.failures:
+            for name in self.sorter.get_ready():
+                heapq.heappush(self.ready, name)
+            if not self.ready:
+                return None
+            name = heapq.heappop(self.ready)
+            fingerprint = self._fingerprint_unless_current(name)
+            if fingerprint is not None:
+                return name, fingerprint
+        return None
 
     def _command(self, name: str) -> list[str]:
         return self.by_name[name].get("command", [])
@@ -712,8 +728,9 @@ class _ManifestRun:
 
 
 def run_manifest(manifest_path: str | Path) -> int:
-    """Run manifest stages in dependency order, skipping up-to-date ones. Stages
-    whose inputs are ready run at the same time, one per CPU the process may use.
+    """Run manifest stages in dependency order, skipping up-to-date ones. Two
+    stages whose inputs are ready run at the same time where the process may use
+    more than one CPU.
     After a failed stage no stage starts; those running finish and are recorded
     if they succeed."""
     manifest_path = Path(manifest_path)
@@ -724,7 +741,7 @@ def run_manifest(manifest_path: str | Path) -> int:
     if not isinstance(state, dict):
         raise MalformedLine(f"{state_path}: the top level must be a JSON object")
 
-    _ManifestRun(stages, state, state_path).run(_worker_slots())
+    _ManifestRun(stages, state, state_path).run(_may_fork_a_worker())
     return EXIT_OK
 
 

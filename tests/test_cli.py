@@ -1354,9 +1354,15 @@ _JUNK_WORDS = st.sampled_from([
 _PATHS = st.sampled_from(["out", "out2", "d", "d/out", "text.txt", "aligned", "aligned/en.tsv"])
 
 
+def _nested(a: str, b: str) -> bool:
+    a_parts, b_parts = Path(os.path.normpath(a)).parts, Path(os.path.normpath(b)).parts
+    return a_parts[: len(b_parts)] == b_parts or b_parts[: len(a_parts)] == a_parts
+
+
 @st.composite
 def _junk_manifests(draw):
-    """Valid manifests (unique names, one writer per output) of broken commands."""
+    """Valid manifests (unique names; no output at, inside or above another
+    stage's output) of broken commands."""
     stages, written = [], set()
     for index in range(draw(st.integers(1, 4))):
         command = list(draw(st.sampled_from(_STAGE_COMMANDS)))
@@ -1367,7 +1373,7 @@ def _junk_manifests(draw):
             del command[draw(st.integers(1, len(command))):]
         outputs = [value for flag, value in zip(command, command[1:]) if flag == "--out"]
         outputs = [path for path in outputs + draw(st.lists(_PATHS, max_size=1))
-                   if path not in written]
+                   if not any(_nested(path, other) for other in written)]
         written.update(outputs)
         stages.append({"name": f"s{index}", "command": command,
                        "inputs": draw(st.lists(_PATHS, max_size=2)), "outputs": outputs})

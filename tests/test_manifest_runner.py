@@ -1,5 +1,5 @@
-"""The manifest runner: ready stages run at the same time in forked workers, and a
-run prints and records exactly what a run on one CPU does."""
+"""The manifest runner: two ready stages run at the same time, one in a forked
+worker, and a run prints and records exactly what a run on one CPU does."""
 
 from __future__ import annotations
 
@@ -101,9 +101,9 @@ def _tree(root: Path) -> dict[str, bytes]:
             if p.is_file()}
 
 
-def test_two_slots_print_and_write_what_one_slot_does(tmp_path, monkeypatch):
+def test_a_worker_prints_and_writes_what_one_cpu_does(tmp_path, monkeypatch):
     runs = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 8):
         root = tmp_path / f"cpus{cpus}"
         _chain(root)
         monkeypatch.chdir(root)
@@ -112,13 +112,13 @@ def test_two_slots_print_and_write_what_one_slot_does(tmp_path, monkeypatch):
         assert status == cli.EXIT_OK, output
         runs[cpus] = _tree(root), output, forks
         _assert_no_child_left()
-    (tree1, output1, forks1), (tree2, output2, forks2) = runs[1], runs[2]
-    assert forks1 == [] and len(forks2) == 1
-    assert tree1 == tree2
+    (tree1, output1, forks1), (tree2, output2, forks2), (tree8, output8, forks8) = runs.values()
+    assert forks1 == [] and len(forks2) == len(forks8) == 1  # one worker whatever the CPU count
+    assert tree1 == tree2 == tree8
     assert json.loads(tree2["pipeline.json.state.json"]).keys() == {
         "ingest-en", "ingest-sw", "align", "align-train-2", "align-train-3", "bleu", "config",
         "split"}
-    assert output1 == output2
+    assert output1 == output2 == output8
     # Each stage's lines form one block, in the one-CPU order; bleu's score line
     # (stdout) stays right after its stage line.
     starts = [line.split()[3].rstrip(":") for line in output2.splitlines()
@@ -252,34 +252,43 @@ def test_a_worker_exits_when_its_command_pipe_closes(monkeypatch, caplog):
     monkeypatch.setattr(cli, "_parser", None)
     cli._get_parser()
     with caplog.at_level(logging.INFO, logger="versemt"):
-        first = cli._Worker([])
-        second = cli._Worker([first])  # must not hold the first worker's pipe open
+        worker = cli._Worker()
     try:
-        first.commands.close()
-        assert _wait_exited(first.pid)
-        second.start("config", "fingerprint", ["emit-config", "--profile", "nope", "--out", "x"])
-        outcome = second.receive()
+        worker.start("config", "fingerprint", ["emit-config", "--profile", "nope", "--out", "x"])
+        name, fingerprint, outcome = worker.receive()
+        assert (name, fingerprint) == ("config", "fingerprint")
         assert isinstance(outcome.error, UnknownProfile)
         assert [kind for kind, _ in outcome.events] == ["log"]
-        second.commands.close()
-        assert _wait_exited(second.pid)
+        worker.commands.close()
+        assert _wait_exited(worker.pid)
     finally:
-        for worker in (first, second):
-            with contextlib.suppress(OSError):
-                worker.commands.close()
-            worker.replies.close()
+        with contextlib.suppress(OSError):
+            worker.commands.close()
+        worker.replies.close()
     _assert_no_child_left()
 
 
-def test_two_writers_of_one_output_are_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("outputs", [("x.cfg", "./x.cfg"), ("aligned", "aligned/en.tsv"),
+                                     ("d/x/y", "d")])
+def test_two_writers_of_one_output_are_rejected(tmp_path, monkeypatch, capsys, outputs):
     stages = [_stage(name, ["emit-config", "--profile", "multilingual", "--out", "x.cfg"], [],
-                     [out]) for name, out in (("one", "x.cfg"), ("two", "./x.cfg"))]
-    manifest = tmp_path / "pipeline.json"
-    _write(manifest, json.dumps({"stages": stages}))
-    assert cli.main(["run", "--manifest", str(manifest)]) == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert "stages[1]: stages 'one' and 'two' both declare the output './x.cfg'" in err
+                     [out, f"{name}.cfg"]) for name, out in zip(("one", "two"), outputs)]
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--manifest", "pipeline.json"]) == cli.EXIT_DATA
+    assert (f"pipeline.json: stages[1]: stage 'two' declares the output {outputs[1]!r}, "
+            f"at, inside or above {outputs[0]!r} of stage 'one'\n") in capsys.readouterr().err
     assert not (tmp_path / "x.cfg").exists()
+
+
+def test_outputs_of_one_stage_may_nest(tmp_path, monkeypatch):
+    stages = [_stage("config", ["emit-config", "--profile", "multilingual", "--out", "d/x.cfg"],
+                     [], ["d", "d/x.cfg"]),
+              _stage("other", ["emit-config", "--profile", "multilingual", "--out", "dx.cfg"],
+                     [], ["dx.cfg"])]
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    monkeypatch.chdir(tmp_path)
+    assert _run()[0] == cli.EXIT_OK
 
 
 def test_a_stage_cannot_run_a_manifest(tmp_path, capsys):
@@ -303,6 +312,31 @@ def test_a_help_stage_is_an_exit_status_not_the_end_of_the_run(tmp_path, monkeyp
     assert status == cli.EXIT_OK
     assert "usage: versemt emit-config" in output
     assert (tmp_path / "b.cfg").exists()
+
+
+def test_a_stage_reading_stdin_reads_the_runs_and_prints_one_block(tmp_path, monkeypatch):
+    # Stage output is held until the stage ends: gl-monitor's decisions do not
+    # stream, and come out together once the run's stdin ends.
+    stages = [
+        _stage("a-config", ["emit-config", "--profile", "multilingual", "--out", "a.cfg"], [],
+               ["a.cfg"]),
+        _stage("b-monitor", ["gl-monitor", "--alpha", "5"], [], []),
+    ]
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for cpus in (1, 2):
+        (tmp_path / "pipeline.json.state.json").unlink(missing_ok=True)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\t8\n2\t9\n3\t10\n"))
+        forks = _slots(monkeypatch, cpus)
+        status, output = _run()
+        assert status == cli.EXIT_OK, output
+        assert len(forks) == cpus - 1
+        outputs.append(output)
+    assert outputs[0] == outputs[1]
+    lines = outputs[1].splitlines()
+    monitor_at = lines.index("INFO versemt: stage b-monitor: gl-monitor --alpha 5")
+    assert [line.split("\t")[0] for line in lines[monitor_at + 1:]] == ["1", "2", "3"]
 
 
 def test_importing_the_cli_starts_no_process_machinery():
