@@ -8,7 +8,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import BadParameter, EmptyBitext, EmptySentence, MalformedLine
 from .fileio import atomic_write_lines, read_lines
@@ -18,6 +18,19 @@ log = logging.getLogger(__name__)
 NULL_TOKEN = "<NULL>"
 
 SentencePair = tuple[Sequence[str], Sequence[str]]
+
+if sys.version_info >= (3, 12):
+
+    def _sum_ltr(values: Iterable[float]) -> float:
+        """Add left to right, as the builtin ``sum`` does before Python 3.12; from
+        3.12 on it compensates float sums, which changes their last bits."""
+        total = 0
+        for value in values:
+            total += value
+        return total
+
+else:
+    _sum_ltr = sum
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,7 @@ def _position_priors(n: int, m: int, params: DiagonalParams) -> list[list[float]
     for j in range(1, m + 1):
         distances = [abs(i / n - j / m) for i in range(1, n + 1)]
         deltas = [math.exp(-params.tension * d) for d in distances]
-        z = sum(deltas)
+        z = _sum_ltr(deltas)
         if z < sys.float_info.min:
             # The deltas underflowed (a large tension): all to 0.0, or to
             # subnormals too coarse to normalize. Measuring distances from the
@@ -77,7 +90,7 @@ def _position_priors(n: int, m: int, params: DiagonalParams) -> list[list[float]
             # in exact arithmetic and gives the nearest delta 1.0.
             nearest = min(distances)
             deltas = [math.exp(-params.tension * (d - nearest)) for d in distances]
-            z = sum(deltas)
+            z = _sum_ltr(deltas)
         row = [(1.0 - params.null_prob) * d / z for d in deltas]
         row.append(params.null_prob)
         priors.append(row)
@@ -163,7 +176,7 @@ def train_em(
         for prior_rows, rows, cells in sentences:
             for prior, slots in zip(prior_rows, cells):
                 weights = [p * t[k] for p, k in zip(prior, slots)]
-                z = sum(weights)
+                z = _sum_ltr(weights)
                 if z <= 0.0:
                     continue
                 log_likelihood += math.log(z)

@@ -18,7 +18,7 @@ import select
 import signal
 import sys
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
 from .errors import CycleDetected, MalformedLine, PipelineError, StageFailed, UsageError
@@ -79,9 +79,10 @@ def _label_mode(text: str) -> labeling.LabelMode:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    verse_map = corpus.ingest_language_file(args.infile, args.lang)
-    corpus.write_language_file(verse_map, Path(args.out) / f"{args.lang}.tsv")
-    log.info("ingest lang=%s records=%d out=%s", args.lang, len(verse_map), args.out)
+    lang = corpus.get_language(args.lang).code
+    verse_map = corpus.ingest_language_file(args.infile, lang)
+    corpus.write_language_file(verse_map, Path(args.out) / f"{lang}.tsv")
+    log.info("ingest lang=%s records=%d out=%s", lang, len(verse_map), args.out)
     return EXIT_OK
 
 
@@ -392,8 +393,7 @@ def _validated_stages(manifest: object, where: Path) -> list[dict]:
     if not isinstance(stages, list):
         raise MalformedLine(f"{where}: `stages` must be a list")
     names: set[str] = set()
-    writer_of: dict[tuple[str, ...], tuple[str, str]] = {}  # output -> (stage, as declared)
-    writers_inside: dict[tuple[str, ...], dict[str, str]] = {}  # directory -> same, below it
+    declared: list[tuple[str, tuple[str, ...], str]] = []  # (stage, parts, output as declared)
     for index, stage in enumerate(stages):
         at = f"{where}: stages[{index}]"
         if not isinstance(stage, dict):
@@ -409,18 +409,14 @@ def _validated_stages(manifest: object, where: Path) -> list[dict]:
         if stage.get("command", [])[:1] == ["run"]:
             # A nested run would recurse on its own manifest, forking workers each time.
             raise MalformedLine(f"{at}: a stage cannot run a manifest")
-        for output in stage.get("outputs", []):
+        outputs = [(name, _path_parts(output), output) for output in stage.get("outputs", [])]
+        for _, parts, output in outputs:
             # Stages with nested outputs would race on the same files.
-            parts = _path_parts(output)
-            related = [writer_of.get(parts[:depth]) for depth in range(len(parts) + 1)]
-            related += sorted(writers_inside.get(parts, {}).items())
-            for other, declared in filter(None, related):
-                if other != name:
+            for other, other_parts, other_output in declared:
+                if _nested(parts, other_parts):
                     raise MalformedLine(f"{at}: stage {name!r} declares the output {output!r}, "
-                                        f"at, inside or above {declared!r} of stage {other!r}")
-            writer_of.setdefault(parts, (name, output))
-            for depth in range(len(parts)):
-                writers_inside.setdefault(parts[:depth], {}).setdefault(name, output)
+                                        f"at, inside or above {other_output!r} of stage {other!r}")
+        declared += outputs
     return stages
 
 
@@ -436,9 +432,14 @@ def _path_parts(path: str) -> tuple[str, ...]:
     return Path(os.path.normpath(path)).parts
 
 
+def _nested(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
+    """Whether the path with parts ``a`` is at, inside or above the one with parts ``b``."""
+    return a[: len(b)] == b or b[: len(a)] == a
+
+
 def _stage_graph(stages: list[dict]) -> dict[str, set[str]]:
     """Each stage's name -> the stages it follows: every other stage that declares
-    an output at, below or above one of its inputs, so a directory input waits
+    an output at, inside or above one of its inputs, so a directory input waits
     for every file declared inside it."""
     outputs = [(stage["name"], _path_parts(out)) for stage in stages
                for out in stage.get("outputs", [])]
@@ -446,28 +447,20 @@ def _stage_graph(stages: list[dict]) -> dict[str, set[str]]:
     for stage in stages:
         inputs = [_path_parts(i) for i in stage.get("inputs", [])]
         graph[stage["name"]] = {
-            name
-            for name, out in outputs
-            for inp in inputs
-            if out[: len(inp)] == inp or inp[: len(out)] == out
+            name for name, out in outputs for inp in inputs if _nested(out, inp)
         } - {stage["name"]}
     return graph
 
 
-def _prepared_sorter(graph: dict[str, set[str]]) -> graphlib.TopologicalSorter:
+def _topological_order(graph: dict[str, set[str]]) -> list[str]:
+    """Stage names in dependency order; among ready stages, the least name first.
+    Every run starts the stages in this order, as far as they are ready, and
+    prints their output in it."""
     sorter = graphlib.TopologicalSorter(graph)
     try:
         sorter.prepare()
     except graphlib.CycleError as exc:
         raise CycleDetected(f"manifest stages form a cycle: {exc.args[1]}") from None
-    return sorter
-
-
-def _topological_order(graph: dict[str, set[str]]) -> list[str]:
-    """Stage names in dependency order; among ready stages, the least name first.
-    A run on one CPU runs the stages in this order, and every run prints their
-    output in it."""
-    sorter = _prepared_sorter(graph)
     ordered, ready = [], sorted(sorter.get_ready())  # a sorted list is a heap
     while ready:
         name = heapq.heappop(ready)
@@ -555,7 +548,10 @@ class _Worker:
                 os.close(command_w)
                 os.close(reply_r)
                 with os.fdopen(command_r, "rb") as commands, os.fdopen(reply_w, "wb") as replies:
-                    _serve(commands, replies)
+                    with contextlib.suppress(EOFError):
+                        while True:
+                            replies.write(pickle.dumps(_run_stage(*pickle.load(commands))))
+                            replies.flush()
                 status = 0
             finally:
                 os._exit(status)  # never return into the runner's stack
@@ -563,10 +559,8 @@ class _Worker:
         os.close(reply_w)
         self.commands = os.fdopen(command_w, "wb")
         self.replies = os.fdopen(reply_r, "rb")
-        self.stage: tuple[str, str] | None = None  # (name, fingerprint) while busy
 
-    def start(self, name: str, fingerprint: str, argv: list[str]) -> None:
-        self.stage = name, fingerprint
+    def start(self, name: str, argv: list[str]) -> None:
         self.commands.write(pickle.dumps((name, argv)))
         self.commands.flush()
 
@@ -574,15 +568,13 @@ class _Worker:
         """Whether the outcome of the stage it runs can be received without waiting."""
         return bool(select.select([self.replies], [], [], 0)[0])
 
-    def receive(self) -> tuple[str, str, _Outcome]:
-        """The stage's name, fingerprint and outcome, once it ends."""
-        name, fingerprint = self.stage
-        self.stage = None
+    def receive(self) -> _Outcome:
+        """The outcome of the stage it runs, once that stage ends."""
         try:
-            return name, fingerprint, pickle.load(self.replies)
+            return pickle.load(self.replies)
         except EOFError:
-            error = RuntimeError(f"stage {name}: its worker process ended without a reply")
-            return name, fingerprint, _Outcome([], None, error)
+            error = RuntimeError(f"worker process {self.pid} ended without a reply")
+            return _Outcome([], None, error)
 
     def close(self) -> None:
         """Close its pipes and wait for it to exit."""
@@ -590,16 +582,6 @@ class _Worker:
             self.commands.close()
         os.waitpid(self.pid, 0)
         self.replies.close()
-
-
-def _serve(commands: BinaryIO, replies: BinaryIO) -> None:
-    while True:
-        try:
-            name, argv = pickle.load(commands)
-        except EOFError:
-            return
-        replies.write(pickle.dumps(_run_stage(name, argv)))
-        replies.flush()
 
 
 def _may_fork_a_worker() -> bool:
@@ -614,44 +596,44 @@ def _may_fork_a_worker() -> bool:
 
 
 class _ManifestRun:
-    """One run of a manifest's stages. Ready stages run two at a time: the least
-    name in this process, the next one in a forked worker. Each stage's output is
-    printed as one block in ``_topological_order``, and the state file is written
-    with sorted keys, so a run prints and records what a one-CPU run does."""
+    """One run of a manifest's stages in ``_topological_order``. The next stage is
+    the first in that order that has not started and whose predecessors are done:
+    this process runs it, and a forked worker, where one may run, takes the next
+    one. Each stage's output is printed as one block in that order, and the state
+    file is written with sorted keys, so a run prints and records what a one-CPU
+    run does."""
 
     def __init__(self, stages: list[dict], state: dict, state_path: Path) -> None:
         self.by_name = {stage["name"]: stage for stage in stages}
-        graph = _stage_graph(stages)
-        self.position = {name: index for index, name in enumerate(_topological_order(graph))}
-        self.sorter = _prepared_sorter(graph)
+        self.graph = _stage_graph(stages)
+        self.waiting = _topological_order(self.graph)  # the stages not started, in order
+        self.position = {name: index for index, name in enumerate(self.waiting)}
+        self.done: set[str] = set()
         self.state, self.state_path = state, state_path
-        self.ready: list[str] = []  # a heap
         self.blocks: dict[int, list] = {}
         self.printed = 0
         self.failures: dict[int, Exception] = {}
 
     def run(self, with_worker: bool) -> None:
         worker: _Worker | None = None
+        theirs: tuple[str, str] | None = None  # the worker's stage and its fingerprint
         try:
             while True:
                 mine = self._next_stage()
-                idle = with_worker and (worker is None or worker.stage is None)
-                theirs = self._next_stage() if mine and idle else None
-                if theirs:
-                    if worker is None:
-                        _get_parser()  # built once, before the fork
-                        worker = _Worker()
-                    worker.start(*theirs, self._command(theirs[0]))
-                busy = worker is not None and worker.stage is not None
+                if mine and with_worker and theirs is None:
+                    theirs = self._next_stage()
+                    if theirs:
+                        if worker is None:
+                            _get_parser()  # built once, before the fork
+                            worker = _Worker()
+                        worker.start(theirs[0], self._command(theirs[0]))
                 if mine:
-                    name, fingerprint = mine
-                    self._finish(name, fingerprint, _run_stage(name, self._command(name)))
-                    if busy and worker.done():  # after its own stage the runner never waits
-                        self._finish(*worker.receive())
-                elif busy:
-                    self._finish(*worker.receive())
-                else:
+                    self._finish(*mine, _run_stage(mine[0], self._command(mine[0])))
+                elif theirs is None:
                     break
+                if theirs and (not mine or worker.done()):  # it waits only with nothing to run
+                    self._finish(*theirs, worker.receive())
+                    theirs = None
         except BaseException:
             if worker is not None:
                 os.kill(worker.pid, signal.SIGKILL)
@@ -665,14 +647,14 @@ class _ManifestRun:
             raise self.failures[min(self.failures)]
 
     def _next_stage(self) -> tuple[str, str] | None:
-        """The least ready stage that is not up to date, with its fingerprint;
-        None once a stage has failed or none is ready."""
+        """The first stage not started whose predecessors are done and that is not
+        up to date, with its fingerprint; None once a stage has failed or none is
+        ready."""
         while not self.failures:
-            for name in self.sorter.get_ready():
-                heapq.heappush(self.ready, name)
-            if not self.ready:
+            name = next((name for name in self.waiting if self.graph[name] <= self.done), None)
+            if name is None:
                 return None
-            name = heapq.heappop(self.ready)
+            self.waiting.remove(name)
             fingerprint = self._fingerprint_unless_current(name)
             if fingerprint is not None:
                 return name, fingerprint
@@ -699,7 +681,7 @@ class _ManifestRun:
         with _held_output() as events:
             log.info("stage %s up to date, skipping", name)
         self._print_in_turn(name, events)
-        self.sorter.done(name)
+        self.done.add(name)
         return None
 
     def _finish(self, name: str, fingerprint: str, outcome: _Outcome) -> None:
@@ -724,7 +706,7 @@ class _ManifestRun:
             return
         self.state[name] = fingerprint
         atomic_write_text(self.state_path, json.dumps(self.state, indent=2, sort_keys=True) + "\n")
-        self.sorter.done(name)
+        self.done.add(name)
 
 
 def run_manifest(manifest_path: str | Path) -> int:
@@ -907,7 +889,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-# Built by the first dispatch, or before a manifest run forks its workers, and
+# Built by the first dispatch, or before a manifest run forks its worker, and
 # reused by the rest: a manifest run parses one command line per stage, and
 # parse_args keeps no state between calls.
 _parser: _Parser | None = None

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import BadRatios, DuplicateVerseId, EmptyFile, MalformedLine, UnknownLanguage
+from .errors import BadRatios, DuplicateLanguage, DuplicateVerseId, EmptyFile, MalformedLine
+from .errors import UnknownLanguage
 from .fileio import atomic_write_lines, read_rows
 
 log = logging.getLogger(__name__)
@@ -191,7 +192,7 @@ def split_corpus(
     boundaries (floor for train and val, remainder test), so sizes match the
     ratios within one verse and all languages share the split.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if len(ratios) != 3 or any(not 0 < r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise BadRatios(f"ratios must be three positive fractions summing to 1.0, got {ratios!r}")
     ids = sorted(corpus.ids())
     rng = random.Random(seed)
@@ -251,13 +252,20 @@ def write_corpus_dir(corpus: ParallelCorpus, directory: str | Path) -> None:
 
 
 def read_corpus_dir(directory: str | Path) -> ParallelCorpus:
-    """Load every ``<lang>.tsv`` in a directory and align on shared verse ids."""
+    """Load every ``<lang>.tsv`` in a directory, keyed by its registry code, and
+    align on shared verse ids; two files of one language raise naming both."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.tsv"))
     if not paths:
         raise EmptyFile(f"{directory}: no <lang>.tsv files")
-    maps = {path.stem: ingest_language_file(path, path.stem) for path in paths}
-    return intersect_alignment(maps)
+    path_of: dict[str, Path] = {}
+    for path in paths:
+        code = get_language(path.stem).code
+        if code in path_of:
+            raise DuplicateLanguage(f"{path_of[code]} and {path} both hold language {code!r}")
+        path_of[code] = path
+    return intersect_alignment({code: ingest_language_file(path, code)
+                                for code, path in path_of.items()})
 
 
 def write_split(split: SplitAssignment, path: str | Path) -> None:

@@ -34,6 +34,10 @@ class UnknownLanguage(PipelineError):
     pass
 
 
+class DuplicateLanguage(PipelineError):
+    pass
+
+
 # labeling
 class EmptySplit(PipelineError):
     pass

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .alignment import _sum_ltr
 from .errors import BadParameter, EmptyCorpus, LengthMismatch, MalformedLine, UnresolvedJudgments
 from .fileio import atomic_write_lines, read_json_lines
 from .netag import DecodeTable, check_entity_order
@@ -78,7 +79,7 @@ def corpus_bleu(
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / max_n) * 100.0
+        score = bp * math.exp(_sum_ltr(math.log(p) for p in precisions) / max_n) * 100.0
     return BleuReport(tuple(precisions), bp, score, c, r)
 
 

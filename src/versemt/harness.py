@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .alignment import _sum_ltr
 from .corpus import tokenize
 from .errors import BadFraction, BadParameter, DegenerateInput, NonMonotoneEpoch, UnknownProfile
 from .fileio import atomic_write_lines
@@ -76,6 +77,10 @@ class GlState:
     history: tuple[tuple[int, float], ...] = ()
     alpha: float = 0.1
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise BadParameter(f"alpha must be finite and >= 0, got {self.alpha}")
+
 
 def gl_update(state: GlState, epoch: int, val_score: float) -> tuple[GlState, float, str]:
     """Fold one validation score into the monitor.
@@ -112,15 +117,15 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
         raise DegenerateInput("need at least 2 points with distinct word counts")
     ys = [score for _, score in points]
     n = len(points)
-    x_mean = sum(xs) / n
-    y_mean = sum(ys) / n
-    sxx = sum((x - x_mean) ** 2 for x in xs)
-    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    x_mean = _sum_ltr(xs) / n
+    y_mean = _sum_ltr(ys) / n
+    sxx = _sum_ltr((x - x_mean) ** 2 for x in xs)
+    sxy = _sum_ltr((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
     try:
-        ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-        ss_tot = sum((y - y_mean) ** 2 for y in ys)
+        ss_res = _sum_ltr((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+        ss_tot = _sum_ltr((y - y_mean) ** 2 for y in ys)
     except OverflowError:  # float ** raises where * and / give inf
         ss_res = ss_tot = math.inf
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot

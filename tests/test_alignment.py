@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from versemt.alignment import (
     DiagonalParams,
     TranslationTable,
     _position_priors,
+    _sum_ltr,
     load_table,
     save_table,
     train_em,
@@ -285,3 +290,44 @@ class TestTableIo:
         (tmp_path / "t.tsv").write_text("#lambda=wide\tp0=0.08\na\tx\t1\n", encoding="utf-8")
         with pytest.raises(MalformedLine, match="t.tsv:1"):
             load_table(tmp_path / "t.tsv")
+
+
+def test_sum_ltr_adds_left_to_right():
+    assert _sum_ltr([1e16, 1.0, -1e16]) == 0.0  # Python 3.12's compensated sum gives 1.0
+    assert _sum_ltr([]) == sum([])
+
+
+# Trains and saves tables whose bytes, before `_sum_ltr`, differed between
+# Python 3.11 and 3.12 (seeds 5 and 11 among them); prints the sha256 of all of them.
+_TABLE_DIGEST = """
+import hashlib, random, tempfile
+from pathlib import Path
+from versemt.alignment import save_table, train_em
+digest = hashlib.sha256()
+with tempfile.TemporaryDirectory() as tmp:
+    for seed in range(12):
+        rng = random.Random(seed)
+        words = [f"w{i}" for i in range(30)]
+        bitext = [([rng.choice(words) for _ in range(rng.randint(2, 12))],
+                   [rng.choice(words).upper() for _ in range(rng.randint(2, 12))])
+                  for _ in range(120)]
+        path = Path(tmp) / "table.tsv"
+        save_table(train_em(bitext, 8), path, 8)
+        digest.update(path.read_bytes())
+print(digest.hexdigest())
+"""
+
+
+def test_tables_are_byte_identical_on_python_3_10_to_3_13():
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    pythons = sorted(root.glob("versions/3.1[0-3]*/bin/python"))
+    if not pythons:
+        pytest.skip(f"no Python 3.10-3.13 interpreter in {root}/versions")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    digests = {}
+    for python in [sys.executable, *pythons]:
+        proc = subprocess.run([str(python), "-c", _TABLE_DIGEST], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests[str(python)] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests

@@ -82,6 +82,49 @@ class TestExitCodes:
             cli.dispatch(["not-a-command"])
 
 
+class TestLanguageAlias:
+    """`ur` is another spelling of `uk`: a corpus store holds one file per language,
+    named by its registry code."""
+
+    UK = "v1\tНа початку\nv2\tА земля\n"
+
+    def _align(self, tmp_path):
+        store, aligned = tmp_path / "store", tmp_path / "aligned"
+        status = cli.main(["align", "--in", str(store), "--out", str(aligned),
+                           "--stats", str(tmp_path / "stats.tsv")])
+        return status, aligned
+
+    def test_ingest_writes_the_registry_code_and_align_reads_it(self, tmp_path, capsys):
+        _write(tmp_path / "en.txt", "v1\tIn the beginning\nv2\tAnd the earth\n")
+        _write(tmp_path / "ur.txt", self.UK)
+        for lang in ("en", "ur"):
+            assert cli.main(["ingest", "--lang", lang, "--in", str(tmp_path / f"{lang}.txt"),
+                             "--out", str(tmp_path / "store")]) == cli.EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["en.tsv", "uk.tsv"]
+        status, aligned = self._align(tmp_path)
+        assert status == cli.EXIT_OK, capsys.readouterr().err
+        assert (aligned / "uk.tsv").read_text(encoding="utf-8") == self.UK
+        stats = (tmp_path / "stats.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in stats] == ["lang", "en", "uk"]
+
+    def test_a_file_under_the_alias_is_read_as_its_language(self, tmp_path, capsys):
+        _write(tmp_path / "store" / "ur.tsv", self.UK)
+        status, aligned = self._align(tmp_path)
+        assert status == cli.EXIT_OK, capsys.readouterr().err
+        assert sorted(p.name for p in aligned.iterdir()) == ["uk.tsv"]
+
+    def test_two_files_of_one_language_exit_2_naming_both(self, tmp_path, capsys):
+        _write(tmp_path / "store" / "en.tsv", "v1\tIn the beginning\nv2\tAnd the earth\n")
+        _write(tmp_path / "store" / "uk.tsv", self.UK)
+        _write(tmp_path / "store" / "ur.tsv", "v1\tfirst\nv2\tsecond\n")
+        status, aligned = self._align(tmp_path)
+        assert status == cli.EXIT_DATA
+        store = tmp_path / "store"
+        assert (f"DuplicateLanguage: {store / 'uk.tsv'} and {store / 'ur.tsv'} both hold "
+                f"language 'uk'") in capsys.readouterr().err
+        assert not aligned.exists()
+
+
 class TestPipelineStages:
     def test_split_and_label(self, tmp_path, corpus_dir):
         splits = tmp_path / "splits.tsv"
@@ -1295,6 +1338,24 @@ class TestExitCodeMeaning:
         _valid_inputs(tmp_path)
         assert cli.main(["emit-config", "--profile", "multilingual", "--out", out]) == cli.EXIT_DATA
         assert "error: PipelineError: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "0.5,inf,0.5", "0.5,0.5,-inf"])
+    def test_a_non_finite_split_ratio_is_data_error(self, tmp_path, monkeypatch, capsys, ratios):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        status = cli.main(["split", "--corpus", "aligned", "--ratios", ratios, "--out", "out"])
+        assert status == cli.EXIT_DATA
+        assert "error: BadRatios: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5"])
+    def test_a_gl_monitor_alpha_that_is_not_finite_and_at_least_0_is_data_error(
+            self, monkeypatch, capsys, alpha):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\t30.0\n2\t20.0\n"))  # GL 33.3
+        assert cli.main(["gl-monitor", "--alpha", alpha]) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: BadParameter: alpha must be finite and >= 0, got {float(alpha)}" in err
 
     def test_gl_monitor_bad_score_is_malformed_line(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("1\t40.0\n2\tnan\n"))

@@ -11,12 +11,15 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from versemt import cli, harness
-from versemt.errors import UnknownProfile
+from versemt.errors import MalformedLine, UnknownProfile
 
 FORMAT = "%(levelname)s %(name)s: %(message)s"
 REAL_FORK = os.fork
@@ -254,9 +257,8 @@ def test_a_worker_exits_when_its_command_pipe_closes(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="versemt"):
         worker = cli._Worker()
     try:
-        worker.start("config", "fingerprint", ["emit-config", "--profile", "nope", "--out", "x"])
-        name, fingerprint, outcome = worker.receive()
-        assert (name, fingerprint) == ("config", "fingerprint")
+        worker.start("config", ["emit-config", "--profile", "nope", "--out", "x"])
+        outcome = worker.receive()
         assert isinstance(outcome.error, UnknownProfile)
         assert [kind for kind, _ in outcome.events] == ["log"]
         worker.commands.close()
@@ -279,6 +281,61 @@ def test_two_writers_of_one_output_are_rejected(tmp_path, monkeypatch, capsys, o
     assert (f"pipeline.json: stages[1]: stage 'two' declares the output {outputs[1]!r}, "
             f"at, inside or above {outputs[0]!r} of stage 'one'\n") in capsys.readouterr().err
     assert not (tmp_path / "x.cfg").exists()
+
+
+# Spellings of one path, paths nested in others, siblings that share a prefix,
+# and paths that leave the working directory.
+_PATH_POOL = ["a", "./a", "a/", "a/b", "a/./b", "a//b/c", "a/../b", "b", "ab", "ab/c",
+              ".", "./", "..", "../a", "c/d/../e", "c/e"]
+
+
+def _at_inside_or_above(a: str, b: str) -> bool:
+    """The oracle, on normalized path strings: a path holds those that start with
+    it and `/`, and `.` counts as nested with every path (`../a` included)."""
+    a, b = os.path.normpath(a), os.path.normpath(b)
+    return a == b or "." in (a, b) or a.startswith(b + "/") or b.startswith(a + "/")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(outputs=st.lists(st.lists(st.sampled_from(_PATH_POOL), max_size=3), min_size=1,
+                        max_size=5))
+def test_a_manifest_is_valid_unless_outputs_of_two_stages_nest(outputs):
+    manifest = {"stages": [{"name": f"s{i}", "outputs": paths} for i, paths in enumerate(outputs)]}
+    clash = any(_at_inside_or_above(a, b) for one, two in combinations(outputs, 2)
+                for a in one for b in two)
+    try:
+        cli._validated_stages(manifest, Path("pipeline.json"))
+    except MalformedLine as exc:
+        assert clash, exc
+    else:
+        assert not clash
+
+
+def test_one_cpu_runs_the_stages_in_topological_order(tmp_path, monkeypatch):
+    # `z-first` is ready before `a-last`, which waits for it; `b-after-m` becomes
+    # ready only after `m-free` and still runs before `z-first`.
+    def config(name, inputs):
+        return _stage(name, ["emit-config", "--profile", "multilingual", "--out", f"{name}.cfg"],
+                      inputs, [f"{name}.cfg"])
+
+    stages = [config("a-last", ["z-first.cfg"]), config("b-after-m", ["m-free.cfg"]),
+              config("m-free", []), config("z-first", [])]
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    monkeypatch.chdir(tmp_path)
+    _slots(monkeypatch, 1)
+    ran = []
+    real_dispatch = cli.dispatch
+
+    def recording_dispatch(argv):
+        ran.append(list(argv))
+        return real_dispatch(argv)
+
+    monkeypatch.setattr(cli, "dispatch", recording_dispatch)
+    assert cli.run_manifest("pipeline.json") == cli.EXIT_OK
+    order = cli._topological_order(cli._stage_graph(stages))
+    assert order == ["m-free", "b-after-m", "z-first", "a-last"]
+    command = {stage["name"]: stage["command"] for stage in stages}
+    assert ran == [command[name] for name in order]
 
 
 def test_outputs_of_one_stage_may_nest(tmp_path, monkeypatch):
