@@ -51,12 +51,6 @@ class DiagonalParams:
             raise BadParameter(f"null_prob must be in [0, 1), got {self.null_prob}")
 
 
-@dataclass(frozen=True)
-class AlignmentLink:
-    src_index: int
-    tgt_index: int
-
-
 @dataclass
 class TranslationTable:
     """Sparse t(target | source) probabilities for co-occurring word pairs.
@@ -97,18 +91,6 @@ def _position_priors(n: int, m: int, params: DiagonalParams) -> list[list[float]
     return priors
 
 
-def _uniform_table(bitext: Sequence[SentencePair]) -> dict[str, dict[str, float]]:
-    support: dict[str, set[str]] = {}
-    for src_tokens, tgt_tokens in bitext:
-        if tgt_tokens:
-            for e in (*src_tokens, NULL_TOKEN):
-                support.setdefault(e, set()).update(tgt_tokens)
-    return {
-        e: dict.fromkeys(sorted(targets), 1.0 / len(targets))
-        for e, targets in sorted(support.items())
-    }
-
-
 def train_em(
     bitext: Sequence[SentencePair],
     iterations: int,
@@ -127,20 +109,24 @@ def train_em(
         raise BadParameter("iterations must be >= 0")
     # Intern once: every (e, f) pair of the support gets one slot, in table
     # order (rows sorted by e, each row sorted by f); row r owns the slots
-    # bounds[r]:bounds[r + 1]. t[slot] holds the pair's probability.
-    uniform = _uniform_table(bitext)
-    sources = list(uniform)
+    # bounds[r]:bounds[r + 1]. t[slot] holds the pair's probability, first uniform.
+    support: dict[str, set[str]] = {}
+    for src_tokens, tgt_tokens in bitext:
+        if tgt_tokens:
+            for e in (*src_tokens, NULL_TOKEN):
+                support.setdefault(e, set()).update(tgt_tokens)
+    sources = sorted(support)
     targets: list[str] = []
     bounds = [0]
     t = array("d")
     slot_of: dict[str, dict[str, int]] = {}
-    for e, row in uniform.items():
+    for e in sources:
+        row = sorted(support.pop(e))
         slot_of[e] = {f: len(targets) + i for i, f in enumerate(row)}
         targets.extend(row)
-        t.extend(row.values())
+        t.extend([1.0 / len(row)] * len(row))
         bounds.append(len(targets))
     row_of = {e: r for r, e in enumerate(sources)}
-    del uniform
 
     # Per sentence: the priors of its (n, m), the source row of each position
     # (NULL last), and per target position the slots of (e_i, f_j) over i.
@@ -204,8 +190,9 @@ def viterbi_align(
     params: DiagonalParams,
     pair: SentencePair,
     prior_cache: dict[tuple[int, int], list[list[float]]] | None = None,
-) -> list[AlignmentLink]:
-    """Best source link (or NULL) per target position; NULL links are omitted.
+) -> list[int]:
+    """The alignment vector a: a[j] is the source index linked to target
+    position j, or -1 where NULL (or no source word) is the best link.
 
     ``prior_cache`` maps (n, m) to the position priors of ``params``; a caller
     aligning many pairs with the same params passes one dict to all calls.
@@ -221,7 +208,7 @@ def viterbi_align(
     # Each source row is fetched once per sentence, not once per cell.
     rows = [table.probs.get(e, {}) for e in src_tokens]
     null_row = table.probs.get(NULL_TOKEN, {})
-    links: list[AlignmentLink] = []
+    vector: list[int] = []
     for j, f in enumerate(tgt_tokens):
         prior = priors[j]
         best_i = -1
@@ -234,9 +221,9 @@ def viterbi_align(
         null_weight = prior[n] * null_row.get(f, 0.0)
         if best_i < 0 or null_weight > best_weight:
             log.debug("target token %r at %d aligned to NULL", f, j)
-            continue
-        links.append(AlignmentLink(src_index=best_i, tgt_index=j))
-    return links
+            best_i = -1
+        vector.append(best_i)
+    return vector
 
 
 # ---------------------------------------------------------------------------

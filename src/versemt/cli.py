@@ -78,24 +78,22 @@ def _label_mode(text: str) -> labeling.LabelMode:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> None:
     lang = corpus.get_language(args.lang).code
     verse_map = corpus.ingest_language_file(args.infile, lang)
     corpus.write_language_file(verse_map, Path(args.out) / f"{lang}.tsv")
     log.info("ingest lang=%s records=%d out=%s", lang, len(verse_map), args.out)
-    return EXIT_OK
 
 
-def _cmd_align(args: argparse.Namespace) -> int:
+def _cmd_align(args: argparse.Namespace) -> None:
     aligned = corpus.read_corpus_dir(args.infile)
     corpus.write_corpus_dir(aligned, args.out)
     if args.stats:
         corpus.write_stats_report(aligned, args.stats)
     log.info("align verses=%d languages=%s", len(aligned), ",".join(aligned.languages))
-    return EXIT_OK
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
+def _cmd_split(args: argparse.Namespace) -> None:
     parallel = corpus.read_corpus_dir(args.corpus)
     ratios = _parse_ratios(args.ratios)
     seed = _default_seed(args.seed)
@@ -108,10 +106,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
         len(assignment.val),
         len(assignment.test),
     )
-    return EXIT_OK
 
 
-def _cmd_label(args: argparse.Namespace) -> int:
+def _cmd_label(args: argparse.Namespace) -> None:
     parallel = corpus.read_corpus_dir(args.corpus)
     split = corpus.read_split(args.split)
     mode = _label_mode(args.mode)
@@ -123,43 +120,39 @@ def _cmd_label(args: argparse.Namespace) -> int:
             examples, f"{args.out_prefix}.src", f"{args.out_prefix}.tgt"
         )
         log.info("label pairs=%s lines=%d", args.langs, count)
-        return EXIT_OK
+        return
     for step, langs in labeling.read_schedule_steps(args.schedule):
         examples = labeling.expand_multiway_pairs(langs, parallel, split, mode)
         count = labeling.write_labeled_bitext(
             examples, f"{args.out_prefix}.step{step}.src", f"{args.out_prefix}.step{step}.tgt"
         )
         log.info("label step=%d langs=%d lines=%d", step, len(langs), count)
-    return EXIT_OK
 
 
-def _cmd_schedule(args: argparse.Namespace) -> int:
+def _cmd_schedule(args: argparse.Namespace) -> None:
     mode = labeling.ScheduleMode(args.mode)
     schedule = labeling.build_addition_schedule(args.anchor, mode, _default_seed(args.seed))
     labeling.write_schedule(schedule, args.out)
     log.info("schedule anchor=%s mode=%s steps=%d", args.anchor, args.mode, len(schedule.steps))
-    return EXIT_OK
 
 
-def _cmd_bpe_learn(args: argparse.Namespace) -> int:
+def _cmd_bpe_learn(args: argparse.Namespace) -> None:
     reserved = set(read_word_list(args.reserved)) if args.reserved else set()
     tokens = (token for _, line in read_lines(args.infile) for token in line.split())
     model = subword.learn_bpe(tokens, args.merges, reserved, vocab_side=args.side)
     subword.save_model(model, args.out)
     log.info("bpe-learn side=%s merges=%d", args.side, len(model.merges))
-    return EXIT_OK
 
 
-def _cmd_bpe_apply(args: argparse.Namespace) -> int:
+def _cmd_bpe_apply(args: argparse.Namespace) -> None:
     model = subword.load_model(args.model)
     out_lines = [
         " ".join(subword.apply_bpe(model, line.split())) for _, line in read_lines(args.infile)
     ]
     atomic_write_lines(args.out, out_lines)
-    return EXIT_OK
 
 
-def _cmd_align_train(args: argparse.Namespace) -> int:
+def _cmd_align_train(args: argparse.Namespace) -> None:
     src_lines, tgt_lines = read_parallel_lines(args.src, args.tgt)
     bitext = [(corpus.tokenize(s), corpus.tokenize(t)) for s, t in zip(src_lines, tgt_lines)]
     params = alignment.DiagonalParams(tension=args.tension, null_prob=args.null_prob)
@@ -171,22 +164,21 @@ def _cmd_align_train(args: argparse.Namespace) -> int:
         args.iterations,
         ",".join(f"{ll:.1f}" for ll in table.log_likelihood_history),
     )
-    return EXIT_OK
 
 
-def _cmd_lex_filter(args: argparse.Namespace) -> int:
+def _cmd_lex_filter(args: argparse.Namespace) -> None:
     stoplist = read_word_list(args.stoplist) if args.stoplist else []
     cleaned = lexicon.filter_seed_list(read_word_list(args.infile), stoplist)
     atomic_write_lines(args.out, cleaned)
     log.info("lex-filter kept=%d", len(cleaned))
-    return EXIT_OK
 
 
 class _TableFiles(Mapping[str, alignment.TranslationTable]):
-    """A directory's ``<lang>.tsv`` tables, each read on lookup and not kept."""
+    """A directory's ``<lang>.tsv`` tables, keyed by registry code as in the corpus
+    store; each is read on lookup and not kept."""
 
     def __init__(self, directory: str | Path) -> None:
-        self._paths = {path.stem: path for path in sorted(Path(directory).glob("*.tsv"))}
+        self._paths = corpus.language_files(directory)
 
     def __getitem__(self, lang: str) -> alignment.TranslationTable:
         return alignment.load_table(self._paths[lang])
@@ -201,17 +193,16 @@ class _TableFiles(Mapping[str, alignment.TranslationTable]):
         return len(self._paths)
 
 
-def _cmd_lex_build(args: argparse.Namespace) -> int:
+def _cmd_lex_build(args: argparse.Namespace) -> None:
     seed_list = read_word_list(args.seed_list)
     parallel = corpus.read_corpus_dir(args.corpus)
     aligners = _TableFiles(args.aligners)
     table = lexicon.assemble_table(seed_list, parallel, aligners, min_votes=args.min_votes)
     lexicon.save_lexicon(table, args.out, args.freq_out)
     log.info("lex-build entries=%d languages=%d", len(table), len(table.languages))
-    return EXIT_OK
 
 
-def _cmd_lex_trim(args: argparse.Namespace) -> int:
+def _cmd_lex_trim(args: argparse.Namespace) -> None:
     if (args.policy == "manual-selection") != bool(args.manual_file):
         raise UsageError("--manual-file goes with policy manual-selection, and only with it")
     if args.policy == "frequency-equals-one" and not (args.corpus or args.freq):
@@ -221,22 +212,22 @@ def _cmd_lex_trim(args: argparse.Namespace) -> int:
     trimmed = lexicon.trim_table(table, args.policy, parallel, args.manual_file)
     lexicon.save_lexicon(trimmed, args.out, args.freq_out)
     log.info("lex-trim policy=%s kept=%d/%d", args.policy, len(trimmed), len(table))
-    return EXIT_OK
 
 
-def _cmd_tag(args: argparse.Namespace) -> int:
+def _cmd_tag(args: argparse.Namespace) -> None:
     if bool(args.tgt_in) != bool(args.tgt_out):
         raise UsageError("--tgt-in and --tgt-out must be given together")
+    src_lang, tgt_lang = corpus.get_language(args.src).code, corpus.get_language(args.tgt).code
     table = lexicon.load_lexicon(args.lexicon)
     files = read_parallel_lines(args.infile, *([args.tgt_in] if args.tgt_in else []))
     decode_path = args.decode or f"{args.out}.decode.jsonl"
     tagged_src, tagged_tgt, decodes = [], [], []
     for src, *tgt in zip(*([corpus.tokenize(line) for line in lines] for lines in files)):
         if tgt:
-            ts, tt, decode = netag.tag_training_pair(src, tgt[0], table, args.src, args.tgt)
+            ts, tt, decode = netag.tag_training_pair(src, tgt[0], table, src_lang, tgt_lang)
             tagged_tgt.append(tt.text)
         else:
-            ts, decode = netag.tag_source(src, table, args.src, args.tgt)
+            ts, decode = netag.tag_source(src, table, src_lang, tgt_lang)
         tagged_src.append(ts.text)
         decodes.append(decode)
     atomic_write_lines(args.out, tagged_src)
@@ -244,10 +235,9 @@ def _cmd_tag(args: argparse.Namespace) -> int:
         atomic_write_lines(args.tgt_out, tagged_tgt)
     netag.write_decode_sidecar(decodes, decode_path)
     log.info("tag lines=%d decode=%s", len(decodes), decode_path)
-    return EXIT_OK
 
 
-def _cmd_restore(args: argparse.Namespace) -> int:
+def _cmd_restore(args: argparse.Namespace) -> None:
     decodes = netag.read_decode_sidecar(args.decode)
     [lines] = read_parallel_lines(args.infile, records=(args.decode, len(decodes)))
     restored = [
@@ -255,10 +245,9 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         for line, decode in zip(lines, decodes)
     ]
     atomic_write_lines(args.out, restored)
-    return EXIT_OK
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: argparse.Namespace) -> None:
     text_by_id = corpus.read_verse_file(args.infile)
     total = args.total if args.total is not None else len(text_by_id)
     plan = harness.AblationPlan(fraction=args.fraction, seed=_default_seed(args.seed), total=total)
@@ -273,10 +262,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         result.distinct_count,
         result.unique_word_count,
     )
-    return EXIT_OK
 
 
-def _cmd_gl_monitor(args: argparse.Namespace) -> int:
+def _cmd_gl_monitor(args: argparse.Namespace) -> None:
     state = harness.GlState(alpha=args.alpha)
     if hasattr(sys.stdin, "reconfigure"):
         # Undecodable bytes surface as lone surrogates in their own line, so the
@@ -302,10 +290,9 @@ def _cmd_gl_monitor(args: argparse.Namespace) -> int:
         print(f"{epoch}\t{score}\t{gl:.4f}\t{decision}", flush=True)
         if decision == "stop":
             break
-    return EXIT_OK
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> None:
     points = []
     for lineno, fields in read_rows(args.infile, 2, "word_count<TAB>score"):
         try:
@@ -320,27 +307,25 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     print(line)
     if args.out:
         atomic_write_text(args.out, line + "\n")
-    return EXIT_OK
 
 
-def _cmd_bleu(args: argparse.Namespace) -> int:
+def _cmd_bleu(args: argparse.Namespace) -> None:
     hyp_lines, ref_lines = read_parallel_lines(args.hyp, args.ref)
     refs = [corpus.tokenize(line) for line in ref_lines]
     report = evaluation.corpus_bleu(hyp_lines, refs, max_n=args.max_n)
     print(evaluation.format_bleu_summary(report))
     if args.report:
         evaluation.write_bleu_report(report, args.report)
-    return EXIT_OK
 
 
-def _cmd_rubric(args: argparse.Namespace) -> int:
+def _cmd_rubric(args: argparse.Namespace) -> None:
     if args.infile:
         percentages = evaluation.aggregate_rubric(evaluation.read_judgments(args.infile))
         lines = [f"{category}\t{pct:.1f}" for category, pct in percentages.items()]
         print("\n".join(lines))
         if args.out:
             atomic_write_lines(args.out, lines)
-        return EXIT_OK
+        return
     if not (args.hyp and args.ref and args.decode and args.out):
         raise UsageError("rubric needs either --in, or --hyp/--ref/--decode/--out")
     decodes = netag.read_decode_sidecar(args.decode)
@@ -353,14 +338,12 @@ def _cmd_rubric(args: argparse.Namespace) -> int:
     ]
     evaluation.write_judgments(judgments, args.out)
     log.info("rubric judged=%d (meaning pending)", len(judgments))
-    return EXIT_OK
 
 
-def _cmd_emit_config(args: argparse.Namespace) -> int:
+def _cmd_emit_config(args: argparse.Namespace) -> None:
     config = harness.emit_trainer_config(args.profile)
     harness.write_trainer_config(config, args.out)
     log.info("emit-config profile=%s out=%s", args.profile, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +500,7 @@ def _print_events(events: list) -> None:
 
 class _Outcome(NamedTuple):
     events: list  # the stage's held output
-    status: int | None  # its exit status, None if it raised
-    error: Exception | None
+    error: Exception | None  # what it raised, None if it succeeded
 
 
 def _run_stage(name: str, argv: list[str]) -> _Outcome:
@@ -526,11 +508,12 @@ def _run_stage(name: str, argv: list[str]) -> _Outcome:
     with _held_output() as events:
         log.info("stage %s: %s", name, " ".join(argv))
         try:
-            return _Outcome(events, dispatch(argv), None)
-        except SystemExit as exc:  # argparse's --help
-            return _Outcome(events, EXIT_OK if exc.code is None else exc.code, None)
+            dispatch(argv)
+        except SystemExit:  # argparse's --help, its only exit
+            pass
         except Exception as exc:
-            return _Outcome(events, None, exc)
+            return _Outcome(events, exc)
+        return _Outcome(events, None)
 
 
 class _Worker:
@@ -574,7 +557,7 @@ class _Worker:
             return pickle.load(self.replies)
         except EOFError:
             error = RuntimeError(f"worker process {self.pid} ended without a reply")
-            return _Outcome([], None, error)
+            return _Outcome([], error)
 
     def close(self) -> None:
         """Close its pipes and wait for it to exit."""
@@ -686,14 +669,12 @@ class _ManifestRun:
 
     def _finish(self, name: str, fingerprint: str, outcome: _Outcome) -> None:
         """Print the stage's output in its turn; record the stage as done, or its failure."""
-        events, status, error = outcome
+        events, error = outcome
         self._print_in_turn(name, events)
         failure = error
         if isinstance(error, (PipelineError, UsageError)):
             failure = StageFailed(f"stage {name}: {error}")
             failure.__cause__ = error
-        elif error is None and status != EXIT_OK:
-            failure = StageFailed(f"stage {name} exited with status {status}")
         elif error is None:
             outputs = [Path(o) for o in self.by_name[name].get("outputs", [])]
             missing = [str(o) for o in outputs if not o.exists()]
@@ -727,8 +708,8 @@ def run_manifest(manifest_path: str | Path) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    return run_manifest(args.manifest)
+def _cmd_run(args: argparse.Namespace) -> None:
+    run_manifest(args.manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -914,12 +895,13 @@ def dispatch(argv: Sequence[str]) -> int:
     if not getattr(args, "command", None):
         raise UsageError("a subcommand is required (see --help)")
     try:
-        return args.func(args)
+        args.func(args)
     except OSError as exc:
         if exc.errno not in _PATH_ERRNOS:
             raise
         # os.replace names the output second, after its temporary file.
         raise PipelineError(f"{exc.strerror}: {exc.filename2 or exc.filename}") from exc
+    return EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -251,19 +251,23 @@ def write_corpus_dir(corpus: ParallelCorpus, directory: str | Path) -> None:
         write_language_file({v.id: v.text(lang) for v in corpus.verses}, directory / f"{lang}.tsv")
 
 
-def read_corpus_dir(directory: str | Path) -> ParallelCorpus:
-    """Load every ``<lang>.tsv`` in a directory, keyed by its registry code, and
-    align on shared verse ids; two files of one language raise naming both."""
-    directory = Path(directory)
-    paths = sorted(directory.glob("*.tsv"))
-    if not paths:
-        raise EmptyFile(f"{directory}: no <lang>.tsv files")
+def language_files(directory: str | Path) -> dict[str, Path]:
+    """Every ``<lang>.tsv`` in a directory, keyed by its registry code (``ur.tsv``
+    holds ``uk``); two files of one language raise naming both."""
     path_of: dict[str, Path] = {}
-    for path in paths:
+    for path in sorted(Path(directory).glob("*.tsv")):
         code = get_language(path.stem).code
         if code in path_of:
             raise DuplicateLanguage(f"{path_of[code]} and {path} both hold language {code!r}")
         path_of[code] = path
+    return path_of
+
+
+def read_corpus_dir(directory: str | Path) -> ParallelCorpus:
+    """Load a directory's ``language_files`` and align them on shared verse ids."""
+    path_of = language_files(directory)
+    if not path_of:
+        raise EmptyFile(f"{directory}: no <lang>.tsv files")
     return intersect_alignment({code: ingest_language_file(path, code)
                                 for code, path in path_of.items()})
 

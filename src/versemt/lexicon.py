@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .alignment import TranslationTable, viterbi_align
-from .corpus import ParallelCorpus, registry_order, tokenize
+from .corpus import ParallelCorpus, get_language, registry_order, tokenize
 from .errors import EmptyResult, MalformedLine, MissingAligner, MissingSelectionFile, UnknownLanguage
 from .fileio import atomic_write_lines, read_lines, read_rows, read_word_list
 
@@ -196,7 +196,7 @@ def assemble_table(
     wanted_verses = {v for spans in en_spans for v, _, _ in spans}
     for lang in target_langs:
         table = aligners[lang]
-        links_by_verse: dict[int, dict[int, list[int]]] = {}
+        vectors: dict[int, list[int]] = {}  # verse -> Viterbi alignment vector
         # Verses are visited by sentence shape (n, m), so each shape's
         # position priors are computed once and only one shape's are held.
         prior_cache: dict[tuple[int, int], list[list[float]]] = {}
@@ -206,18 +206,13 @@ def assemble_table(
                 continue
             if (len(en_tokens[v]), len(tgt[v])) not in prior_cache:
                 prior_cache.clear()
-            by_src: dict[int, list[int]] = {}
-            for link in viterbi_align(table, table.params, (en_tokens[v], tgt[v]), prior_cache):
-                by_src.setdefault(link.src_index, []).append(link.tgt_index)
-            links_by_verse[v] = by_src
+            vectors[v] = viterbi_align(table, table.params, (en_tokens[v], tgt[v]), prior_cache)
         for entry_idx, spans in enumerate(en_spans):
             for v, a, b in spans:
-                by_src = links_by_verse.get(v, {})
-                linked = sorted(j for i in range(a, b) for j in by_src.get(i, []))
-                if not linked:
-                    continue
-                if linked[-1] - linked[0] + 1 != len(set(linked)):
-                    continue  # non-contiguous projection, no vote
+                # Target positions linked into the span, sorted and unique.
+                linked = [j for j, i in enumerate(vectors.get(v, ())) if a <= i < b]
+                if not linked or linked[-1] - linked[0] + 1 != len(linked):
+                    continue  # no projection, or a non-contiguous one: no vote
                 candidate = " ".join(tgt_tokens[lang][v][linked[0] : linked[-1] + 1])
                 votes[entry_idx][lang][candidate] += 1
         # Released before the next language's table is read: `aligners` may read
@@ -314,13 +309,9 @@ def lookup_rows(
 # ---------------------------------------------------------------------------
 
 
-def _column_order(languages: Iterable[str]) -> list[str]:
-    rest = [lang for lang in registry_order(languages) if lang != SEED_LANGUAGE]
-    return [SEED_LANGUAGE] + rest
-
-
 def save_lexicon(table: LexiconTable, path: str | Path, freq_path: str | Path | None = None) -> None:
-    columns = _column_order(table.languages)
+    rest = [lang for lang in registry_order(table.languages) if lang != SEED_LANGUAGE]
+    columns = [SEED_LANGUAGE] + rest
     lines = ["id\t" + "\t".join(columns)]
     for entry in table.entries:
         lines.append(entry.id + "\t" + "\t".join(entry.surface(lang) for lang in columns))
@@ -340,18 +331,22 @@ def load_lexicon(path: str | Path, freq_path: str | Path | None = None) -> Lexic
     header = next(lines, (1, ""))[1]
     if not header.startswith("id\t"):
         raise MalformedLine(f"{path}:1: missing `id<TAB>...` header")
-    columns = header.split("\t")[1:]
-    entries = []
+    columns = [get_language(lang).code for lang in header.split("\t")[1:]]
+    twice = [lang for k, lang in enumerate(columns) if lang in columns[:k]]
+    if twice:
+        raise MalformedLine(f"{path}:1: language {twice[0]!r} names two columns")
+    by_id: dict[str, LexiconEntry] = {}
     for lineno, line in lines:
         fields = line.split("\t")
         if len(fields) != len(columns) + 1:
             raise MalformedLine(f"{path}:{lineno}: expected {len(columns) + 1} columns")
+        if fields[0] in by_id:
+            raise MalformedLine(f"{path}:{lineno}: entry id {fields[0]!r} is repeated")
         surfaces = {lang: cell for lang, cell in zip(columns, fields[1:]) if cell}
         blank = [lang for lang, cell in surfaces.items() if not cell.strip()]
         if blank:
             raise MalformedLine(f"{path}:{lineno}: whitespace-only {blank[0]} cell")
-        entries.append(LexiconEntry(id=fields[0], surfaces=surfaces, frequency={}))
-    by_id = {entry.id: entry for entry in entries}
+        by_id[fields[0]] = LexiconEntry(id=fields[0], surfaces=surfaces, frequency={})
     if freq_path is not None:
         for lineno, (entry_id, lang, count) in read_rows(freq_path, 3, "id<TAB>lang<TAB>count"):
             try:
@@ -361,4 +356,4 @@ def load_lexicon(path: str | Path, freq_path: str | Path | None = None) -> Lexic
                 raise MalformedLine(f"{where}: count {count!r} is not an integer") from None
             if entry_id in by_id:
                 by_id[entry_id].frequency[lang] = frequency
-    return LexiconTable(entries=tuple(entries), languages=tuple(columns))
+    return LexiconTable(entries=tuple(by_id.values()), languages=tuple(columns))

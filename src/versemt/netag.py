@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import tokenize
-from .errors import MalformedLine, UnknownPlaceholder
+from .errors import MalformedLine, UnknownLanguage, UnknownPlaceholder
 from .fileio import atomic_write_lines, read_json_lines
 from .lexicon import LexiconTable, SurfaceIndex, lookup_rows
 
@@ -70,6 +70,8 @@ def _tag(
     its target surface that overlaps none taken before; a match whose surface
     has no such occurrence stays untagged on both sides.
     """
+    if tgt_lang not in table.languages:
+        raise UnknownLanguage(f"language {tgt_lang!r} not in lexicon table")
     matches: list[tuple[tuple[int, int], str, tuple[str, ...]]] = []
     for span, entry in lookup_rows(table, src_lang, src):
         tgt_surface = entry.surface(tgt_lang)

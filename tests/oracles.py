@@ -399,10 +399,11 @@ def learn_bpe_oracle(tokenized_corpus, num_merges, reserved=(), vocab_side="sour
 
 def viterbi_align_oracle(table, params, pair, prior_cache=None):
     """``alignment.viterbi_align`` as it was before rows were fetched once per
-    sentence: ``table.prob(e, f)`` for every (source, target) cell."""
+    sentence: ``table.prob(e, f)`` for every (source, target) cell. Returns the
+    alignment vector, -1 for NULL."""
     import logging
 
-    from versemt.alignment import NULL_TOKEN, AlignmentLink, _position_priors
+    from versemt.alignment import NULL_TOKEN, _position_priors
     from versemt.errors import EmptySentence
 
     log = logging.getLogger("versemt.alignment")
@@ -427,8 +428,8 @@ def viterbi_align_oracle(table, params, pair, prior_cache=None):
         null_weight = priors[j][n] * table.prob(NULL_TOKEN, f)
         if best_i < 0 or null_weight > best_weight:
             log.debug("target token %r at %d aligned to NULL", f, j)
-            continue
-        links.append(AlignmentLink(src_index=best_i, tgt_index=j))
+            best_i = -1
+        links.append(best_i)
     return links
 
 
@@ -493,8 +494,10 @@ def assemble_table_oracle(seed, corpus, aligners, params, min_votes):
             if (len(en_tokens[v]), len(tgt[v])) not in prior_cache:
                 prior_cache.clear()
             by_src = {}
-            for link in viterbi_align(table, params, (en_tokens[v], tgt[v]), prior_cache):
-                by_src.setdefault(link.src_index, []).append(link.tgt_index)
+            vector = viterbi_align(table, params, (en_tokens[v], tgt[v]), prior_cache)
+            for j, i in enumerate(vector):
+                if i >= 0:
+                    by_src.setdefault(i, []).append(j)
             links_by_verse[v] = by_src
         for entry_idx, spans in enumerate(en_spans):
             for v, a, b in spans:

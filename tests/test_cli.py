@@ -124,6 +124,45 @@ class TestLanguageAlias:
                 f"language 'uk'") in capsys.readouterr().err
         assert not aligned.exists()
 
+    def _lex_build(self, tmp_path, aligner_names):
+        """lex-build over an en/uk corpus, one aligner trained per name given."""
+        _write(tmp_path / "aligned" / "en.tsv", "v1\tPaul said\nv2\tPaul went\n")
+        _write(tmp_path / "aligned" / "uk.tsv", "v1\tПавло сказав\nv2\tПавло пішов\n")
+        _write(tmp_path / "bitext.en", "Paul said\nPaul went\n")
+        _write(tmp_path / "bitext.uk", "Павло сказав\nПавло пішов\n")
+        _write(tmp_path / "seeds.txt", "Paul\n")
+        for name in aligner_names:
+            assert cli.main(["align-train", "--src", str(tmp_path / "bitext.en"),
+                             "--tgt", str(tmp_path / "bitext.uk"), "--iterations", "3",
+                             "--out", str(tmp_path / "aligners" / name)]) == cli.EXIT_OK
+        return cli.main(["lex-build", "--seed-list", str(tmp_path / "seeds.txt"),
+                         "--corpus", str(tmp_path / "aligned"),
+                         "--aligners", str(tmp_path / "aligners"),
+                         "--out", str(tmp_path / "lex.tsv")])
+
+    def test_an_aligner_under_the_alias_serves_its_language(self, tmp_path, capsys):
+        assert self._lex_build(tmp_path, ["ur.tsv"]) == cli.EXIT_OK, capsys.readouterr().err
+        assert (tmp_path / "lex.tsv").read_text(encoding="utf-8").splitlines() == [
+            "id\ten\tuk", "ne0001\tPaul\tПавло"
+        ]
+
+    def test_two_aligners_of_one_language_exit_2_naming_both(self, tmp_path, capsys):
+        assert self._lex_build(tmp_path, ["uk.tsv", "ur.tsv"]) == cli.EXIT_DATA
+        aligners = tmp_path / "aligners"
+        assert (f"DuplicateLanguage: {aligners / 'uk.tsv'} and {aligners / 'ur.tsv'} both "
+                f"hold language 'uk'") in capsys.readouterr().err
+        assert not (tmp_path / "lex.tsv").exists()
+
+    @pytest.mark.parametrize("column, tgt", [("uk", "ur"), ("ur", "uk")])
+    def test_tag_reads_the_alias_as_its_language(self, tmp_path, capsys, column, tgt):
+        _write(tmp_path / "lex.tsv", f"id\ten\t{column}\nne1\tPaul\tПавло\n")
+        _write(tmp_path / "test.en", "Paul said .\n")
+        status = cli.main(["tag", "--lexicon", str(tmp_path / "lex.tsv"), "--src", "en",
+                           "--tgt", tgt, "--in", str(tmp_path / "test.en"),
+                           "--out", str(tmp_path / "out")])
+        assert status == cli.EXIT_OK, capsys.readouterr().err
+        assert (tmp_path / "out").read_text(encoding="utf-8") == "$NE1 said .\n"
+
 
 class TestPipelineStages:
     def test_split_and_label(self, tmp_path, corpus_dir):
@@ -1158,6 +1197,36 @@ def test_sample_rejects_a_duplicate_verse_id(tmp_path, capsys):
     assert status == cli.EXIT_DATA
     assert f"{verses}:3: duplicate verse id 'v1'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tgt, message", [
+    ("xx", "UnknownLanguage: unknown language code 'xx'"),
+    ("fr", "UnknownLanguage: language 'fr' not in lexicon table"),
+], ids=["unregistered", "not-a-column"])
+def test_tag_refuses_a_target_language_the_lexicon_lacks(tmp_path, capsys, tgt, message):
+    _write(tmp_path / "lex.tsv", "id\ten\tsw\nne1\tNoah\tNoa\n")
+    _write(tmp_path / "test.en", "Noah slept .\n")
+    status = cli.main(["tag", "--lexicon", str(tmp_path / "lex.tsv"), "--src", "en",
+                       "--tgt", tgt, "--in", str(tmp_path / "test.en"),
+                       "--out", str(tmp_path / "out")])
+    assert status == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lexicon, where", [
+    ("id\ten\ten\nne1\tPaul\tPaulus\n", "lex.tsv:1: language 'en' names two columns"),
+    ("id\ten\tsw\nne1\tPaul\tPaulus\nne1\tNoah\tNoa\n", "lex.tsv:3: entry id 'ne1' is repeated"),
+], ids=["language-twice", "id-twice"])
+def test_tag_refuses_an_ambiguous_lexicon(tmp_path, capsys, lexicon, where):
+    _write(tmp_path / "lex.tsv", lexicon)
+    _write(tmp_path / "test.en", "Paul said .\n")
+    status = cli.main(["tag", "--lexicon", str(tmp_path / "lex.tsv"), "--src", "en",
+                       "--tgt", "sw", "--in", str(tmp_path / "test.en"),
+                       "--out", str(tmp_path / "out")])
+    assert status == cli.EXIT_DATA
+    assert f"MalformedLine: {tmp_path / where}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", ["--tgt-in", "--tgt-out"])

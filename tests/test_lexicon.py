@@ -286,3 +286,23 @@ class TestLexiconIo:
         (tmp_path / "lex.tsv").write_text("id\ten\tsw\nne1\tNoah\t \n", encoding="utf-8")
         with pytest.raises(MalformedLine, match="lex.tsv:2"):
             load_lexicon(tmp_path / "lex.tsv")
+
+    @pytest.mark.parametrize("header, lang", [("id\ten\ten", "en"), ("id\ten\tur\tuk", "uk")])
+    def test_a_language_named_twice_is_rejected_at_the_header(self, tmp_path, header, lang):
+        (tmp_path / "lex.tsv").write_text(f"{header}\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=f"lex.tsv:1: language '{lang}' names two columns"):
+            load_lexicon(tmp_path / "lex.tsv")
+
+    def test_a_column_is_known_by_its_registry_code(self, tmp_path):
+        (tmp_path / "lex.tsv").write_text("id\ten\tur\nne1\tPaul\tПавло\n", encoding="utf-8")
+        loaded = load_lexicon(tmp_path / "lex.tsv")
+        assert loaded.languages == ("en", "uk")
+        assert loaded.entries[0].surface("uk") == "Павло"
+
+    def test_a_repeated_entry_id_is_rejected_at_its_line(self, tmp_path):
+        lex, freq = tmp_path / "lex.tsv", tmp_path / "freq.tsv"
+        lex.write_text("id\ten\tsw\nne1\tNoah\tNoa\nne2\tShem\tSem\nne1\tHam\tHam\n",
+                       encoding="utf-8")
+        freq.write_text("ne1\ten\t3\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=r"lex.tsv:4: entry id 'ne1' is repeated"):
+            load_lexicon(lex, freq)
