@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import BadParameter, EmptyBitext, EmptySentence, MalformedLine
-from .fileio import atomic_write_lines, read_lines
+from .fileio import atomic_writer, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -232,12 +232,15 @@ def viterbi_align(
 
 
 def save_table(table: TranslationTable, path: str | Path, iterations: int) -> None:
+    """Write the table one source row at a time, so saving holds no copy of it."""
     params = table.params
-    lines = [f"#lambda={params.tension}\tp0={params.null_prob}\titerations={iterations}"]
-    for source_word in sorted(table.probs):
-        for target_word, prob in sorted(table.probs[source_word].items()):
-            lines.append(f"{source_word}\t{target_word}\t{prob:.12g}")
-    atomic_write_lines(path, lines)
+    with atomic_writer(path) as handle:
+        handle.write(f"#lambda={params.tension}\tp0={params.null_prob}\titerations={iterations}\n")
+        for source_word in sorted(table.probs):
+            handle.write("".join(
+                f"{source_word}\t{target_word}\t{prob:.12g}\n"
+                for target_word, prob in sorted(table.probs[source_word].items())
+            ))
 
 
 def _parse_header(line: str, where: str) -> DiagonalParams:

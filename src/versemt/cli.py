@@ -18,10 +18,11 @@ import select
 import signal
 import sys
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
-from .errors import CycleDetected, MalformedLine, PipelineError, StageFailed, UsageError
+from .errors import CycleDetected, MalformedLine, PipelineError, StageFailed, UnknownLanguage
+from .errors import UsageError
 from .fileio import atomic_write_lines, atomic_write_text, read_json, read_lines, read_rows
 from .fileio import read_parallel_lines, read_word_list
 
@@ -197,7 +198,9 @@ def _cmd_lex_build(args: argparse.Namespace) -> None:
     seed_list = read_word_list(args.seed_list)
     parallel = corpus.read_corpus_dir(args.corpus)
     aligners = _TableFiles(args.aligners)
-    table = lexicon.assemble_table(seed_list, parallel, aligners, min_votes=args.min_votes)
+    table = lexicon.assemble_table(
+        seed_list, parallel, aligners, min_votes=args.min_votes, map_languages=_fork_join_map
+    )
     lexicon.save_lexicon(table, args.out, args.freq_out)
     log.info("lex-build entries=%d languages=%d", len(table), len(table.languages))
 
@@ -219,6 +222,9 @@ def _cmd_tag(args: argparse.Namespace) -> None:
         raise UsageError("--tgt-in and --tgt-out must be given together")
     src_lang, tgt_lang = corpus.get_language(args.src).code, corpus.get_language(args.tgt).code
     table = lexicon.load_lexicon(args.lexicon)
+    for lang in (src_lang, tgt_lang):
+        if lang not in table.languages:  # checked before any line, so also on an empty input
+            raise UnknownLanguage(f"language {lang!r} not in lexicon table")
     files = read_parallel_lines(args.infile, *([args.tgt_in] if args.tgt_in else []))
     decode_path = args.decode or f"{args.out}.decode.jsonl"
     tagged_src, tagged_tgt, decodes = [], [], []
@@ -368,14 +374,16 @@ def _file_digest(path: Path) -> str:
 
 
 def _validated_stages(manifest: object, where: Path) -> list[dict]:
-    """The manifest's stages, once every field a run reads has its type and no
-    output path is at, inside or above another stage's output."""
+    """The manifest's stages, once every field a run reads has its type, no
+    output path is at, inside or above another stage's output, and one stage
+    at most reads stdin."""
     if not isinstance(manifest, dict):
         raise MalformedLine(f"{where}: the top level must be a JSON object")
     stages = manifest.get("stages", [])
     if not isinstance(stages, list):
         raise MalformedLine(f"{where}: `stages` must be a list")
     names: set[str] = set()
+    stdin_reader: str | None = None
     declared: list[tuple[str, tuple[str, ...], str]] = []  # (stage, parts, output as declared)
     for index, stage in enumerate(stages):
         at = f"{where}: stages[{index}]"
@@ -392,6 +400,12 @@ def _validated_stages(manifest: object, where: Path) -> list[dict]:
         if stage.get("command", [])[:1] == ["run"]:
             # A nested run would recurse on its own manifest, forking workers each time.
             raise MalformedLine(f"{at}: a stage cannot run a manifest")
+        if stage.get("command", [])[:1] == ["gl-monitor"]:
+            # The only stage that reads the run's stdin; two at once would split it.
+            if stdin_reader is not None:
+                raise MalformedLine(f"{at}: stages {stdin_reader!r} and {name!r} both read "
+                                    "stdin; give it to one stage at most")
+            stdin_reader = name
         outputs = [(name, _path_parts(output), output) for output in stage.get("outputs", [])]
         for _, parts, output in outputs:
             # Stages with nested outputs would race on the same files.
@@ -499,35 +513,64 @@ def _print_events(events: list) -> None:
 
 
 class _Outcome(NamedTuple):
-    events: list  # the stage's held output
-    error: Exception | None  # what it raised, None if it succeeded
+    events: list  # the call's held output
+    error: Exception | None  # what it raised, None if it returned
+    value: object = None  # what it returned
+
+
+def _held_call(fn: Callable, *args: object) -> _Outcome:
+    """Call ``fn(*args)`` in this process with its output held back."""
+    with _held_output() as events:
+        try:
+            return _Outcome(events, None, fn(*args))
+        except Exception as exc:
+            return _Outcome(events, exc)
 
 
 def _run_stage(name: str, argv: list[str]) -> _Outcome:
     """Run one stage command in this process with its output held back."""
-    with _held_output() as events:
+
+    def stage() -> None:
         log.info("stage %s: %s", name, " ".join(argv))
-        try:
+        with contextlib.suppress(SystemExit):  # argparse's --help, its only exit
             dispatch(argv)
-        except SystemExit:  # argparse's --help, its only exit
-            pass
-        except Exception as exc:
-            return _Outcome(events, exc)
-        return _Outcome(events, None)
+
+    return _held_call(stage)
+
+
+# The process that imported this module. Only it forks, so a run has two
+# workers at most and one lex-build helper: those fork nothing themselves.
+_FORKING_PID = os.getpid()
+
+
+def _may_fork_a_worker() -> bool:
+    """Whether this process may fork workers, or a lex-build helper: where it can
+    fork, may use more than one CPU and is not itself a forked worker or helper.
+    It is two workers at most whatever the CPU count, the one configuration the
+    benchmark has measured (on two CPUs)."""
+    if not hasattr(os, "fork") or os.getpid() != _FORKING_PID:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
 
 
 class _Worker:
     """A forked process that runs the stage commands sent over its pipe, one at a
     time, and sends back each outcome; it exits when the pipe closes, so also
-    after the current stage when the runner is gone."""
+    after the current stage when the runner is gone. It closes its copies of the
+    ``earlier`` workers' pipes, or those would never see their pipes close."""
 
-    def __init__(self) -> None:
+    def __init__(self, earlier: list[_Worker]) -> None:
         command_r, command_w = os.pipe()
         reply_r, reply_w = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
             status = 1
             try:
+                for other in earlier:
+                    other.commands.close()
+                    other.replies.close()
                 os.close(command_w)
                 os.close(reply_r)
                 with os.fdopen(command_r, "rb") as commands, os.fdopen(reply_w, "wb") as replies:
@@ -543,13 +586,13 @@ class _Worker:
         self.commands = os.fdopen(command_w, "wb")
         self.replies = os.fdopen(reply_r, "rb")
 
+    def fileno(self) -> int:
+        """Its reply pipe, for ``select``: readable once its stage has ended."""
+        return self.replies.fileno()
+
     def start(self, name: str, argv: list[str]) -> None:
         self.commands.write(pickle.dumps((name, argv)))
         self.commands.flush()
-
-    def done(self) -> bool:
-        """Whether the outcome of the stage it runs can be received without waiting."""
-        return bool(select.select([self.replies], [], [], 0)[0])
 
     def receive(self) -> _Outcome:
         """The outcome of the stage it runs, once that stage ends."""
@@ -567,24 +610,71 @@ class _Worker:
         self.replies.close()
 
 
-def _may_fork_a_worker() -> bool:
-    """Whether a worker may run stages beside this process: where the process can
-    fork and may use more than one CPU. It is one worker whatever the CPU count,
-    the one configuration the benchmark has measured (on two CPUs)."""
-    if not hasattr(os, "fork"):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
+def _held_calls(fn: Callable, items: list) -> list[_Outcome]:
+    """``_held_call(fn, item)`` for each item, up to the first that fails."""
+    outcomes = []
+    for item in items:
+        outcomes.append(_held_call(fn, item))
+        if outcomes[-1].error is not None:
+            break
+    return outcomes
+
+
+def _fork_join_map(fn: Callable, items: Iterable) -> list:
+    """``list(map(fn, items))``, with a forked helper calling ``fn`` on every
+    other item where a worker may fork. Each call's output is held and printed
+    in item order, up to the first call that fails, whose error is raised, so
+    the output and the error are those of the builtin ``map``. The helper's
+    results come back pickled; ``fn`` itself is never pickled."""
+    items = list(items)
+    if len(items) < 2 or not _may_fork_a_worker():
+        return list(map(fn, items))
+    reply_r, reply_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(reply_r)
+            with os.fdopen(reply_w, "wb") as replies:
+                replies.write(pickle.dumps(_held_calls(fn, items[1::2])))
+            status = 0
+        finally:
+            os._exit(status)  # never return into the caller's stack
+    os.close(reply_w)
+    try:
+        with os.fdopen(reply_r, "rb") as replies:
+            mine = _held_calls(fn, items[0::2])
+            try:
+                theirs = pickle.load(replies)
+            except EOFError:
+                theirs = [_Outcome([], RuntimeError(f"helper process {pid} ended without a reply"))]
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    results = []
+    for k in range(len(items)):  # each process stops at its first failure, so k exists up to it
+        events, error, value = (mine, theirs)[k % 2][k // 2]
+        _print_events(events)
+        if error is not None:
+            raise error
+        results.append(value)
+    return results
+
+
+# Workers a run forks at most. Two keep two CPUs busy while the runner's own
+# stage shares one of them; more have not been measured on more CPUs.
+_MAX_WORKERS = 2
 
 
 class _ManifestRun:
     """One run of a manifest's stages in ``_topological_order``. The next stage is
     the first in that order that has not started and whose predecessors are done:
-    this process runs it, and a forked worker, where one may run, takes the next
-    one. Each stage's output is printed as one block in that order, and the state
-    file is written with sorted keys, so a run prints and records what a one-CPU
-    run does."""
+    this process runs it, after giving each idle worker, where workers may run,
+    the next one. Each stage's output is printed as one block in that order, and
+    the state file is written with sorted keys, so a run prints and records what
+    a one-CPU run does."""
 
     def __init__(self, stages: list[dict], state: dict, state_path: Path) -> None:
         self.by_name = {stage["name"]: stage for stage in stages}
@@ -597,32 +687,38 @@ class _ManifestRun:
         self.printed = 0
         self.failures: dict[int, Exception] = {}
 
-    def run(self, with_worker: bool) -> None:
-        worker: _Worker | None = None
-        theirs: tuple[str, str] | None = None  # the worker's stage and its fingerprint
+    def run(self, with_workers: bool) -> None:
+        workers: list[_Worker] = []
+        busy: dict[_Worker, tuple[str, str]] = {}  # a worker -> its stage and fingerprint
         try:
             while True:
                 mine = self._next_stage()
-                if mine and with_worker and theirs is None:
+                while mine and with_workers:
+                    idle = next((worker for worker in workers if worker not in busy), None)
+                    if idle is None and len(workers) == _MAX_WORKERS:
+                        break
                     theirs = self._next_stage()
-                    if theirs:
-                        if worker is None:
-                            _get_parser()  # built once, before the fork
-                            worker = _Worker()
-                        worker.start(theirs[0], self._command(theirs[0]))
+                    if theirs is None:
+                        break
+                    if idle is None:  # forked the first time a ready stage finds no idle worker
+                        _get_parser()  # built once, before the fork
+                        idle = _Worker(workers)
+                        workers.append(idle)
+                    idle.start(theirs[0], self._command(theirs[0]))
+                    busy[idle] = theirs
                 if mine:
                     self._finish(*mine, _run_stage(mine[0], self._command(mine[0])))
-                elif theirs is None:
+                elif not busy:
                     break
-                if theirs and (not mine or worker.done()):  # it waits only with nothing to run
-                    self._finish(*theirs, worker.receive())
-                    theirs = None
+                # Collect every worker that is done; wait for one only with nothing to run.
+                for worker in select.select(list(busy), [], [], 0 if mine else None)[0]:
+                    self._finish(*busy.pop(worker), worker.receive())
         except BaseException:
-            if worker is not None:
+            for worker in workers:
                 os.kill(worker.pid, signal.SIGKILL)
             raise
         finally:
-            if worker is not None:
+            for worker in workers:
                 worker.close()
         for index in sorted(self.blocks):  # those after a failed stage
             _print_events(self.blocks.pop(index))
@@ -669,7 +765,7 @@ class _ManifestRun:
 
     def _finish(self, name: str, fingerprint: str, outcome: _Outcome) -> None:
         """Print the stage's output in its turn; record the stage as done, or its failure."""
-        events, error = outcome
+        events, error, _ = outcome
         self._print_in_turn(name, events)
         failure = error
         if isinstance(error, (PipelineError, UsageError)):
@@ -691,9 +787,9 @@ class _ManifestRun:
 
 
 def run_manifest(manifest_path: str | Path) -> int:
-    """Run manifest stages in dependency order, skipping up-to-date ones. Two
-    stages whose inputs are ready run at the same time where the process may use
-    more than one CPU.
+    """Run manifest stages in dependency order, skipping up-to-date ones. Up to
+    three stages whose inputs are ready run at the same time where the process
+    may use more than one CPU.
     After a failed stage no stage starts; those running finish and are recorded
     if they succeed."""
     manifest_path = Path(manifest_path)

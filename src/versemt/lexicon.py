@@ -7,7 +7,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .alignment import TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, get_language, registry_order, tokenize
@@ -163,6 +163,7 @@ def assemble_table(
     corpus: ParallelCorpus,
     aligners: Mapping[str, TranslationTable],
     min_votes: int = DEFAULT_MIN_VOTES,
+    map_languages: Callable = map,
 ) -> LexiconTable:
     """Project an English seed list across the corpus languages via alignment.
 
@@ -171,6 +172,10 @@ def assemble_table(
     decoding with the positional prior that language's table was trained with;
     the majority candidate becomes the surface once it has enough votes.
     Multi-token candidates count only when the linked tokens are contiguous.
+
+    The target languages are independent: ``map_languages(step, languages)``
+    runs the per-language step over them and gives its results in language
+    order, like the builtin ``map``, which is the default.
     """
     if SEED_LANGUAGE not in corpus.languages:
         raise UnknownLanguage(f"corpus has no {SEED_LANGUAGE!r} side")
@@ -188,43 +193,42 @@ def assemble_table(
     for (name, _), spans in zip(surfaces, en_spans):
         if not spans:
             log.warning("SeedNotInCorpus: %r has no occurrence in the English side", name)
-
-    # One Viterbi pass per (verse, language), shared by all entries.
-    votes: list[dict[str, Counter[str]]] = [
-        {lang: Counter() for lang in target_langs} for _ in surfaces
-    ]
     wanted_verses = {v for spans in en_spans for v, _, _ in spans}
-    for lang in target_langs:
+
+    def project(lang: str) -> list[Counter[str]]:
+        """Each entry's votes in `lang`, from one Viterbi pass per wanted verse.
+        The table is read here and released on return: `aligners` may read each
+        table on lookup, and then one process holds one table at a time."""
         table = aligners[lang]
+        tgt = tgt_tokens[lang]
         vectors: dict[int, list[int]] = {}  # verse -> Viterbi alignment vector
         # Verses are visited by sentence shape (n, m), so each shape's
         # position priors are computed once and only one shape's are held.
         prior_cache: dict[tuple[int, int], list[list[float]]] = {}
-        tgt = tgt_tokens[lang]
         for v in sorted(wanted_verses, key=lambda v: (len(en_tokens[v]), len(tgt[v]), v)):
             if not en_tokens[v] or not tgt[v]:
                 continue
             if (len(en_tokens[v]), len(tgt[v])) not in prior_cache:
                 prior_cache.clear()
             vectors[v] = viterbi_align(table, table.params, (en_tokens[v], tgt[v]), prior_cache)
-        for entry_idx, spans in enumerate(en_spans):
+        votes: list[Counter[str]] = [Counter() for _ in en_spans]
+        for entry_votes, spans in zip(votes, en_spans):
             for v, a, b in spans:
                 # Target positions linked into the span, sorted and unique.
                 linked = [j for j, i in enumerate(vectors.get(v, ())) if a <= i < b]
                 if not linked or linked[-1] - linked[0] + 1 != len(linked):
                     continue  # no projection, or a non-contiguous one: no vote
-                candidate = " ".join(tgt_tokens[lang][v][linked[0] : linked[-1] + 1])
-                votes[entry_idx][lang][candidate] += 1
-        # Released before the next language's table is read: `aligners` may read
-        # each table on lookup, and then only one is held at a time.
-        del table, prior_cache
+                entry_votes[" ".join(tgt[v][linked[0] : linked[-1] + 1])] += 1
+        return votes
+
+    votes_in = dict(zip(target_langs, map_languages(project, target_langs)))
 
     chosen: list[dict[str, str]] = []  # per entry: lang -> surface
     for entry_idx, (name, _) in enumerate(surfaces):
         entry_surfaces = {SEED_LANGUAGE: name}
         required = 1 if len(en_spans[entry_idx]) == 1 else min_votes
         for lang in target_langs:
-            counter = votes[entry_idx][lang]
+            counter = votes_in[lang][entry_idx]
             if counter:
                 top = max(counter.values())
                 best = min(c for c, n in counter.items() if n == top)

@@ -291,6 +291,37 @@ class TestTableIo:
             load_table(tmp_path / "t.tsv")
 
 
+def _save_table_joined(table, path, iterations):
+    """``save_table`` as it was: every line built, then the joined text written."""
+    params = table.params
+    lines = [f"#lambda={params.tension}\tp0={params.null_prob}\titerations={iterations}"]
+    for source_word in sorted(table.probs):
+        for target_word, prob in sorted(table.probs[source_word].items()):
+            lines.append(f"{source_word}\t{target_word}\t{prob:.12g}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+_word = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1,
+                max_size=6)
+
+
+@given(
+    probs=st.dictionaries(_word, st.dictionaries(_word, st.floats(0.0, 1.0), max_size=5),
+                          max_size=6),
+    tension=st.sampled_from([0.0, 2.5, 4.0]),
+    null_prob=st.sampled_from([0.0, 0.08]),
+    iterations=st.integers(0, 9),
+)
+@settings(max_examples=150, deadline=None)
+def test_save_table_writes_the_bytes_of_the_joined_text(tmp_path_factory, probs, tension,
+                                                        null_prob, iterations):
+    root = tmp_path_factory.mktemp("tables")
+    table = TranslationTable(probs=probs, params=DiagonalParams(tension, null_prob))
+    save_table(table, root / "rows.tsv", iterations)
+    _save_table_joined(table, root / "joined.tsv", iterations)
+    assert (root / "rows.tsv").read_bytes() == (root / "joined.tsv").read_bytes()
+
+
 def test_sum_ltr_adds_left_to_right():
     assert _sum_ltr([1e16, 1.0, -1e16]) == 0.0  # Python 3.12's compensated sum gives 1.0
     assert _sum_ltr([]) == sum([])

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -1166,12 +1167,117 @@ def test_lex_build_holds_one_table_at_a_time(tmp_path, monkeypatch, capsys):
         return table
 
     monkeypatch.setattr(alignment, "load_table", counting_load)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     status = cli.main(["lex-build", "--seed-list", str(tmp_path / "seeds.txt"),
                        "--corpus", str(tmp_path / "aligned"), "--aligners", str(tmp_path / "aligners"),
                        "--out", str(tmp_path / "lex.tsv")])
     assert status == cli.EXIT_OK, capsys.readouterr().err
     assert live_at_load == [0, 0, 0]  # one read per language, none alive at the next read
     assert (tmp_path / "lex.tsv").read_text(encoding="utf-8").split("\n")[0] == "id\ten\tsw\tru\tfr"
+
+
+def _three_aligners(root: Path) -> list[str]:
+    """A corpus of English and three target languages, a table for each in
+    `aligners/` and a seed list; the lex-build command over them."""
+    from versemt import alignment
+
+    _write(root / "aligned" / "en.tsv", "".join(f"v{i}\tNoah saw house {i}\n" for i in range(6)))
+    for lang in ("fr", "ru", "sw"):
+        _write(root / "aligned" / f"{lang}.tsv",
+               "".join(f"v{i}\tNoa-{lang} x{i} y{i}\n" for i in range(6)))
+        bitext = [(["Noah", "saw", "house"], [f"Noa-{lang}", "x", "y"])] * 3
+        alignment.save_table(alignment.train_em(bitext, 2), root / "aligners" / f"{lang}.tsv", 2)
+    _write(root / "seeds.txt", "Noah\n")
+    return ["lex-build", "--seed-list", str(root / "seeds.txt"), "--corpus", str(root / "aligned"),
+            "--aligners", str(root / "aligners"), "--out", str(root / "lex.tsv")]
+
+
+def _no_fork():
+    raise AssertionError("forked on one CPU")
+
+
+@pytest.mark.parametrize("broken", [(1,), (1, 2), (0, 1)], ids=["helper", "both", "parent"])
+def test_lex_build_names_the_first_malformed_table_as_on_one_cpu(tmp_path, monkeypatch, capsys,
+                                                                 broken):
+    # The target languages come in corpus (registry) order, sw ru fr; the helper
+    # decodes the second. Each broken table has a bad probability on line 3.
+    command = _three_aligners(tmp_path)
+    targets = [lang for lang in cli.corpus.read_corpus_dir(tmp_path / "aligned").languages
+               if lang != "en"]
+    assert targets == ["sw", "ru", "fr"]
+    for index in broken:
+        table = tmp_path / "aligners" / f"{targets[index]}.tsv"
+        lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].rsplit("\t", 1)[0] + "\tlots\n"
+        table.write_text("".join(lines), encoding="utf-8")
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        with monkeypatch.context() as patch:
+            if len(cpus) == 1:
+                patch.setattr(os, "fork", _no_fork)
+            assert cli.main(command) == cli.EXIT_DATA
+        errors.append(capsys.readouterr().err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    first = tmp_path / "aligners" / f"{targets[broken[0]]}.tsv"
+    assert errors[0] == errors[1] == (
+        f"error: MalformedLine: {first}:3: probability 'lots' is not in [0, 1]\n")
+    assert not (tmp_path / "lex.tsv").exists()
+
+
+def test_a_lex_build_stage_in_a_worker_forks_no_helper(tmp_path, monkeypatch, capsys):
+    # a-config runs in the runner and b-lex-build beside it in the worker, which
+    # decodes the languages one after another: a run has two workers at most and
+    # one helper, and only the runner forks.
+    command = _three_aligners(tmp_path)
+    stages = [
+        {"name": "a-config", "command": ["emit-config", "--profile", "multilingual",
+                                         "--out", str(tmp_path / "a.cfg")],
+         "inputs": [], "outputs": [str(tmp_path / "a.cfg")]},
+        {"name": "b-lex-build", "command": command, "inputs": [],
+         "outputs": [str(tmp_path / "lex.tsv")]},
+    ]
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    runner, real_fork = os.getpid(), os.fork
+
+    def runner_only_fork():
+        if os.getpid() != runner:
+            raise AssertionError(f"process {os.getpid()} forked")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", runner_only_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert cli.main(["run", "--manifest", str(tmp_path / "pipeline.json")]) == cli.EXIT_OK, \
+        capsys.readouterr().err
+    assert (tmp_path / "lex.tsv").read_text(encoding="utf-8").startswith("id\ten\tsw\tru\tfr\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, RuntimeError])
+def test_no_lex_build_helper_outlives_an_exception(tmp_path, monkeypatch, interrupt):
+    from versemt import lexicon
+
+    command = _three_aligners(tmp_path)
+    parent = os.getpid()
+    real_viterbi = lexicon.viterbi_align
+
+    def viterbi(*args):
+        if os.getpid() == parent:
+            raise interrupt("stop")
+        time.sleep(0.05)  # the helper is still busy when the parent stops
+        return real_viterbi(*args)
+
+    monkeypatch.setattr(lexicon, "viterbi_align", viterbi)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if interrupt is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(command)
+    else:
+        assert cli.main(command) == cli.EXIT_INTERNAL
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("encoding", ["utf-8:strict", None], ids=["strict", "default"])
@@ -1227,6 +1333,23 @@ def test_tag_refuses_an_ambiguous_lexicon(tmp_path, capsys, lexicon, where):
     assert status == cli.EXIT_DATA
     assert f"MalformedLine: {tmp_path / where}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["", "Noah slept .\n"], ids=["empty", "one-line"])
+@pytest.mark.parametrize("src, tgt, missing", [("en", "fr", "fr"), ("fr", "sw", "fr")],
+                         ids=["target", "source"])
+def test_tag_checks_both_languages_before_reading_a_line(tmp_path, capsys, text, src, tgt,
+                                                         missing):
+    _write(tmp_path / "lex.tsv", "id\ten\tsw\nne1\tNoah\tNoa\n")
+    _write(tmp_path / "test.txt", text)
+    status = cli.main(["tag", "--lexicon", str(tmp_path / "lex.tsv"), "--src", src,
+                       "--tgt", tgt, "--in", str(tmp_path / "test.txt"),
+                       "--out", str(tmp_path / "out")])
+    assert status == cli.EXIT_DATA
+    assert (f"UnknownLanguage: language {missing!r} not in lexicon table"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.decode.jsonl").exists()
 
 
 @pytest.mark.parametrize("flag", ["--tgt-in", "--tgt-out"])

@@ -116,7 +116,7 @@ def test_a_worker_prints_and_writes_what_one_cpu_does(tmp_path, monkeypatch):
         runs[cpus] = _tree(root), output, forks
         _assert_no_child_left()
     (tree1, output1, forks1), (tree2, output2, forks2), (tree8, output8, forks8) = runs.values()
-    assert forks1 == [] and len(forks2) == len(forks8) == 1  # one worker whatever the CPU count
+    assert forks1 == [] and len(forks2) == len(forks8) == 2  # two workers whatever the CPU count
     assert tree1 == tree2 == tree8
     assert json.loads(tree2["pipeline.json.state.json"]).keys() == {
         "ingest-en", "ingest-sw", "align", "align-train-2", "align-train-3", "bleu", "config",
@@ -220,6 +220,43 @@ def test_an_internal_error_in_a_worker_exits_3(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
+def test_a_data_error_in_one_worker_lets_the_other_and_the_runner_finish(tmp_path, monkeypatch):
+    # a-slow runs in this process, b-broken and c-slow in the two workers; both
+    # slow stages are still running when b-broken fails, and d-never, ready from
+    # the start, waits for a free process until the failure stops the run.
+    real_emit = harness.emit_trainer_config
+    failed = tmp_path / "b-failed"
+
+    def emit(profile):
+        if profile == "broken":
+            failed.touch()
+            raise UnknownProfile(f"raised in process {os.getpid()}")
+        if profile == "slow":
+            deadline = time.monotonic() + 10
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)  # time for b-broken's reply to reach the runner
+            profile = "multilingual"
+        return real_emit(profile)
+
+    monkeypatch.setattr(harness, "emit_trainer_config", emit)
+    stages = [_stage(name, ["emit-config", "--profile", profile, "--out", f"{name}.cfg"], [],
+                     [f"{name}.cfg"])
+              for name, profile in [("a-slow", "slow"), ("b-broken", "broken"),
+                                    ("c-slow", "slow"), ("d-never", "multilingual")]]
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    monkeypatch.chdir(tmp_path)
+    forks = _slots(monkeypatch, 2)
+    status, output = _run()
+    assert status == cli.EXIT_DATA
+    assert len(forks) == 2
+    assert output.splitlines()[-1].startswith("error: StageFailed: stage b-broken: raised in ")
+    state = json.loads((tmp_path / "pipeline.json.state.json").read_text())
+    assert set(state) == {"a-slow", "c-slow"}
+    assert (tmp_path / "c-slow.cfg").exists() and not (tmp_path / "d-never.cfg").exists()
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, RuntimeError])
 def test_no_worker_outlives_an_exception_in_the_runner(tmp_path, monkeypatch, interrupt):
     runner = os.getpid()
@@ -255,7 +292,7 @@ def test_a_worker_exits_when_its_command_pipe_closes(monkeypatch, caplog):
     monkeypatch.setattr(cli, "_parser", None)
     cli._get_parser()
     with caplog.at_level(logging.INFO, logger="versemt"):
-        worker = cli._Worker()
+        worker = cli._Worker([])
     try:
         worker.start("config", ["emit-config", "--profile", "nope", "--out", "x"])
         outcome = worker.receive()
@@ -267,6 +304,24 @@ def test_a_worker_exits_when_its_command_pipe_closes(monkeypatch, caplog):
         with contextlib.suppress(OSError):
             worker.commands.close()
         worker.replies.close()
+    _assert_no_child_left()
+
+
+def test_the_first_worker_exits_on_eof_after_a_second_is_forked(monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)
+    cli._get_parser()
+    first = cli._Worker([])
+    second = cli._Worker([first])  # holds no copy of the first one's pipes
+    try:
+        first.commands.close()
+        assert _wait_exited(first.pid)
+        second.commands.close()
+        assert _wait_exited(second.pid)
+    finally:
+        for worker in (first, second):
+            with contextlib.suppress(OSError):
+                worker.commands.close()
+            worker.replies.close()
     _assert_no_child_left()
 
 
@@ -394,6 +449,47 @@ def test_a_stage_reading_stdin_reads_the_runs_and_prints_one_block(tmp_path, mon
     lines = outputs[1].splitlines()
     monitor_at = lines.index("INFO versemt: stage b-monitor: gl-monitor --alpha 5")
     assert [line.split("\t")[0] for line in lines[monitor_at + 1:]] == ["1", "2", "3"]
+
+
+def test_two_stdin_readers_are_refused_before_any_stage_runs(tmp_path, monkeypatch, capsys):
+    stages = [
+        _stage("a-config", ["emit-config", "--profile", "multilingual", "--out", "a.cfg"], [],
+               ["a.cfg"]),
+        _stage("b-monitor", ["gl-monitor", "--alpha", "5"], [], []),
+        _stage("c-monitor", ["gl-monitor"], [], []),
+    ]
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--manifest", "pipeline.json"]) == cli.EXIT_DATA
+    assert ("pipeline.json: stages[2]: stages 'b-monitor' and 'c-monitor' both read stdin; "
+            "give it to one stage at most\n") in capsys.readouterr().err
+    assert not (tmp_path / "a.cfg").exists()
+    assert not (tmp_path / "pipeline.json.state.json").exists()
+
+
+def test_a_real_workload_prints_and_writes_the_same_on_one_and_two_cpus(tmp_path, monkeypatch):
+    # The benchmark's ne-lexicon workload at its tiny size: three align-trains
+    # ready together, so two workers, and lex-build's three target languages,
+    # so one helper on two CPUs.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    runs = []
+    for cpus in (1, 2):
+        root = tmp_path / f"cpus{cpus}"
+        root.mkdir()
+        workloads.prepare_lexicon(1, "tiny", root)
+        monkeypatch.chdir(root)
+        forks = _slots(monkeypatch, cpus)
+        status, output = _run()
+        assert status == cli.EXIT_OK, output
+        _assert_no_child_left()
+        runs.append((_tree(root), output, len(forks)))
+    (tree1, output1, forks1), (tree2, output2, forks2) = runs
+    assert (forks1, forks2) == (0, 3)
+    assert "pipeline.json.state.json" in tree1 and "lexicon.tsv" in tree1
+    assert tree1 == tree2
+    assert output1 == output2
 
 
 def test_importing_the_cli_starts_no_process_machinery():

@@ -4,12 +4,13 @@ one-scan-per-surface assemble_table and trim_table it replaced."""
 from __future__ import annotations
 
 import logging
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from versemt import lexicon
+from versemt import cli, lexicon
 from versemt.alignment import DiagonalParams, train_em
 from versemt.corpus import tokenize
 from versemt.lexicon import (
@@ -123,6 +124,36 @@ def test_assemble_table_equals_per_surface_scans(case, caplog):
         want_warnings = _warnings(caplog)
     assert got == want  # ids, surfaces, frequencies and languages
     assert got_warnings == want_warnings
+
+
+class _LoggedTables(dict):
+    def __getitem__(self, lang):
+        logging.getLogger("versemt.lexicon").debug("reading the %s table", lang)
+        return super().__getitem__(lang)
+
+
+@given(case=_projection_case())
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_assemble_table_decoding_languages_side_by_side_equals_one_after_another(
+    case, caplog, monkeypatch
+):
+    # With two target languages, a forked helper decodes the second. Each table
+    # read logs a DEBUG line, so the log shows the order of the languages.
+    seed, corpus, aligners, _, min_votes = case
+    aligners = _LoggedTables(aligners)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    tables, logs = [], []
+    for map_languages in (map, cli._fork_join_map):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="versemt"):
+            tables.append(assemble_table(seed, corpus, aligners, min_votes, map_languages))
+        logs.append([(r.name, r.levelname, r.getMessage()) for r in caplog.records])
+    assert tables[0] == tables[1]
+    assert logs[0] == logs[1]  # each language's DEBUG lines, in language order
+    assert [m for _, _, m in logs[1] if m.startswith("reading")] == [
+        f"reading the {lang} table" for lang in corpus.languages if lang != "en"]
 
 
 @given(
