@@ -187,15 +187,15 @@ def train_em(
 
 def viterbi_align(
     table: TranslationTable,
-    params: DiagonalParams,
     pair: SentencePair,
     prior_cache: dict[tuple[int, int], list[list[float]]] | None = None,
 ) -> list[int]:
     """The alignment vector a: a[j] is the source index linked to target
     position j, or -1 where NULL (or no source word) is the best link.
 
-    ``prior_cache`` maps (n, m) to the position priors of ``params``; a caller
-    aligning many pairs with the same params passes one dict to all calls.
+    ``prior_cache`` maps (n, m) to the position priors of ``table.params``, the
+    prior the table was trained with; a caller aligning many pairs with one
+    table passes one dict to all calls.
     """
     src_tokens, tgt_tokens = pair
     if not src_tokens or not tgt_tokens:
@@ -204,7 +204,7 @@ def viterbi_align(
     cache = {} if prior_cache is None else prior_cache
     priors = cache.get((n, m))
     if priors is None:
-        priors = cache[n, m] = _position_priors(n, m, params)
+        priors = cache[n, m] = _position_priors(n, m, table.params)
     # Each source row is fetched once per sentence, not once per cell.
     rows = [table.probs.get(e, {}) for e in src_tokens]
     null_row = table.probs.get(NULL_TOKEN, {})

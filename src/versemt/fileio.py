@@ -1,6 +1,6 @@
 r"""Every input file is read here: as lines, which end at ``\n``, ``\r\n`` or ``\r``
 and nowhere else; as a word list; as line-aligned files; as tab-separated rows;
-or as JSON. Also atomic file writing."""
+as JSON; or as chunks of bytes. Also atomic file writing."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -75,6 +76,13 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 data = data[: first.start]
             ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
             raise MalformedLine(f"{path}:{ends + 1}: not UTF-8 ({exc.reason})") from None
+
+
+@contextmanager
+def read_binary(path: str | Path) -> Iterator[tuple[int, Iterator[bytes]]]:
+    """The size of an open file and an iterator over its bytes, 64 KiB at a time."""
+    with open(path, "rb") as handle:
+        yield os.fstat(handle.fileno()).st_size, iter(partial(handle.read, 1 << 16), b"")
 
 
 def read_word_list(path: str | Path) -> list[str]:

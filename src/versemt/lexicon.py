@@ -210,7 +210,7 @@ def assemble_table(
                 continue
             if (len(en_tokens[v]), len(tgt[v])) not in prior_cache:
                 prior_cache.clear()
-            vectors[v] = viterbi_align(table, table.params, (en_tokens[v], tgt[v]), prior_cache)
+            vectors[v] = viterbi_align(table, (en_tokens[v], tgt[v]), prior_cache)
         votes: list[Counter[str]] = [Counter() for _ in en_spans]
         for entry_votes, spans in zip(votes, en_spans):
             for v, a, b in spans:

@@ -397,10 +397,10 @@ def learn_bpe_oracle(tokenized_corpus, num_merges, reserved=(), vocab_side="sour
     return BpeModel(merges=tuple(merges), vocab_side=vocab_side, reserved=reserved_set)
 
 
-def viterbi_align_oracle(table, params, pair, prior_cache=None):
+def viterbi_align_oracle(table, pair, prior_cache=None):
     """``alignment.viterbi_align`` as it was before rows were fetched once per
-    sentence: ``table.prob(e, f)`` for every (source, target) cell. Returns the
-    alignment vector, -1 for NULL."""
+    sentence: ``table.prob(e, f)`` for every (source, target) cell, under the
+    table's own prior. Returns the alignment vector, -1 for NULL."""
     import logging
 
     from versemt.alignment import NULL_TOKEN, _position_priors
@@ -415,7 +415,7 @@ def viterbi_align_oracle(table, params, pair, prior_cache=None):
     cache = {} if prior_cache is None else prior_cache
     priors = cache.get((n, m))
     if priors is None:
-        priors = cache[n, m] = _position_priors(n, m, params)
+        priors = cache[n, m] = _position_priors(n, m, table.params)
     links = []
     for j, f in enumerate(tgt_tokens):
         best_i = -1
@@ -446,7 +446,7 @@ def _count_occurrences_scan(texts, surface):
     return sum(len(index.scan(tokens)) for tokens in texts)
 
 
-def assemble_table_oracle(seed, corpus, aligners, params, min_votes):
+def assemble_table_oracle(seed, corpus, aligners, min_votes):
     """``lexicon.assemble_table`` as it was before occurrence indexes: one
     single-surface SurfaceIndex scan of the English side per seed and of the
     target side per accepted surface, decoded with ``viterbi_align_oracle``.
@@ -494,7 +494,7 @@ def assemble_table_oracle(seed, corpus, aligners, params, min_votes):
             if (len(en_tokens[v]), len(tgt[v])) not in prior_cache:
                 prior_cache.clear()
             by_src = {}
-            vector = viterbi_align(table, params, (en_tokens[v], tgt[v]), prior_cache)
+            vector = viterbi_align(table, (en_tokens[v], tgt[v]), prior_cache)
             for j, i in enumerate(vector):
                 if i >= 0:
                     by_src.setdefault(i, []).append(j)

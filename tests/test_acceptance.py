@@ -251,7 +251,7 @@ def test_criterion_09_alignment_recovery():
     total_links = 0
     correct_links = 0
     for src, tgt in bitext:
-        for j, i in enumerate(viterbi_align(table, params, (src, tgt))):
+        for j, i in enumerate(viterbi_align(table, (src, tgt))):
             if i < 0:
                 continue
             total_links += 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -169,28 +170,29 @@ class TestTrainEm:
 class TestViterbi:
     def test_forced_argmax(self):
         table = TranslationTable(probs={"a": {"x": 1.0}})
-        links = viterbi_align(table, DiagonalParams(), (["a"], ["x"]))
+        links = viterbi_align(table, (["a"], ["x"]))
         assert links == [0]
 
     def test_uniform_follows_diagonal(self):
         row = {"p": 0.2, "q": 0.2, "r": 0.2}
         table = TranslationTable(
-            probs={"a": dict(row), "b": dict(row), "c": dict(row), NULL_TOKEN: {}}
+            probs={"a": dict(row), "b": dict(row), "c": dict(row), NULL_TOKEN: {}},
+            params=DiagonalParams(tension=4.0, null_prob=0.08),
         )
-        links = viterbi_align(
-            table, DiagonalParams(tension=4.0, null_prob=0.08), (["a", "b", "c"], ["p", "q", "r"])
-        )
-        assert links == [0, 1, 2]
+        pair = (["a", "b", "c"], ["p", "q", "r"])
+        assert viterbi_align(table, pair) == [0, 1, 2]
+        # The table's own prior decodes it: without a diagonal, ties go to the first word.
+        assert viterbi_align(dataclasses.replace(table, params=MODEL1), pair) == [0, 0, 0]
 
     def test_unseen_target_omitted(self):
         table = TranslationTable(probs={"a": {"x": 1.0}})
-        links = viterbi_align(table, DiagonalParams(), (["a"], ["zzz"]))
+        links = viterbi_align(table, (["a"], ["zzz"]))
         assert links == [-1]
 
     def test_empty_sentence(self):
         table = TranslationTable(probs={"a": {"x": 1.0}})
         with pytest.raises(EmptySentence):
-            viterbi_align(table, DiagonalParams(), ([], ["x"]))
+            viterbi_align(table, ([], ["x"]))
 
     def test_prior_cache_gives_same_links(self):
         bitext = _random_bitext(random.Random(5), pairs=30, vocab=6, max_len=5)
@@ -199,7 +201,7 @@ class TestViterbi:
         cache: dict = {}
         for pair in bitext:
             if pair[0] and pair[1]:
-                assert viterbi_align(table, params, pair, cache) == viterbi_align(table, params, pair)
+                assert viterbi_align(table, pair, cache) == viterbi_align(table, pair)
         shapes = {(len(src), len(tgt)) for src, tgt in bitext if src and tgt}
         assert cache.keys() == shapes
         assert all(cache[n, m] == _position_priors(n, m, params) for n, m in shapes)
@@ -232,10 +234,10 @@ def test_viterbi_links_equal_oracle(bitext, extra, tension, null_prob, iteration
     for pair in bitext + extra:
         if not pair[0] or not pair[1]:
             continue
-        want = viterbi_align_oracle(table, params, pair)
-        assert viterbi_align(table, params, pair) == want
-        assert viterbi_align(table, params, pair, cache) == want
-        assert viterbi_align_oracle(table, params, pair, oracle_cache) == want
+        want = viterbi_align_oracle(table, pair)
+        assert viterbi_align(table, pair) == want
+        assert viterbi_align(table, pair, cache) == want
+        assert viterbi_align_oracle(table, pair, oracle_cache) == want
 
 
 class TestTableIo:

@@ -21,6 +21,7 @@ import versemt
 from versemt import cli, harness
 from versemt.errors import CycleDetected, StageFailed, UsageError
 from versemt.fileio import atomic_write_text
+from versemt.manifest import _stage_graph, _topological_order
 
 
 def _write(path, text):
@@ -1139,9 +1140,9 @@ def test_stage_order_matches_kahn_on_random_manifests():
         if expected is None:
             cycles += 1
             with pytest.raises(CycleDetected):
-                cli._topological_order(cli._stage_graph(stages))
+                _topological_order(_stage_graph(stages))
         else:
-            assert cli._topological_order(cli._stage_graph(stages)) == expected
+            assert _topological_order(_stage_graph(stages)) == expected
     assert 0 < cycles < 1500
 
 

@@ -68,9 +68,9 @@ def test_viterbi_parallel_on_shared_table():
         bitext.append((src, [f"x{w}" for w in src]))
     params = DiagonalParams()
     table = train_em(bitext, 4, params)
-    serial = [viterbi_align(table, params, pair) for pair in bitext]
+    serial = [viterbi_align(table, pair) for pair in bitext]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda pair: viterbi_align(table, params, pair), bitext))
+        parallel = list(pool.map(lambda pair: viterbi_align(table, pair), bitext))
     assert parallel == serial
 
 

@@ -185,8 +185,8 @@ class TestAssemble:
             computed.append((n, m))
             return _position_priors(n, m, params)
 
-        def recording_viterbi(table, params, pair, prior_cache=None):
-            links = viterbi_align(table, params, pair, prior_cache)
+        def recording_viterbi(table, pair, prior_cache=None):
+            links = viterbi_align(table, pair, prior_cache)
             held.append(len(prior_cache))
             return links
 

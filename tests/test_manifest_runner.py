@@ -4,6 +4,8 @@ worker, and a run prints and records exactly what a run on one CPU does."""
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import logging
@@ -11,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from versemt import cli, harness
+from versemt import cli, harness, manifest
 from versemt.errors import MalformedLine, UnknownProfile
 
 FORMAT = "%(levelname)s %(name)s: %(message)s"
@@ -275,7 +278,7 @@ def test_no_worker_outlives_an_exception_in_the_runner(tmp_path, monkeypatch, in
     monkeypatch.chdir(tmp_path)
     _slots(monkeypatch, 2)
     with pytest.raises(interrupt):
-        cli.run_manifest("pipeline.json")
+        manifest.run_manifest("pipeline.json", cli.dispatch)
     _assert_no_child_left()
 
 
@@ -292,7 +295,7 @@ def test_a_worker_exits_when_its_command_pipe_closes(monkeypatch, caplog):
     monkeypatch.setattr(cli, "_parser", None)
     cli._get_parser()
     with caplog.at_level(logging.INFO, logger="versemt"):
-        worker = cli._Worker([])
+        worker = manifest._Worker(functools.partial(manifest._run_stage, cli.dispatch))
     try:
         worker.start("config", ["emit-config", "--profile", "nope", "--out", "x"])
         outcome = worker.receive()
@@ -310,8 +313,9 @@ def test_a_worker_exits_when_its_command_pipe_closes(monkeypatch, caplog):
 def test_the_first_worker_exits_on_eof_after_a_second_is_forked(monkeypatch):
     monkeypatch.setattr(cli, "_parser", None)
     cli._get_parser()
-    first = cli._Worker([])
-    second = cli._Worker([first])  # holds no copy of the first one's pipes
+    run_stage = functools.partial(manifest._run_stage, cli.dispatch)
+    first = manifest._Worker(run_stage)
+    second = manifest._Worker(run_stage, [first])  # holds no copy of the first one's pipes
     try:
         first.commands.close()
         assert _wait_exited(first.pid)
@@ -355,11 +359,11 @@ def _at_inside_or_above(a: str, b: str) -> bool:
 @given(outputs=st.lists(st.lists(st.sampled_from(_PATH_POOL), max_size=3), min_size=1,
                         max_size=5))
 def test_a_manifest_is_valid_unless_outputs_of_two_stages_nest(outputs):
-    manifest = {"stages": [{"name": f"s{i}", "outputs": paths} for i, paths in enumerate(outputs)]}
+    stages = {"stages": [{"name": f"s{i}", "outputs": paths} for i, paths in enumerate(outputs)]}
     clash = any(_at_inside_or_above(a, b) for one, two in combinations(outputs, 2)
                 for a in one for b in two)
     try:
-        cli._validated_stages(manifest, Path("pipeline.json"))
+        manifest._validated_stages(stages, Path("pipeline.json"))
     except MalformedLine as exc:
         assert clash, exc
     else:
@@ -385,12 +389,12 @@ def test_one_cpu_runs_the_stages_in_topological_order(tmp_path, monkeypatch):
         ran.append(list(argv))
         return real_dispatch(argv)
 
-    monkeypatch.setattr(cli, "dispatch", recording_dispatch)
-    assert cli.run_manifest("pipeline.json") == cli.EXIT_OK
-    order = cli._topological_order(cli._stage_graph(stages))
+    monkeypatch.setattr(cli, "dispatch", recording_dispatch)  # as bench/tracing.py does
+    assert _run()[0] == cli.EXIT_OK
+    order = manifest._topological_order(manifest._stage_graph(stages))
     assert order == ["m-free", "b-after-m", "z-first", "a-last"]
     command = {stage["name"]: stage["command"] for stage in stages}
-    assert ran == [command[name] for name in order]
+    assert ran == [["run", "--manifest", "pipeline.json"], *(command[name] for name in order)]
 
 
 def test_outputs_of_one_stage_may_nest(tmp_path, monkeypatch):
@@ -492,12 +496,64 @@ def test_a_real_workload_prints_and_writes_the_same_on_one_and_two_cpus(tmp_path
     assert output1 == output2
 
 
-def test_importing_the_cli_starts_no_process_machinery():
-    code = ("import sys, versemt.cli; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} "
-            "& {'multiprocessing', 'concurrent', 'subprocess'}))")
+def _loaded_by_importing(module: str) -> set[str]:
+    """The modules a fresh interpreter holds once it has imported ``module``."""
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(json.loads(proc.stdout))
+
+
+_PROCESS_MACHINERY = {"multiprocessing", "concurrent", "subprocess"}
+
+
+def test_importing_the_cli_starts_no_process_machinery():
+    assert not {m.split(".")[0] for m in _loaded_by_importing("versemt.cli")} & _PROCESS_MACHINERY
+
+
+def test_the_runner_module_loads_no_stage_layer_and_no_process_machinery():
+    loaded = _loaded_by_importing("versemt.manifest")
+    assert {m for m in loaded if m.split(".")[0] == "versemt"} == {
+        "versemt", "versemt.errors", "versemt.fileio", "versemt.manifest"}
+    assert not {m.split(".")[0] for m in loaded} & _PROCESS_MACHINERY
+
+
+def test_the_helper_is_killed_at_its_first_failure_not_waited_for(monkeypatch):
+    # The helper gets every other item: "fail", then "slow", queued behind it.
+    def call(item):
+        if item == "fail":
+            raise ValueError("the helper's first item")
+        time.sleep(5 if item == "slow" else 0)
+        return item
+
+    forks = _slots(monkeypatch, 2)
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="the helper's first item"):
+        manifest._fork_join_map(call, ["a", "fail", "b", "slow"])
+    assert time.monotonic() - started < 2
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_a_digest_reads_files_in_chunks_and_keeps_the_whole_file_formula(tmp_path):
+    files = {"big.bin": bytes(range(256)) * (1 << 15), "empty": b"", "sub/small.txt": b"abc\n"}
+    for name, data in files.items():
+        path = tmp_path / "d" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    whole = hashlib.sha256()  # the formula of reading each file whole, as state files hold it
+    for name, data in sorted(files.items()):
+        whole.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        whole.update(data)
+    tracemalloc.start()
+    try:
+        digests = [manifest._file_digest(tmp_path / "d" / "big.bin"),
+                   manifest._file_digest(tmp_path / "d")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(files["big.bin"]) == 8 << 20 and peak < 1 << 20
+    assert digests == [hashlib.sha256(files["big.bin"]).hexdigest(), whole.hexdigest()]
+    assert manifest._file_digest(tmp_path / "absent") == "missing"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from versemt import cli, lexicon
+from versemt import lexicon, manifest
 from versemt.alignment import DiagonalParams, train_em
 from versemt.corpus import tokenize
 from versemt.lexicon import (
@@ -101,7 +101,7 @@ def _projection_case(draw):
         for lang in target_langs
     }
     seed = draw(st.lists(seed_name, max_size=8))
-    return seed, corpus, aligners, params, draw(st.integers(1, 3))
+    return seed, corpus, aligners, draw(st.integers(1, 3))
 
 
 def _warnings(caplog):
@@ -115,12 +115,12 @@ def _warnings(caplog):
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 def test_assemble_table_equals_per_surface_scans(case, caplog):
-    seed, corpus, aligners, params, min_votes = case
+    seed, corpus, aligners, min_votes = case
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="versemt.lexicon"):
         got = assemble_table(seed, corpus, aligners, min_votes)
         got_warnings = _warnings(caplog)
-        want = assemble_table_oracle(seed, corpus, aligners, params, min_votes)
+        want = assemble_table_oracle(seed, corpus, aligners, min_votes)
         want_warnings = _warnings(caplog)
     assert got == want  # ids, surfaces, frequencies and languages
     assert got_warnings == want_warnings
@@ -141,11 +141,11 @@ def test_assemble_table_decoding_languages_side_by_side_equals_one_after_another
 ):
     # With two target languages, a forked helper decodes the second. Each table
     # read logs a DEBUG line, so the log shows the order of the languages.
-    seed, corpus, aligners, _, min_votes = case
+    seed, corpus, aligners, min_votes = case
     aligners = _LoggedTables(aligners)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     tables, logs = [], []
-    for map_languages in (map, cli._fork_join_map):
+    for map_languages in (map, manifest._fork_join_map):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="versemt"):
             tables.append(assemble_table(seed, corpus, aligners, min_votes, map_languages))
@@ -162,7 +162,7 @@ def test_assemble_table_decoding_languages_side_by_side_equals_one_after_another
 )
 @settings(max_examples=200, deadline=None)
 def test_trim_frequency_one_equals_per_entry_scans(case, extra):
-    seed, corpus, aligners, params, min_votes = case
+    seed, corpus, aligners, min_votes = case
     table = assemble_table(seed, corpus, aligners, min_votes)
     # Loaded tables may hold any English cell, or none.
     loose = tuple(
@@ -220,4 +220,4 @@ def test_empty_seed_is_rejected_as_before():
     with pytest.raises(ValueError):
         assemble_table(["", "Noah"], corpus, aligners)
     with pytest.raises(ValueError):
-        assemble_table_oracle(["", "Noah"], corpus, aligners, DiagonalParams(), 2)
+        assemble_table_oracle(["", "Noah"], corpus, aligners, 2)
