@@ -101,24 +101,24 @@ def _cmd_split(args: argparse.Namespace) -> None:
 
 
 def _cmd_label(args: argparse.Namespace) -> None:
-    parallel = corpus.read_corpus_dir(args.corpus)
-    split = corpus.read_split(args.split)
-    mode = _label_mode(args.mode)
     if bool(args.langs) == bool(args.schedule):
         raise UsageError("exactly one of --langs / --schedule is required")
-    if args.langs:
-        examples = labeling.expand_multiway_pairs(args.langs.split(","), parallel, split, mode)
-        count = labeling.write_labeled_bitext(
-            examples, f"{args.out_prefix}.src", f"{args.out_prefix}.tgt"
-        )
-        log.info("label pairs=%s lines=%d", args.langs, count)
-        return
-    for step, langs in labeling.read_schedule_steps(args.schedule):
-        examples = labeling.expand_multiway_pairs(langs, parallel, split, mode)
-        count = labeling.write_labeled_bitext(
-            examples, f"{args.out_prefix}.step{step}.src", f"{args.out_prefix}.step{step}.tgt"
-        )
-        log.info("label step=%d langs=%d lines=%d", step, len(langs), count)
+    mode = _label_mode(args.mode)
+    if args.langs:  # one step, written to the prefix itself
+        steps = [(None, args.langs.split(","))]
+    else:
+        steps = labeling.read_schedule_steps(args.schedule)
+    parallel = corpus.read_corpus_dir(args.corpus)
+    split = corpus.read_split(args.split)
+    texts = labeling.TrainTexts((c for _, langs in steps for c in langs), parallel, split)
+    for step, langs in steps:
+        prefix = args.out_prefix if step is None else f"{args.out_prefix}.step{step}"
+        examples = labeling.expand_multiway_pairs(langs, texts, mode)
+        count = labeling.write_labeled_bitext(examples, f"{prefix}.src", f"{prefix}.tgt")
+        if step is None:
+            log.info("label pairs=%s lines=%d", args.langs, count)
+        else:
+            log.info("label step=%d langs=%d lines=%d", step, len(langs), count)
 
 
 def _cmd_schedule(args: argparse.Namespace) -> None:

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import (
     FAMILIES,
@@ -44,49 +44,71 @@ def label_tokens(src: str, tgt: str, mode: LabelMode) -> list[str]:
     return tokens
 
 
+def _codes(langs: Iterable[str]) -> list[str]:
+    """Registry codes of ``langs``, sorted, once each: aliases resolve before
+    duplicates go, so `ur` beside `uk` is one language."""
+    return sorted({get_language(c).code for c in langs})
+
+
+class TrainTexts:
+    """The split's train verses in each of ``langs``, ordered by verse id.
+
+    The corpus and the split are checked here, before any line is made. A
+    language's texts are tokenized and space-joined on first use and then
+    shared by every direction and every step that names the language.
+    """
+
+    def __init__(self, langs: Iterable[str], corpus: ParallelCorpus, split: SplitAssignment) -> None:
+        codes = _codes(langs)
+        for code in codes:
+            if code not in corpus.languages:
+                raise UnknownLanguage(f"language {code!r} not in corpus")
+        if not split.train:
+            raise EmptySplit("split has no train verses")
+        by_id = {v.id: v for v in corpus.verses}
+        missing = sorted(set(split.train) - by_id.keys())
+        if missing:
+            raise UnknownVerse(
+                f"{len(missing)} train verse id(s) not in corpus: {', '.join(map(repr, missing[:5]))}"
+            )
+        self._checked = frozenset(codes)
+        self._train = [by_id[vid] for vid in sorted(split.train)]
+        self._texts: dict[str, tuple[str, ...]] = {}
+
+    def __getitem__(self, code: str) -> tuple[str, ...]:
+        texts = self._texts.get(code)
+        if texts is None:
+            if code not in self._checked:
+                raise UnknownLanguage(f"language {code!r} was not checked against the corpus")
+            texts = tuple(" ".join(tokenize(verse.text(code))) for verse in self._train)
+            self._texts[code] = texts
+        return texts
+
+
 class LabeledExample(NamedTuple):
-    source_tokens: tuple[str, ...]
-    target_tokens: tuple[str, ...]
+    """One translation direction: per train verse, a source line (the label
+    prefix, then the source text) and a target line (the target text)."""
+
+    source_lines: list[str]
+    target_lines: Sequence[str]
     src: str
     tgt: str
 
 
 def expand_multiway_pairs(
-    langs: Iterable[str],
-    corpus: ParallelCorpus,
-    split: SplitAssignment,
-    mode: LabelMode,
+    langs: Iterable[str], texts: TrainTexts, mode: LabelMode
 ) -> Iterator[LabeledExample]:
-    """Emit one labeled example per ordered language pair per train verse.
-
-    Output is ordered by (src, tgt, verse id); the total is |train| * n(n-1).
-    """
-    # Aliases resolve before duplicates go, so `ur` beside `uk` is one language.
-    codes = sorted({get_language(c).code for c in langs})
-    for code in codes:
-        if code not in corpus.languages:
-            raise UnknownLanguage(f"language {code!r} not in corpus")
-    if not split.train:
-        raise EmptySplit("split has no train verses")
-    by_id = {v.id: v for v in corpus.verses}
-    missing = sorted(set(split.train) - by_id.keys())
-    if missing:
-        raise UnknownVerse(
-            f"{len(missing)} train verse id(s) not in corpus: {', '.join(map(repr, missing[:5]))}"
-        )
-    train = [by_id[vid] for vid in sorted(split.train)]
-    # Each (verse, language) is tokenized once and shared by all n-1
-    # directions it takes part in on either side.
-    tokens = {code: [tuple(tokenize(verse.text(code))) for verse in train] for code in codes}
+    """Emit one block per ordered pair of distinct languages, in (src, tgt)
+    order; each holds |train| lines, so a step has |train| * n(n-1) lines."""
+    codes = _codes(langs)
     for src in codes:
+        source_texts = texts[src]
         for tgt in codes:
             if src == tgt:
                 continue
-            labels = tuple(label_tokens(src, tgt, mode))
-            for source, target in zip(tokens[src], tokens[tgt]):
-                yield LabeledExample(
-                    source_tokens=labels + source, target_tokens=target, src=src, tgt=tgt
-                )
+            prefix = " ".join(label_tokens(src, tgt, mode))
+            source_lines = [f"{prefix} {text}" if text else prefix for text in source_texts]
+            yield LabeledExample(source_lines, texts[tgt], src, tgt)
 
 
 class ScheduleMode(Enum):
@@ -160,6 +182,7 @@ MAX_SCHEDULE_STEP = 999_999
 
 
 def read_schedule_steps(path: str | Path) -> list[tuple[int, list[str]]]:
+    """Each line's step number and its languages as ``_codes`` gives them."""
     steps = []
     line_of: dict[int, int] = {}
     for lineno, (number, cell) in read_rows(path, 2, "step<TAB>languages"):
@@ -176,22 +199,27 @@ def read_schedule_steps(path: str | Path) -> list[tuple[int, list[str]]]:
             raise MalformedLine(f"{path}:{lineno}: empty language code in {cell!r}")
         if line_of.setdefault(step, lineno) != lineno:  # its files would replace the first's
             raise MalformedLine(f"{path}:{lineno}: step {step} repeats line {line_of[step]}")
-        steps.append((step, langs))
+        try:
+            steps.append((step, _codes(langs)))
+        except UnknownLanguage as exc:
+            raise UnknownLanguage(f"{path}:{lineno}: {exc}") from None
     return steps
 
 
 def write_labeled_bitext(
-    examples: Iterable[LabeledExample], src_path: str | Path, tgt_path: str | Path
+    blocks: Iterable[LabeledExample], src_path: str | Path, tgt_path: str | Path
 ) -> int:
-    """Stream trainer-ready line-aligned source/target files; returns line count.
+    """Stream trainer-ready line-aligned source/target files, one write per
+    block and file; returns the line count.
 
-    Both files are replaced only once ``examples`` is exhausted; if it raises,
+    Both files are replaced only once ``blocks`` is exhausted; if it raises,
     neither file is created or replaced.
     """
     count = 0
     with atomic_writer(src_path) as src_out, atomic_writer(tgt_path) as tgt_out:
-        for example in examples:
-            src_out.write(" ".join(example.source_tokens) + "\n")
-            tgt_out.write(" ".join(example.target_tokens) + "\n")
-            count += 1
+        for block in blocks:
+            if block.source_lines:
+                src_out.write("\n".join(block.source_lines) + "\n")
+                tgt_out.write("\n".join(block.target_lines) + "\n")
+                count += len(block.source_lines)
     return count

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -259,14 +259,24 @@ def train_em_oracle(bitext, iterations, params):
     return TranslationTable(probs=table, log_likelihood_history=tuple(history), params=params)
 
 
+class OracleExample(NamedTuple):
+    """One labeled line pair, as ``labeling.LabeledExample`` was before it
+    became a block of one direction's lines."""
+
+    source_tokens: tuple[str, ...]
+    target_tokens: tuple[str, ...]
+    src: str
+    tgt: str
+
+
 def expand_multiway_pairs_oracle(langs, corpus, split, mode):
     """``labeling.expand_multiway_pairs`` as it was before per-call token
-    reuse: both sides re-tokenized for every direction of every verse.
-    Aliases resolve before duplicates are dropped, so `ur` beside `uk` is one
-    language (the one deliberate change from that version)."""
+    reuse: one example per line, both sides re-tokenized for every direction
+    of every verse. Aliases resolve before duplicates are dropped, so `ur`
+    beside `uk` is one language (the one deliberate change from that version)."""
     from versemt.corpus import get_language, tokenize
     from versemt.errors import EmptySplit, UnknownLanguage
-    from versemt.labeling import LabeledExample, label_tokens
+    from versemt.labeling import label_tokens
 
     codes = sorted({get_language(c).code for c in langs})
     for code in codes:
@@ -283,7 +293,7 @@ def expand_multiway_pairs_oracle(langs, corpus, split, mode):
             labels = tuple(label_tokens(src, tgt, mode))
             for vid in train_ids:
                 verse = by_id[vid]
-                yield LabeledExample(
+                yield OracleExample(
                     source_tokens=labels + tuple(tokenize(verse.text(src))),
                     target_tokens=tuple(tokenize(verse.text(tgt))),
                     src=src,

@@ -47,3 +47,17 @@ def test_ne_lexicon_tiny_traced_run_times_table_io_and_assembly(tmp_path):
     metrics = result["metrics"]
     assert metrics["alignment.table_io_s"]["value"] > 0
     assert metrics["lexicon.assemble_s"]["value"] > 0
+
+
+def test_multiway_label_tiny_traced_run_times_and_counts_labeling(tmp_path):
+    # `label` is the only ready stage when it starts, so the runner's own
+    # process runs it and the tracer sees both labeling functions.
+    result = _tiny_run("multiway-label", tmp_path, trace="1")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["labeling.expand_s"]["value"] > 0
+    assert metrics["labeling.write_s"]["value"] > 0
+    # A correct run's bitext/run.step*.src files hold exactly labeled_lines lines.
+    record = json.loads((tmp_path / "multiway-label.seed1.trace1.json").read_text())
+    assert metrics["labeling.lines"]["value"] == record["input_sizes"]["labeled_lines"] > 0

@@ -736,6 +736,36 @@ class TestMalformedInputs:
         err = self._label(tmp_path, corpus_dir, capsys, splits, schedule)
         assert f"{schedule}:1" in err
 
+    def test_unknown_code_in_a_later_step_writes_nothing_and_names_its_line(
+            self, tmp_path, corpus_dir, capsys):
+        splits = self._valid_split(tmp_path, corpus_dir)
+        schedule = tmp_path / "sched.tsv"
+        _write(schedule, "1\ten,sw\n2\ten,sw,xx\n")
+        err = self._label(tmp_path, corpus_dir, capsys, splits, schedule)
+        assert f"{schedule}:2: unknown language code 'xx'" in err
+
+    def test_a_later_step_language_missing_from_the_corpus_writes_nothing(
+            self, tmp_path, corpus_dir, capsys):
+        splits = self._valid_split(tmp_path, corpus_dir)
+        schedule = tmp_path / "sched.tsv"
+        _write(schedule, "1\ten,sw\n2\ten,sw,fr\n")
+        err = self._label(tmp_path, corpus_dir, capsys, splits, schedule)
+        assert "language 'fr' not in corpus" in err
+
+    @pytest.mark.parametrize("flags, problem", [
+        ([], "exactly one of --langs / --schedule"),
+        (["--langs", "en,sw", "--schedule", "sched.tsv"], "exactly one of --langs / --schedule"),
+        (["--langs", "en,sw", "--mode", "tribe"], "unknown label mode 'tribe'"),
+    ], ids=["neither", "both", "bad-mode"])
+    def test_label_flags_are_checked_before_any_input_is_read(self, tmp_path, capsys, flags,
+                                                               problem):
+        status, err = self._main(
+            ["label", "--corpus", tmp_path / "absent", "--split", tmp_path / "absent.tsv",
+             "--out-prefix", tmp_path / "bitext", *flags], capsys)
+        assert status == cli.EXIT_USAGE
+        assert problem in err
+        assert not list(tmp_path.iterdir())
+
     def _rubric(self, tmp_path, capsys, record: str):
         judgments = tmp_path / "judgments.jsonl"
         _write(judgments, '{"meaning": true, "order_correct": true, "set_correct": true}\n' + record + "\n")

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from versemt import labeling
-from versemt.corpus import FAMILIES, REGISTRY, SplitAssignment, get_language, split_corpus, tokenize
+from versemt import cli, labeling
+from versemt.corpus import FAMILIES, REGISTRY, SplitAssignment, get_language, read_corpus_dir
+from versemt.corpus import split_corpus, tokenize, write_corpus_dir, write_split
 from versemt.errors import EmptySplit, MalformedLine, PipelineError, UnknownLanguage
 from versemt.labeling import (
     LabelMode,
     ScheduleMode,
+    TrainTexts,
     build_addition_schedule,
     expand_multiway_pairs,
     label_tokens,
@@ -79,6 +81,15 @@ def _pair_corpus(langs: list[str], n_verses: int):
     )
 
 
+def _expand(langs, corpus, split, mode):
+    """``label``'s path for one step: check the inputs, then expand."""
+    return expand_multiway_pairs(langs, TrainTexts(langs, corpus, split), mode)
+
+
+def _line_count(blocks) -> int:
+    return sum(len(block.source_lines) for block in blocks)
+
+
 class TestExpandMultiway:
     def test_two_langs_ten_verses(self):
         corpus = _pair_corpus(["en", "sw"], 10)
@@ -87,44 +98,40 @@ class TestExpandMultiway:
         split = type(split)(
             train=frozenset(corpus.ids()), val=frozenset(), test=frozenset(),
         )
-        examples = list(
-            expand_multiway_pairs(["en", "sw"], corpus, split, LabelMode.LANGUAGE_ONLY)
-        )
-        assert len(examples) == 20
+        blocks = list(_expand(["en", "sw"], corpus, split, LabelMode.LANGUAGE_ONLY))
+        assert _line_count(blocks) == 20
+        assert [len(block.target_lines) for block in blocks] == [10, 10]
 
     def test_six_langs_thirty_pairs_per_verse(self):
         germanic = ["de", "dn", "dt", "no", "sw", "en"]
         corpus = _pair_corpus(germanic, 1)
         split = _full_train_split(corpus)
-        examples = list(
-            expand_multiway_pairs(germanic, corpus, split, LabelMode.WITH_FAMILY)
-        )
-        assert len(examples) == 30
+        blocks = list(_expand(germanic, corpus, split, LabelMode.WITH_FAMILY))
+        assert len(blocks) == 30
+        assert _line_count(blocks) == 30
 
     def test_singleton_empty(self):
         corpus = _pair_corpus(["en"], 4)
         split = _full_train_split(corpus)
-        assert list(expand_multiway_pairs(["en"], corpus, split, LabelMode.LANGUAGE_ONLY)) == []
+        assert list(_expand(["en"], corpus, split, LabelMode.LANGUAGE_ONLY)) == []
 
     def test_total_and_no_self_pairs(self):
         langs = ["en", "sw", "fr"]
         corpus = _pair_corpus(langs, 7)
         split = _full_train_split(corpus)
-        examples = list(expand_multiway_pairs(langs, corpus, split, LabelMode.WITH_FAMILY))
-        assert len(examples) == 7 * 3 * 2
-        assert all(e.src != e.tgt for e in examples)
-        keys = [(e.src, e.tgt) for e in examples]
+        blocks = list(_expand(langs, corpus, split, LabelMode.WITH_FAMILY))
+        assert _line_count(blocks) == 7 * 3 * 2
+        assert all(len(b.source_lines) == len(b.target_lines) == 7 for b in blocks)
+        assert all(b.src != b.tgt for b in blocks)
+        keys = [(b.src, b.tgt) for b in blocks]
         assert keys == sorted(keys)
 
     def test_labels_prefix_source(self):
         corpus = _pair_corpus(["en", "sw"], 1)
         split = _full_train_split(corpus)
-        example = next(
-            iter(expand_multiway_pairs(["en", "sw"], corpus, split, LabelMode.WITH_FAMILY))
-        )
-        assert example.source_tokens[:4] == tuple(
-            label_tokens(example.src, example.tgt, LabelMode.WITH_FAMILY)
-        )
+        block = next(iter(_expand(["en", "sw"], corpus, split, LabelMode.WITH_FAMILY)))
+        labels = label_tokens(block.src, block.tgt, LabelMode.WITH_FAMILY)
+        assert block.source_lines[0].split()[:4] == labels
 
     def test_empty_split(self):
         corpus = _pair_corpus(["en", "sw"], 3)
@@ -133,13 +140,19 @@ class TestExpandMultiway:
             train=frozenset(), val=split.train, test=frozenset()
         )
         with pytest.raises(EmptySplit):
-            list(expand_multiway_pairs(["en", "sw"], corpus, empty, LabelMode.LANGUAGE_ONLY))
+            list(_expand(["en", "sw"], corpus, empty, LabelMode.LANGUAGE_ONLY))
 
     def test_lang_not_in_corpus(self):
         corpus = _pair_corpus(["en", "sw"], 3)
         split = _full_train_split(corpus)
         with pytest.raises(UnknownLanguage):
-            list(expand_multiway_pairs(["en", "fr"], corpus, split, LabelMode.LANGUAGE_ONLY))
+            list(_expand(["en", "fr"], corpus, split, LabelMode.LANGUAGE_ONLY))
+
+    def test_language_not_checked_against_the_corpus_is_refused(self):
+        corpus = _pair_corpus(["en", "sw", "fr"], 3)
+        texts = TrainTexts(["en", "sw"], corpus, _full_train_split(corpus))
+        with pytest.raises(UnknownLanguage, match="'fr' was not checked"):
+            list(expand_multiway_pairs(["en", "fr"], texts, LabelMode.LANGUAGE_ONLY))
 
     def test_train_id_missing_from_corpus_is_data_error(self):
         corpus = _pair_corpus(["en", "sw"], 3)
@@ -148,25 +161,25 @@ class TestExpandMultiway:
             train=split.train | {"zzz999"}, val=frozenset(), test=frozenset(),
         )
         with pytest.raises(PipelineError, match="zzz999"):
-            list(expand_multiway_pairs(["en", "sw"], corpus, stale, LabelMode.LANGUAGE_ONLY))
+            list(_expand(["en", "sw"], corpus, stale, LabelMode.LANGUAGE_ONLY))
 
     def test_alias_beside_its_code_is_one_language(self):
         corpus = _pair_corpus(["en", "uk"], 3)
         split = _full_train_split(corpus)
-        examples = list(
-            expand_multiway_pairs(["en", "ur", "uk"], corpus, split, LabelMode.LANGUAGE_ONLY)
-        )
-        assert [(e.src, e.tgt) for e in examples] == [("en", "uk")] * 3 + [("uk", "en")] * 3
+        blocks = _expand(["en", "ur", "uk"], corpus, split, LabelMode.LANGUAGE_ONLY)
+        assert [(b.src, b.tgt, len(b.source_lines)) for b in blocks] == [
+            ("en", "uk", 3), ("uk", "en", 3)
+        ]
 
     def test_example_is_a_tuple_of_four_named_fields(self):
         example = labeling.LabeledExample(
-            source_tokens=("__opt_src_en", "a"), target_tokens=("b",), src="en", tgt="sw"
+            source_lines=["__opt_src_en a"], target_lines=("b",), src="en", tgt="sw"
         )
-        assert labeling.LabeledExample._fields == ("source_tokens", "target_tokens", "src", "tgt")
-        assert example == (("__opt_src_en", "a"), ("b",), "en", "sw")
-        assert example.target_tokens == ("b",)
+        assert labeling.LabeledExample._fields == ("source_lines", "target_lines", "src", "tgt")
+        assert example == (["__opt_src_en a"], ("b",), "en", "sw")
+        assert example.target_lines == ("b",)
 
-    def test_tokenizes_each_verse_once_per_language(self, monkeypatch):
+    def test_tokenizes_each_verse_once_per_label_call(self, monkeypatch, tmp_path):
         calls = []
 
         def counting_tokenize(text):
@@ -174,11 +187,17 @@ class TestExpandMultiway:
             return tokenize(text)
 
         monkeypatch.setattr(labeling, "tokenize", counting_tokenize)
-        langs = ["en", "sw", "fr", "de"]
-        corpus = _pair_corpus(langs, 5)
-        split = _full_train_split(corpus)
-        examples = list(expand_multiway_pairs(langs, corpus, split, LabelMode.WITH_FAMILY))
-        assert len(examples) == 5 * 4 * 3
+        corpus = _pair_corpus(["en", "sw", "fr", "de", "ru"], 5)
+        write_corpus_dir(corpus, tmp_path / "aligned")
+        write_split(_full_train_split(corpus), tmp_path / "splits.tsv")
+        # Four steps, three of them naming en and sw; ru is in no step.
+        (tmp_path / "sched.tsv").write_text("1\ten,sw\n2\ten,sw,fr\n3\tfr,de\n4\ten,sw,fr,de\n")
+        assert cli.dispatch([
+            "label", "--corpus", str(tmp_path / "aligned"), "--split", str(tmp_path / "splits.tsv"),
+            "--mode", "family", "--schedule", str(tmp_path / "sched.tsv"),
+            "--out-prefix", str(tmp_path / "run"),
+        ]) == 0
+        assert len((tmp_path / "run.step4.src").read_text().splitlines()) == 5 * 4 * 3
         assert len(calls) == 5 * 4
 
 
@@ -210,16 +229,22 @@ def _labeling_case(draw):
 
 
 class TestExpandMatchesOracle:
-    """Per-call token reuse and the streaming writer equal the buffered,
-    per-direction tokenizing versions they replaced."""
+    """Per-call token reuse and the block writer equal the buffered,
+    per-direction tokenizing, per-line versions they replaced."""
 
     @given(case=_labeling_case())
     @settings(max_examples=150, deadline=None)
     def test_examples_equal_oracle(self, case):
         langs, corpus, split, mode = case
-        assert list(expand_multiway_pairs(langs, corpus, split, mode)) == list(
-            expand_multiway_pairs_oracle(langs, corpus, split, mode)
-        )
+        lines = [
+            (source, target, block.src, block.tgt)
+            for block in _expand(langs, corpus, split, mode)
+            for source, target in zip(block.source_lines, block.target_lines, strict=True)
+        ]
+        assert lines == [
+            (" ".join(e.source_tokens), " ".join(e.target_tokens), e.src, e.tgt)
+            for e in expand_multiway_pairs_oracle(langs, corpus, split, mode)
+        ]
 
     @given(case=_labeling_case())
     @settings(max_examples=60, deadline=None)
@@ -227,7 +252,7 @@ class TestExpandMatchesOracle:
         langs, corpus, split, mode = case
         out = tmp_path_factory.mktemp("bitext")
         count = write_labeled_bitext(
-            expand_multiway_pairs(langs, corpus, split, mode), out / "new.src", out / "new.tgt"
+            _expand(langs, corpus, split, mode), out / "new.src", out / "new.tgt"
         )
         expected = write_labeled_bitext_oracle(
             expand_multiway_pairs_oracle(langs, corpus, split, mode), out / "old.src", out / "old.tgt"
@@ -235,6 +260,56 @@ class TestExpandMatchesOracle:
         assert count == expected
         assert (out / "new.src").read_bytes() == (out / "old.src").read_bytes()
         assert (out / "new.tgt").read_bytes() == (out / "old.tgt").read_bytes()
+
+
+_STAGE_LANGS = ["en", "sw", "fr", "uk", "ru", "fn"]
+
+
+@st.composite
+def _label_stage_case(draw):
+    """A corpus, a split and a schedule of random steps: not cumulative, a
+    step set may repeat, a step may name one language, and `ur` may stand
+    beside `uk`. Some verse texts tokenize to nothing."""
+    corpus_langs = draw(st.lists(st.sampled_from(_STAGE_LANGS), min_size=1, max_size=5, unique=True))
+    n_verses = draw(st.integers(1, 5))
+    pieces = st.sampled_from(_TEXT_PIECES)
+    text = st.one_of(st.just(""), st.lists(pieces, min_size=1, max_size=5).map(" ".join))
+    texts = {lang: {f"v{i}": draw(text) for i in range(n_verses)} for lang in corpus_langs}
+    corpus = make_corpus(texts)
+    train = draw(st.sets(st.sampled_from(corpus.ids()), min_size=1))
+    names = corpus_langs + (["ur"] if "uk" in corpus_langs else [])
+    step_langs = st.lists(st.sampled_from(names), min_size=1, max_size=5)
+    steps = draw(st.lists(step_langs, min_size=1, max_size=4))
+    if draw(st.booleans()):  # one step's language set again
+        steps.append(list(draw(st.sampled_from(steps))))
+    mode = draw(st.sampled_from(["language", "family"]))
+    return corpus, train, steps, mode
+
+
+class TestLabelStageMatchesOracle:
+    @given(case=_label_stage_case())
+    @settings(max_examples=60, deadline=None)
+    def test_every_step_file_equals_oracle(self, tmp_path_factory, case):
+        corpus, train, steps, mode = case
+        work = tmp_path_factory.mktemp("label")
+        write_corpus_dir(corpus, work / "aligned")
+        split = SplitAssignment(train=frozenset(train), val=frozenset(), test=frozenset())
+        write_split(split, work / "splits.tsv")
+        sched = "".join(f"{k}\t{','.join(langs)}\n" for k, langs in enumerate(steps, start=1))
+        (work / "sched.tsv").write_text(sched, encoding="utf-8")
+        assert cli.dispatch([
+            "label", "--corpus", str(work / "aligned"), "--split", str(work / "splits.tsv"),
+            "--mode", mode, "--schedule", str(work / "sched.tsv"), "--out-prefix", str(work / "run"),
+        ]) == 0
+        read_back = read_corpus_dir(work / "aligned")
+        label_mode = LabelMode.WITH_FAMILY if mode == "family" else LabelMode.LANGUAGE_ONLY
+        for k, langs in enumerate(steps, start=1):
+            expected = expand_multiway_pairs_oracle(langs, read_back, split, label_mode)
+            write_labeled_bitext_oracle(expected, work / "old.src", work / "old.tgt")
+            for side in ("src", "tgt"):
+                assert (work / f"run.step{k}.{side}").read_bytes() == (
+                    work / f"old.{side}"
+                ).read_bytes(), (k, side)
 
 
 def _full_train_split(corpus):
@@ -341,13 +416,23 @@ class TestLabelingIo:
         with pytest.raises(MalformedLine, match=re.escape(f"{sched}:2: ") + f".*{problem}"):
             read_schedule_steps(sched)
 
+    def test_schedule_steps_are_registry_codes_once_each(self, tmp_path):
+        sched = tmp_path / "sched.tsv"
+        sched.write_text("1\tsw,ur,uk,en,sw\n", encoding="utf-8")
+        assert read_schedule_steps(sched) == [(1, ["en", "sw", "uk"])]
+
+    def test_unknown_code_names_its_location(self, tmp_path):
+        sched = tmp_path / "sched.tsv"
+        sched.write_text("1\ten,sw\n2\ten,xx\n", encoding="utf-8")
+        with pytest.raises(UnknownLanguage, match=re.escape(f"{sched}:2: unknown language code 'xx'")):
+            read_schedule_steps(sched)
+
     def test_failing_examples_leave_existing_files_alone(self, tmp_path):
         src, tgt = tmp_path / "a.src", tmp_path / "a.tgt"
         src.write_bytes(b"old source\n")
         tgt.write_bytes(b"old target\n")
         corpus = _pair_corpus(["en", "sw"], 3)
-        examples = expand_multiway_pairs(["en", "sw"], corpus, _full_train_split(corpus),
-                                         LabelMode.LANGUAGE_ONLY)
+        examples = _expand(["en", "sw"], corpus, _full_train_split(corpus), LabelMode.LANGUAGE_ONLY)
 
         def failing():
             yield next(examples)
@@ -372,7 +457,7 @@ class TestLabelingIo:
     def test_bitext_files_line_aligned(self, tmp_path):
         corpus = _pair_corpus(["en", "sw"], 3)
         split = _full_train_split(corpus)
-        examples = expand_multiway_pairs(["en", "sw"], corpus, split, LabelMode.WITH_FAMILY)
+        examples = _expand(["en", "sw"], corpus, split, LabelMode.WITH_FAMILY)
         count = write_labeled_bitext(examples, tmp_path / "a.src", tmp_path / "a.tgt")
         src_lines = (tmp_path / "a.src").read_text().splitlines()
         tgt_lines = (tmp_path / "a.tgt").read_text().splitlines()
