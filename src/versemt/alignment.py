@@ -6,7 +6,6 @@ import logging
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,7 +32,6 @@ else:
     _sum_ltr = sum
 
 
-@dataclass(frozen=True)
 class DiagonalParams:
     """Positional prior: tension of the diagonal and the NULL alignment mass.
 
@@ -41,17 +39,19 @@ class DiagonalParams:
     tension must be finite. null_prob = 0 disables NULL alignment entirely.
     """
 
-    tension: float = 4.0
-    null_prob: float = 0.08
+    def __init__(self, tension: float = 4.0, null_prob: float = 0.08) -> None:
+        if not (math.isfinite(tension) and tension >= 0):
+            raise BadParameter(f"tension must be finite and >= 0, got {tension}")
+        if not 0 <= null_prob < 1:
+            raise BadParameter(f"null_prob must be in [0, 1), got {null_prob}")
+        self.tension = tension
+        self.null_prob = null_prob
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tension) and self.tension >= 0):
-            raise BadParameter(f"tension must be finite and >= 0, got {self.tension}")
-        if not 0 <= self.null_prob < 1:
-            raise BadParameter(f"null_prob must be in [0, 1), got {self.null_prob}")
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DiagonalParams) and (
+            (self.tension, self.null_prob) == (other.tension, other.null_prob))
 
 
-@dataclass
 class TranslationTable:
     """Sparse t(target | source) probabilities for co-occurring word pairs.
 
@@ -61,9 +61,15 @@ class TranslationTable:
     table was trained with, and the one it is decoded with.
     """
 
-    probs: dict[str, dict[str, float]]
-    log_likelihood_history: tuple[float, ...] = ()
-    params: DiagonalParams = DiagonalParams()
+    def __init__(
+        self,
+        probs: dict[str, dict[str, float]],
+        log_likelihood_history: tuple[float, ...] = (),
+        params: DiagonalParams = DiagonalParams(),
+    ) -> None:
+        self.probs = probs
+        self.log_likelihood_history = log_likelihood_history
+        self.params = params
 
     def prob(self, source_word: str, target_word: str) -> float:
         return self.probs.get(source_word, {}).get(target_word, 0.0)

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
-from .errors import MalformedLine, PipelineError, UnknownLanguage, UsageError
+from .errors import DanglingContinuation, MalformedLine, PipelineError, UnknownLanguage, UsageError
 from .fileio import atomic_write_lines, atomic_write_text, read_lines, read_parallel_lines
 from .fileio import read_rows, read_word_list
 from .manifest import _fork_join_map, run_manifest
@@ -141,6 +141,16 @@ def _cmd_bpe_apply(args: argparse.Namespace) -> None:
     out_lines = [
         " ".join(subword.apply_bpe(model, line.split())) for _, line in read_lines(args.infile)
     ]
+    atomic_write_lines(args.out, out_lines)
+
+
+def _cmd_bpe_revert(args: argparse.Namespace) -> None:
+    out_lines = []
+    for lineno, line in read_lines(args.infile):
+        try:
+            out_lines.append(" ".join(subword.revert_bpe(line.split())))
+        except DanglingContinuation as exc:
+            raise DanglingContinuation(f"{args.infile}:{lineno}: {exc}") from None
     atomic_write_lines(args.out, out_lines)
 
 
@@ -404,6 +414,11 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bpe_apply)
+
+    p = sub.add_parser("bpe-revert", help="join BPE pieces back into tokens")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_bpe_revert)
 
     p = sub.add_parser("align-train", help="train a lexical translation table by EM")
     p.add_argument("--src", required=True)

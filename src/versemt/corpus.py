@@ -6,9 +6,8 @@ import logging
 import math
 import random
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BadRatios, DuplicateLanguage, DuplicateVerseId, EmptyFile, MalformedLine
 from .errors import UnknownLanguage
@@ -28,8 +27,7 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class Language:
+class Language(NamedTuple):
     code: str
     family: str
 
@@ -113,8 +111,7 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Verse:
+class Verse(NamedTuple):
     id: str
     texts: Mapping[str, str]
 
@@ -122,10 +119,10 @@ class Verse:
         return self.texts[lang]
 
 
-@dataclass(frozen=True)
 class ParallelCorpus:
-    verses: tuple[Verse, ...]
-    languages: tuple[str, ...]
+    def __init__(self, verses: tuple[Verse, ...], languages: tuple[str, ...]) -> None:
+        self.verses = verses
+        self.languages = languages
 
     def __len__(self) -> int:
         return len(self.verses)
@@ -176,8 +173,7 @@ def intersect_alignment(maps: Mapping[str, Mapping[str, str]]) -> ParallelCorpus
     return ParallelCorpus(verses=verses, languages=languages)
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
+class SplitAssignment(NamedTuple):
     train: frozenset[str]
     val: frozenset[str]
     test: frozenset[str]
@@ -209,8 +205,7 @@ def split_corpus(
     )
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     verse_count: int
     token_count: int
     unique_token_count: int

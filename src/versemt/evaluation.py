@@ -5,9 +5,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .alignment import _sum_ltr
 from .errors import BadParameter, EmptyCorpus, LengthMismatch, MalformedLine, UnresolvedJudgments
@@ -26,12 +25,16 @@ def _tokens(sentence: Sentence) -> list[str]:
     return sentence.split() if isinstance(sentence, str) else list(sentence)
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter[tuple[str, ...]]:
+    """The n-grams of every order 1..max_n in one Counter; a key's length is its order."""
+    shifted = [tokens[i:] for i in range(max_n)]
+    counts: Counter[tuple[str, ...]] = Counter()
+    for n in range(1, max_n + 1):
+        counts.update(zip(*shifted[:n]))
+    return counts
 
 
-@dataclass(frozen=True)
-class BleuReport:
+class BleuReport(NamedTuple):
     precisions: tuple[float, ...]
     brevity_penalty: float
     score: float
@@ -63,11 +66,11 @@ def corpus_bleu(
     matched = [0] * max_n
     total = [0] * max_n
     for hyp, ref in zip(hyp_tokens, ref_tokens):
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            ref_counts = _ngram_counts(ref, n)
-            total[n - 1] += sum(hyp_counts.values())
-            matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        ref_counts = _ngram_counts(ref, max_n)
+        for gram, count in _ngram_counts(hyp, max_n).items():
+            matched[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
+        for n in range(max_n):  # order n + 1 has len(hyp) - n n-grams
+            total[n] += max(len(hyp) - n, 0)
 
     c = sum(len(h) for h in hyp_tokens)
     r = sum(len(t) for t in ref_tokens)
@@ -83,8 +86,7 @@ def corpus_bleu(
     return BleuReport(tuple(precisions), bp, score, c, r)
 
 
-@dataclass(frozen=True)
-class RubricJudgment:
+class RubricJudgment(NamedTuple):
     set_correct: bool
     order_correct: bool
     meaning_accurate: bool | None

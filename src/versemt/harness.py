@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .alignment import _sum_ltr
 from .corpus import tokenize
@@ -14,21 +13,18 @@ from .errors import BadFraction, BadParameter, DegenerateInput, NonMonotoneEpoch
 from .fileio import atomic_write_lines
 
 
-@dataclass(frozen=True)
 class AblationPlan:
-    fraction: float
-    seed: int
-    total: int
+    def __init__(self, fraction: float, seed: int, total: int) -> None:
+        if not 0 < fraction <= 1:
+            raise BadFraction(f"fraction must be in (0, 1], got {fraction}")
+        if total < 1:
+            raise BadParameter(f"total must be >= 1, got {total}")
+        self.fraction = fraction
+        self.seed = seed
+        self.total = total
 
-    def __post_init__(self) -> None:
-        if not 0 < self.fraction <= 1:
-            raise BadFraction(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.total < 1:
-            raise BadParameter(f"total must be >= 1, got {self.total}")
 
-
-@dataclass(frozen=True)
-class SampleResult:
+class SampleResult(NamedTuple):
     ids: tuple[str, ...]
     distinct_count: int
     unique_word_count: int
@@ -69,17 +65,20 @@ def sample_low_resource(
     )
 
 
-@dataclass(frozen=True)
 class GlState:
     """Early-stopping monitor for scores where higher is better."""
 
-    best: float | None = None
-    history: tuple[tuple[int, float], ...] = ()
-    alpha: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise BadParameter(f"alpha must be finite and >= 0, got {self.alpha}")
+    def __init__(
+        self,
+        best: float | None = None,
+        history: tuple[tuple[int, float], ...] = (),
+        alpha: float = 0.1,
+    ) -> None:
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise BadParameter(f"alpha must be finite and >= 0, got {alpha}")
+        self.best = best
+        self.history = history
+        self.alpha = alpha
 
 
 def gl_update(state: GlState, epoch: int, val_score: float) -> tuple[GlState, float, str]:
@@ -97,12 +96,11 @@ def gl_update(state: GlState, epoch: int, val_score: float) -> tuple[GlState, fl
         )
     best = val_score if state.best is None else max(state.best, val_score)
     gl = 0.0 if best == 0 else 100.0 * (1.0 - val_score / best)
-    new_state = replace(state, best=best, history=state.history + ((epoch, val_score),))
+    new_state = GlState(best, state.history + ((epoch, val_score),), state.alpha)
     return new_state, gl, "stop" if gl > state.alpha else "continue"
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -134,8 +132,7 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     return PowerLawFit(slope=slope, intercept=intercept, r_squared=r_squared)
 
 
-@dataclass(frozen=True)
-class TrainerConfig:
+class TrainerConfig(NamedTuple):
     profile: str
     minibatch_size: int
     dropout: float
@@ -180,7 +177,7 @@ def emit_trainer_config(profile: str) -> TrainerConfig:
 
 def write_trainer_config(config: TrainerConfig, path: str | Path) -> None:
     """Flat ``key: value`` file consumable by common seq2seq trainers."""
-    lines = [f"{f.name}: {getattr(config, f.name)}" for f in fields(config)]
+    lines = [f"{name}: {value}" for name, value in zip(config._fields, config)]
     atomic_write_lines(path, lines)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -116,8 +115,7 @@ class ScheduleMode(Enum):
     SPARSE_ADDITION = "sparse-addition"
 
 
-@dataclass(frozen=True)
-class AdditionSchedule:
+class AdditionSchedule(NamedTuple):
     mode: ScheduleMode
     steps: tuple[frozenset[str], ...]
     anchor: str

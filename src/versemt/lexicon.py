@@ -5,9 +5,8 @@ from __future__ import annotations
 import logging
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .alignment import TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, get_language, registry_order, tokenize
@@ -29,8 +28,7 @@ P = TypeVar("P")
 _PAYLOAD = object()
 
 
-@dataclass
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     id: str
     surfaces: dict[str, str]
     frequency: dict[str, int]
@@ -39,15 +37,19 @@ class LexiconEntry:
         return self.surfaces.get(lang, "")
 
 
-@dataclass(frozen=True)
 class LexiconTable:
-    entries: tuple[LexiconEntry, ...]
-    languages: tuple[str, ...]
-    # Per-language SurfaceIndex, built by the first lookup_rows call.
-    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, entries: tuple[LexiconEntry, ...], languages: tuple[str, ...]) -> None:
+        self.entries = entries
+        self.languages = languages
+        # Per-language SurfaceIndex, built by the first lookup_rows call.
+        self._indexes: dict[str, SurfaceIndex] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def __eq__(self, other: object) -> bool:  # the indexes are a cache, not part of the value
+        return isinstance(other, LexiconTable) and (
+            (self.entries, self.languages) == (other.entries, other.languages))
 
 
 def _strip_punct(text: str) -> str:

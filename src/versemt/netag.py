@@ -6,9 +6,8 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import tokenize
 from .errors import MalformedLine, UnknownLanguage, UnknownPlaceholder
@@ -24,8 +23,7 @@ def placeholder(index: int) -> str:
     return f"$NE{index}"
 
 
-@dataclass(frozen=True)
-class TaggedSentence:
+class TaggedSentence(NamedTuple):
     tokens: tuple[str, ...]
     placeholder_count: int
 
@@ -34,8 +32,7 @@ class TaggedSentence:
         return " ".join(self.tokens)
 
 
-@dataclass
-class DecodeTable:
+class DecodeTable(NamedTuple):
     """Placeholder index -> (source surface, target surface)."""
 
     mapping: dict[int, tuple[str, str]]
@@ -148,8 +145,7 @@ def restore_placeholders(translated: Sequence[str], decode: DecodeTable) -> list
     return out
 
 
-@dataclass(frozen=True)
-class EntityJudgment:
+class EntityJudgment(NamedTuple):
     set_correct: bool
     order_correct: bool
     missing: tuple[str, ...]

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -18,23 +16,24 @@ CONTINUATION = "@@"
 DEFAULT_NUM_MERGES = 30_000
 
 
-@dataclass(frozen=True)
 class BpeModel:
-    merges: tuple[tuple[str, str], ...]
-    vocab_side: str = "source"
-    reserved: frozenset[str] = field(default_factory=frozenset)
+    def __init__(
+        self,
+        merges: tuple[tuple[str, str], ...],
+        vocab_side: str = "source",
+        reserved: frozenset[str] = frozenset(),
+    ) -> None:
+        self.merges = merges
+        self.vocab_side = vocab_side
+        self.reserved = reserved
+        # Shared by every apply_bpe call on the model, and not part of its value:
+        # the rank table, and each word's pieces (reserved tokens stay whole).
+        self.merge_ranks = {pair: rank for rank, pair in enumerate(merges)}
+        self._segment_memo = {token: (token,) for token in reserved}
 
-    # cached_property writes to __dict__ directly, so it works on a frozen
-    # dataclass and stays out of the generated __eq__; the rank table and
-    # per-word memo (seeded with the reserved tokens, which stay whole) are
-    # shared by every apply_bpe call on the same model.
-    @cached_property
-    def merge_ranks(self) -> dict[tuple[str, str], int]:
-        return {pair: rank for rank, pair in enumerate(self.merges)}
-
-    @cached_property
-    def _segment_memo(self) -> dict[str, tuple[str, ...]]:
-        return {token: (token,) for token in self.reserved}
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BpeModel) and (self.merges, self.vocab_side, self.reserved) == (
+            other.merges, other.vocab_side, other.reserved)
 
 
 def _word_symbols(word: str) -> tuple[str, ...]:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -182,7 +181,7 @@ class TestViterbi:
         pair = (["a", "b", "c"], ["p", "q", "r"])
         assert viterbi_align(table, pair) == [0, 1, 2]
         # The table's own prior decodes it: without a diagonal, ties go to the first word.
-        assert viterbi_align(dataclasses.replace(table, params=MODEL1), pair) == [0, 0, 0]
+        assert viterbi_align(TranslationTable(table.probs, params=MODEL1), pair) == [0, 0, 0]
 
     def test_unseen_target_omitted(self):
         table = TranslationTable(probs={"a": {"x": 1.0}})
@@ -350,16 +349,57 @@ print(digest.hexdigest())
 """
 
 
-def test_tables_are_byte_identical_on_python_3_10_to_3_13():
+# BLEU reports of random corpora (repeated n-grams, empty sentences, max_n 1-5)
+# and every trainer config, after the modules a fresh `import versemt.cli` loaded
+# of those that only `dataclasses` needs; prints the sha256 of all of them, then
+# the module list.
+_OUTPUT_DIGEST = """
+import sys
+import versemt.cli
+loaded = [m for m in ("ast", "dataclasses", "dis", "inspect") if m in sys.modules]
+import hashlib, random, tempfile
+from pathlib import Path
+from versemt.evaluation import corpus_bleu, write_bleu_report
+digest = hashlib.sha256(repr(loaded).encode())
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "out"
+    for seed in range(60):
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(rng.randint(1, 4))]
+        lines = [[rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+                 for _ in range(2 * rng.randint(1, 8))]
+        write_bleu_report(corpus_bleu(lines[::2], lines[1::2], rng.randint(1, 5)), path)
+        digest.update(path.read_bytes())
+    for profile in ("multilingual", "single-pair"):
+        versemt.cli.dispatch(["emit-config", "--profile", profile, "--out", str(path)])
+        digest.update(path.read_bytes())
+print(digest.hexdigest())
+print(loaded)
+"""
+
+
+def _stdout_on_python_3_10_to_3_13(script: str) -> dict[str, str]:
+    """The stdout of ``script`` on this interpreter and on each pyenv 3.10-3.13."""
     root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
     pythons = sorted(root.glob("versions/3.1[0-3]*/bin/python"))
     if not pythons:
         pytest.skip(f"no Python 3.10-3.13 interpreter in {root}/versions")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    digests = {}
+    outputs = {}
     for python in [sys.executable, *pythons]:
-        proc = subprocess.run([str(python), "-c", _TABLE_DIGEST], capture_output=True, text=True,
+        proc = subprocess.run([str(python), "-c", script], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        digests[str(python)] = proc.stdout.strip()
+        outputs[str(python)] = proc.stdout
+    return outputs
+
+
+def test_tables_are_byte_identical_on_python_3_10_to_3_13():
+    digests = _stdout_on_python_3_10_to_3_13(_TABLE_DIGEST)
     assert len(set(digests.values())) == 1, digests
+
+
+def test_reports_configs_and_start_up_are_identical_on_python_3_10_to_3_13():
+    outputs = _stdout_on_python_3_10_to_3_13(_OUTPUT_DIGEST)
+    assert len(set(outputs.values())) == 1, outputs
+    assert next(iter(outputs.values())).endswith("\n[]\n")

@@ -241,6 +241,38 @@ class TestPipelineStages:
         ]
         assert rebuilt[0].replace(" ", "") == "lowlowerlowest"
 
+    def test_bpe_revert_gives_restore_the_tagged_text(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "lex.tsv", "id\ten\tsw\nne1\tPaulus\tPaulo\nne2\tShem\tSem\n")
+        _write(tmp_path / "test.en", "And Paulus fathered Shem .\nPaulus preached long .\n")
+        _write(tmp_path / "reserved.txt", "$NE1\n$NE2\n")
+        steps = [
+            ["tag", "--lexicon", "lex.tsv", "--src", "en", "--tgt", "sw", "--in", "test.en",
+             "--out", "test.tagged"],
+            ["bpe-learn", "--in", "test.tagged", "--merges", "4", "--reserved", "reserved.txt",
+             "--out", "model.bpe"],
+            # The translation stand-in: the tagged source itself, in BPE pieces.
+            ["bpe-apply", "--model", "model.bpe", "--in", "test.tagged", "--out", "mt.bpe"],
+            ["bpe-revert", "--in", "mt.bpe", "--out", "mt.sw"],
+            ["restore", "--in", "mt.sw", "--decode", "test.tagged.decode.jsonl",
+             "--out", "mt.restored"],
+        ]
+        for argv in steps:
+            assert cli.main(argv) == cli.EXIT_OK
+        assert "@@ " in (tmp_path / "mt.bpe").read_text()
+        assert (tmp_path / "mt.sw").read_bytes() == (tmp_path / "test.tagged").read_bytes()
+        assert (tmp_path / "mt.restored").read_text().splitlines() == [
+            "And Paulo fathered Sem .", "Paulo preached long .",
+        ]
+
+    def test_bpe_revert_names_the_line_of_a_dangling_piece(self, tmp_path, capsys):
+        pieces = tmp_path / "mt.bpe"
+        _write(pieces, "lo@@ w\nlo@@\n")
+        status = cli.main(["bpe-revert", "--in", str(pieces), "--out", str(tmp_path / "out")])
+        assert status == cli.EXIT_DATA
+        assert f"DanglingContinuation: {pieces}:2: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_align_train_and_lex_build(self, tmp_path, corpus_dir):
         src = tmp_path / "bitext.en"
         tgt = tmp_path / "bitext.sw"
@@ -1005,6 +1037,7 @@ _READERS = {
 _LINE_INPUTS = [
     ["bpe-learn", "--in", "text.txt", "--reserved", "BAD", "--out", "out"],
     ["bpe-apply", "--model", "model.bpe", "--in", "BAD", "--out", "out"],
+    ["bpe-revert", "--in", "BAD", "--out", "out"],
     ["align-train", "--src", "BAD", "--tgt", "text.txt", "--out", "out"],
     ["align-train", "--src", "text.txt", "--tgt", "BAD", "--out", "out"],
     ["lex-filter", "--in", "BAD", "--out", "out"],

@@ -34,6 +34,15 @@ def _random_corpus(rng: random.Random, sentences: int, max_len: int = 12):
     return hyps, refs
 
 
+@st.composite
+def _small_vocabulary_corpora(draw):
+    """Corpora over 1-4 words, so n-grams repeat and clipping matters; sentences
+    may be empty; with max_n from 1 to 5."""
+    sentence = st.lists(st.sampled_from("abcd"[: draw(st.integers(1, 4))]), max_size=10)
+    pairs = draw(st.lists(st.tuples(sentence, sentence), min_size=1, max_size=8))
+    return [hyp for hyp, _ in pairs], [ref for _, ref in pairs], draw(st.integers(1, 5))
+
+
 class TestBleu:
     def test_identical_scores_100(self):
         sentences = [["the", "cat", "sat", "on", "the", "mat"], ["a", "dog", "ran"]]
@@ -71,6 +80,18 @@ class TestBleu:
             assert report.brevity_penalty == pytest.approx(bp, abs=1e-9)
             for mine, oracle in zip(report.precisions, precisions):
                 assert mine == pytest.approx(oracle, abs=1e-9)
+
+    @given(corpus=_small_vocabulary_corpora())
+    @settings(max_examples=300)
+    def test_precisions_and_brevity_penalty_equal_the_oracle_exactly(self, corpus):
+        hyps, refs, max_n = corpus
+        report = corpus_bleu(hyps, refs, max_n)
+        precisions, bp, score = bleu_oracle(hyps, refs, max_n)
+        assert report.precisions == tuple(precisions)
+        assert report.brevity_penalty == bp
+        # The oracle adds the log precisions with the builtin sum, which
+        # compensates float sums from Python 3.12 on.
+        assert report.score == pytest.approx(score, rel=1e-12, abs=0.0)
 
     @given(seed=st.integers(0, 2_000))
     @settings(max_examples=40)

@@ -153,3 +153,29 @@ def test_only_fileio_reads_text():
         if re.search(r"read_text\(|\bopen\(|splitlines\(", line)
     ]
     assert offenders == []
+
+
+# Loaded by `dataclasses` and by nothing the cli needs; importing them slows the
+# start of every `versemt` command.
+START_UP_FREE = ("ast", "dataclasses", "dis", "inspect")
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    script = f"import sys, versemt.cli; print([m for m in {START_UP_FREE!r} if m in sys.modules])"
+    src = str(Path(versemt.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(versemt.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1)
+        if re.match(r"\s*(from|import)\s+dataclasses\b", line)
+    ]
+    assert offenders == []
