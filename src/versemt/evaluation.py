@@ -25,6 +25,15 @@ def _tokens(sentence: Sentence) -> list[str]:
     return sentence.split() if isinstance(sentence, str) else list(sentence)
 
 
+def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter[tuple[str, ...]]:
+    """The n-grams of every order 1..max_n in one Counter; a key's length is its order."""
+    shifted = [tokens[i:] for i in range(max_n)]
+    counts: Counter[tuple[str, ...]] = Counter()
+    for n in range(1, max_n + 1):
+        counts.update(zip(*shifted[:n]))
+    return counts
+
+
 class BleuReport(NamedTuple):
     precisions: tuple[float, ...]
     brevity_penalty: float
@@ -57,18 +66,11 @@ def corpus_bleu(
     matched = [0] * max_n
     total = [0] * max_n
     for hyp, ref in zip(hyp_tokens, ref_tokens):
-        hyp_shifted = [hyp[i:] for i in range(max_n)]
-        ref_shifted = [ref[i:] for i in range(max_n)]
-        for n in range(1, max_n + 1):
-            hyp_grams = list(zip(*hyp_shifted[:n]))
-            distinct = set(hyp_grams)
-            common = distinct.intersection(zip(*ref_shifted[:n]))
-            if len(distinct) == len(hyp_grams):  # each n-gram occurs once, so matches at most once
-                matched[n - 1] += len(common)
-            else:  # clip each repeated n-gram's matches to its count in the reference
-                hyp_counts, ref_counts = Counter(hyp_grams), Counter(zip(*ref_shifted[:n]))
-                matched[n - 1] += sum(min(hyp_counts[g], ref_counts[g]) for g in common)
-            total[n - 1] += len(hyp_grams)
+        ref_counts = _ngram_counts(ref, max_n)
+        for gram, count in _ngram_counts(hyp, max_n).items():
+            matched[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
+        for n in range(max_n):  # order n + 1 has len(hyp) - n n-grams
+            total[n] += max(len(hyp) - n, 0)
 
     c = sum(len(h) for h in hyp_tokens)
     r = sum(len(t) for t in ref_tokens)

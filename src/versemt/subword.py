@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -17,19 +18,21 @@ DEFAULT_NUM_MERGES = 30_000
 
 
 class BpeModel:
-    def __init__(
-        self,
-        merges: tuple[tuple[str, str], ...],
-        vocab_side: str = "source",
-        reserved: frozenset[str] = frozenset(),
-    ) -> None:
+    def __init__(self, merges: tuple[tuple[str, str], ...], vocab_side: str = "source",
+                 reserved: frozenset[str] = frozenset()) -> None:
         self.merges = merges
         self.vocab_side = vocab_side
         self.reserved = reserved
-        # Shared by every apply_bpe call on the model, and not part of its value:
-        # the rank table, and each word's pieces (reserved tokens stay whole).
-        self.merge_ranks = {pair: rank for rank, pair in enumerate(merges)}
-        self._segment_memo = {token: (token,) for token in reserved}
+
+    # Built on first use by apply_bpe (bpe-learn only saves), shared by later calls and
+    # ignored by __eq__; the memo is seeded with the reserved tokens, which stay whole.
+    @cached_property
+    def merge_ranks(self) -> dict[tuple[str, str], int]:
+        return {pair: rank for rank, pair in enumerate(self.merges)}
+
+    @cached_property
+    def _segment_memo(self) -> dict[str, tuple[str, ...]]:
+        return {token: (token,) for token in self.reserved}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BpeModel) and (self.merges, self.vocab_side, self.reserved) == (
@@ -191,7 +194,7 @@ def revert_bpe(subwords: Sequence[str]) -> list[str]:
         else:
             out.append(buffer + piece)
             buffer = ""
-    if buffer:
+    if subwords and subwords[-1].endswith(CONTINUATION):  # also a bare "@@", which adds nothing
         raise DanglingContinuation("subword sequence ends mid-word")
     return out
 

@@ -267,11 +267,12 @@ class TestPipelineStages:
 
     def test_bpe_revert_names_the_line_of_a_dangling_piece(self, tmp_path, capsys):
         pieces = tmp_path / "mt.bpe"
-        _write(pieces, "lo@@ w\nlo@@\n")
-        status = cli.main(["bpe-revert", "--in", str(pieces), "--out", str(tmp_path / "out")])
-        assert status == cli.EXIT_DATA
-        assert f"DanglingContinuation: {pieces}:2: " in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for dangling in ("lo@@", "w @@"):
+            _write(pieces, f"lo@@ w\n{dangling}\n")
+            status = cli.main(["bpe-revert", "--in", str(pieces), "--out", str(tmp_path / "out")])
+            assert status == cli.EXIT_DATA
+            assert f"DanglingContinuation: {pieces}:2: " in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_align_train_and_lex_build(self, tmp_path, corpus_dir):
         src = tmp_path / "bitext.en"

@@ -139,6 +139,10 @@ class TestApplyRevert:
         with pytest.raises(DanglingContinuation):
             revert_bpe(["lo@@"])
 
+    def test_a_bare_continuation_at_the_end_dangles(self):
+        with pytest.raises(DanglingContinuation):
+            revert_bpe(["lo@@", "w", "@@"])
+
     @given(
         sentence=st.lists(
             st.one_of(
