@@ -12,7 +12,8 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
-from .errors import DanglingContinuation, MalformedLine, PipelineError, UnknownLanguage, UsageError
+from .errors import EmptyBitext, EmptyCorpus, EmptySplit, MalformedLine, PipelineError
+from .errors import UnknownLanguage, UnknownVerse, UsageError, located
 from .fileio import atomic_write_lines, atomic_write_text, read_lines, read_parallel_lines
 from .fileio import read_rows, read_word_list
 from .manifest import _fork_join_map, run_manifest
@@ -73,7 +74,7 @@ def _label_mode(text: str) -> labeling.LabelMode:
 def _cmd_ingest(args: argparse.Namespace) -> None:
     lang = corpus.get_language(args.lang).code
     verse_map = corpus.ingest_language_file(args.infile, lang)
-    corpus.write_language_file(verse_map, Path(args.out) / f"{lang}.tsv")
+    corpus.write_language_file(sorted(verse_map.items()), Path(args.out) / f"{lang}.tsv")
     log.info("ingest lang=%s records=%d out=%s", lang, len(verse_map), args.out)
 
 
@@ -91,13 +92,7 @@ def _cmd_split(args: argparse.Namespace) -> None:
     seed = _default_seed(args.seed)
     assignment = corpus.split_corpus(parallel, ratios, seed)
     corpus.write_split(assignment, args.out)
-    log.info(
-        "split seed=%d sizes=%d/%d/%d",
-        seed,
-        len(assignment.train),
-        len(assignment.val),
-        len(assignment.test),
-    )
+    log.info("split seed=%d sizes=%d/%d/%d", seed, *map(len, assignment))
 
 
 def _cmd_label(args: argparse.Namespace) -> None:
@@ -110,7 +105,8 @@ def _cmd_label(args: argparse.Namespace) -> None:
         steps = labeling.read_schedule_steps(args.schedule)
     parallel = corpus.read_corpus_dir(args.corpus)
     split = corpus.read_split(args.split)
-    texts = labeling.TrainTexts((c for _, langs in steps for c in langs), parallel, split)
+    with located(args.split, (EmptySplit, UnknownVerse)):
+        texts = labeling.TrainTexts((c for _, langs in steps for c in langs), parallel, split)
     for step, langs in steps:
         prefix = args.out_prefix if step is None else f"{args.out_prefix}.step{step}"
         examples = labeling.expand_multiway_pairs(langs, texts, mode)
@@ -131,7 +127,8 @@ def _cmd_schedule(args: argparse.Namespace) -> None:
 def _cmd_bpe_learn(args: argparse.Namespace) -> None:
     reserved = set(read_word_list(args.reserved)) if args.reserved else set()
     tokens = (token for _, line in read_lines(args.infile) for token in line.split())
-    model = subword.learn_bpe(tokens, args.merges, reserved, vocab_side=args.side)
+    with located(args.infile, EmptyCorpus):
+        model = subword.learn_bpe(tokens, args.merges, reserved, vocab_side=args.side)
     subword.save_model(model, args.out)
     log.info("bpe-learn side=%s merges=%d", args.side, len(model.merges))
 
@@ -147,10 +144,8 @@ def _cmd_bpe_apply(args: argparse.Namespace) -> None:
 def _cmd_bpe_revert(args: argparse.Namespace) -> None:
     out_lines = []
     for lineno, line in read_lines(args.infile):
-        try:
+        with located(f"{args.infile}:{lineno}"):
             out_lines.append(" ".join(subword.revert_bpe(line.split())))
-        except DanglingContinuation as exc:
-            raise DanglingContinuation(f"{args.infile}:{lineno}: {exc}") from None
     atomic_write_lines(args.out, out_lines)
 
 
@@ -158,7 +153,8 @@ def _cmd_align_train(args: argparse.Namespace) -> None:
     src_lines, tgt_lines = read_parallel_lines(args.src, args.tgt)
     bitext = [(corpus.tokenize(s), corpus.tokenize(t)) for s, t in zip(src_lines, tgt_lines)]
     params = alignment.DiagonalParams(tension=args.tension, null_prob=args.null_prob)
-    table = alignment.train_em(bitext, args.iterations, params)
+    with located(f"{args.src}, {args.tgt}", EmptyBitext):
+        table = alignment.train_em(bitext, args.iterations, params)
     alignment.save_table(table, args.out, args.iterations)
     log.info(
         "align-train pairs=%d iterations=%d ll=%s",
@@ -170,7 +166,8 @@ def _cmd_align_train(args: argparse.Namespace) -> None:
 
 def _cmd_lex_filter(args: argparse.Namespace) -> None:
     stoplist = read_word_list(args.stoplist) if args.stoplist else []
-    cleaned = lexicon.filter_seed_list(read_word_list(args.infile), stoplist)
+    with located(args.infile):
+        cleaned = lexicon.filter_seed_list(read_word_list(args.infile), stoplist)
     atomic_write_lines(args.out, cleaned)
     log.info("lex-filter kept=%d", len(cleaned))
 
@@ -247,10 +244,10 @@ def _cmd_tag(args: argparse.Namespace) -> None:
 def _cmd_restore(args: argparse.Namespace) -> None:
     decodes = netag.read_decode_sidecar(args.decode)
     [lines] = read_parallel_lines(args.infile, records=(args.decode, len(decodes)))
-    restored = [
-        " ".join(netag.restore_placeholders(line.split(), decode))
-        for line, decode in zip(lines, decodes)
-    ]
+    restored = []
+    for lineno, (line, decode) in enumerate(zip(lines, decodes), start=1):
+        with located(f"{args.infile}:{lineno}"):
+            restored.append(" ".join(netag.restore_placeholders(line.split(), decode)))
     atomic_write_lines(args.out, restored)
 
 
@@ -258,7 +255,8 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     text_by_id = corpus.read_verse_file(args.infile)
     total = args.total if args.total is not None else len(text_by_id)
     plan = harness.AblationPlan(fraction=args.fraction, seed=_default_seed(args.seed), total=total)
-    result = harness.sample_low_resource(list(text_by_id.items()), plan)
+    with located(args.infile):
+        result = harness.sample_low_resource(list(text_by_id.items()), plan)
     atomic_write_lines(args.out, [f"{vid}\t{text_by_id[vid]}" for vid in result.ids])
     if args.manifest:
         harness.write_ablation_manifest([(plan, result)], args.manifest)
@@ -287,13 +285,12 @@ def _cmd_gl_monitor(args: argparse.Namespace) -> None:
             raise MalformedLine(f"<stdin>:{lineno}: not valid UTF-8") from None
         try:
             epoch, score = line.split("\t")
-            state, gl, decision = harness.gl_update(state, int(epoch), float(score))
+            with located(f"<stdin>:{lineno}"):  # an epoch that does not follow the last
+                state, gl, decision = harness.gl_update(state, int(epoch), float(score))
         except ValueError:  # a field count, a number, or gl_update's BadParameter
             raise MalformedLine(
                 f"<stdin>:{lineno}: expected `integer epoch<TAB>finite score >= 0`, got {line!r}"
             ) from None
-        except PipelineError as exc:  # an epoch that does not follow the last
-            raise type(exc)(f"<stdin>:{lineno}: {exc}") from None
         print(f"{epoch}\t{score}\t{gl:.4f}\t{decision}", flush=True)
         if decision == "stop":
             break
@@ -309,7 +306,8 @@ def _cmd_fit(args: argparse.Namespace) -> None:
         if not all(map(math.isfinite, point)):
             raise MalformedLine(f"{args.infile}:{lineno}: expected two finite numbers, got {fields}")
         points.append(point)
-    fit = harness.fit_power_law(points)
+    with located(args.infile):
+        fit = harness.fit_power_law(points)
     line = f"slope\t{fit.slope:.9f}\nintercept\t{fit.intercept:.9f}\nr_squared\t{fit.r_squared:.9f}"
     print(line)
     if args.out:
@@ -319,7 +317,8 @@ def _cmd_fit(args: argparse.Namespace) -> None:
 def _cmd_bleu(args: argparse.Namespace) -> None:
     hyp_lines, ref_lines = read_parallel_lines(args.hyp, args.ref)
     refs = [corpus.tokenize(line) for line in ref_lines]
-    report = evaluation.corpus_bleu(hyp_lines, refs, max_n=args.max_n)
+    with located(f"{args.hyp}, {args.ref}", EmptyCorpus):
+        report = evaluation.corpus_bleu(hyp_lines, refs, max_n=args.max_n)
     print(evaluation.format_bleu_summary(report))
     if args.report:
         evaluation.write_bleu_report(report, args.report)
@@ -327,7 +326,8 @@ def _cmd_bleu(args: argparse.Namespace) -> None:
 
 def _cmd_rubric(args: argparse.Namespace) -> None:
     if args.infile:
-        percentages = evaluation.aggregate_rubric(evaluation.read_judgments(args.infile))
+        with located(args.infile):
+            percentages = evaluation.aggregate_rubric(evaluation.read_judgments(args.infile))
         lines = [f"{category}\t{pct:.1f}" for category, pct in percentages.items()]
         print("\n".join(lines))
         if args.out:

@@ -10,21 +10,10 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BadRatios, DuplicateLanguage, DuplicateVerseId, EmptyFile, MalformedLine
-from .errors import UnknownLanguage
+from .errors import UnknownLanguage, located
 from .fileio import atomic_write_lines, read_rows
 
 log = logging.getLogger(__name__)
-
-FAMILIES = (
-    "germanic",
-    "slavic",
-    "romance",
-    "albanian",
-    "hellenic",
-    "italic",
-    "uralic",
-    "celtic",
-)
 
 
 class Language(NamedTuple):
@@ -44,6 +33,8 @@ _FAMILY_TABLE = (
     ("uralic", ("fn", "hg")),
     ("celtic", ("ws",)),
 )
+
+FAMILIES = tuple(family for family, _ in _FAMILY_TABLE)
 
 REGISTRY: dict[str, Language] = {
     code: Language(code, family) for family, codes in _FAMILY_TABLE for code in codes
@@ -111,29 +102,21 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-class Verse(NamedTuple):
-    id: str
-    texts: Mapping[str, str]
-
-    def text(self, lang: str) -> str:
-        return self.texts[lang]
-
-
 class ParallelCorpus:
-    def __init__(self, verses: tuple[Verse, ...], languages: tuple[str, ...]) -> None:
-        self.verses = verses
-        self.languages = languages
+    """The sorted verse ids, and each language's texts in the same order."""
+
+    def __init__(self, ids: tuple[str, ...], texts: Mapping[str, tuple[str, ...]]) -> None:
+        self.ids = ids
+        self.languages = tuple(texts)
+        self._texts = texts
 
     def __len__(self) -> int:
-        return len(self.verses)
+        return len(self.ids)
 
-    def ids(self) -> list[str]:
-        return [v.id for v in self.verses]
-
-    def texts(self, lang: str) -> list[str]:
-        if lang not in self.languages:
+    def texts(self, lang: str) -> tuple[str, ...]:
+        if lang not in self._texts:
             raise UnknownLanguage(f"language {lang!r} not in corpus")
-        return [v.text(lang) for v in self.verses]
+        return self._texts[lang]
 
 
 def ingest_language_file(path: str | Path, lang: str) -> dict[str, str]:
@@ -162,15 +145,13 @@ def intersect_alignment(maps: Mapping[str, Mapping[str, str]]) -> ParallelCorpus
     """Align per-language verse maps on the verse ids present in every map."""
     if not maps:
         raise ValueError("at least one language map is required")
-    languages = tuple(registry_order(maps.keys()))
     common = set.intersection(*(set(verse_map) for verse_map in maps.values()))
     if not common:
         log.warning("EmptyIntersection: no verse id is shared by all %d languages", len(maps))
-    verses = tuple(
-        Verse(id=vid, texts={lang: maps[lang][vid] for lang in languages})
-        for vid in sorted(common)
+    ids = tuple(sorted(common))
+    return ParallelCorpus(
+        ids, {lang: tuple(map(maps[lang].__getitem__, ids)) for lang in registry_order(maps)}
     )
-    return ParallelCorpus(verses=verses, languages=languages)
 
 
 class SplitAssignment(NamedTuple):
@@ -190,7 +171,7 @@ def split_corpus(
     """
     if len(ratios) != 3 or any(not 0 < r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise BadRatios(f"ratios must be three positive fractions summing to 1.0, got {ratios!r}")
-    ids = sorted(corpus.ids())
+    ids = sorted(corpus.ids)
     rng = random.Random(seed)
     rng.shuffle(ids)
     n = len(ids)
@@ -235,15 +216,14 @@ def corpus_stats(corpus: ParallelCorpus, lang: str) -> CorpusStats:
 # ---------------------------------------------------------------------------
 
 
-def write_language_file(verse_map: Mapping[str, str], path: str | Path) -> None:
-    lines = [f"{vid}\t{verse_map[vid]}" for vid in sorted(verse_map)]
-    atomic_write_lines(path, lines)
+def write_language_file(verses: Iterable[tuple[str, str]], path: str | Path) -> None:
+    """Write ``(verse id, text)`` pairs, given in verse id order, as a verse file."""
+    atomic_write_lines(path, [f"{vid}\t{text}" for vid, text in verses])
 
 
 def write_corpus_dir(corpus: ParallelCorpus, directory: str | Path) -> None:
-    directory = Path(directory)
     for lang in corpus.languages:
-        write_language_file({v.id: v.text(lang) for v in corpus.verses}, directory / f"{lang}.tsv")
+        write_language_file(zip(corpus.ids, corpus.texts(lang)), Path(directory) / f"{lang}.tsv")
 
 
 def language_files(directory: str | Path) -> dict[str, Path]:
@@ -251,7 +231,8 @@ def language_files(directory: str | Path) -> dict[str, Path]:
     holds ``uk``); two files of one language raise naming both."""
     path_of: dict[str, Path] = {}
     for path in sorted(Path(directory).glob("*.tsv")):
-        code = get_language(path.stem).code
+        with located(path):
+            code = get_language(path.stem).code
         if code in path_of:
             raise DuplicateLanguage(f"{path_of[code]} and {path} both hold language {code!r}")
         path_of[code] = path

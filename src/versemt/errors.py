@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all pipeline stages."""
+"""Exception hierarchy shared by all pipeline stages, and the helper that locates an error."""
+
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class PipelineError(Exception):
@@ -7,6 +10,18 @@ class PipelineError(Exception):
 
 class UsageError(Exception):
     """Bad command-line invocation (CLI exit code 1)."""
+
+
+@contextmanager
+def located(where: object, kinds: type | tuple[type, ...] = PipelineError) -> Iterator[None]:
+    """Re-raise a ``kinds`` error from the block as the same type with ``where: ``
+    in front, unless its message already starts with ``where``."""
+    try:
+        yield
+    except kinds as exc:
+        if str(exc).startswith(str(where)):
+            raise
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 class BadParameter(PipelineError, ValueError):

@@ -17,7 +17,7 @@ from .corpus import (
     registry_order,
     tokenize,
 )
-from .errors import EmptySplit, MalformedLine, UnknownLanguage, UnknownVerse
+from .errors import EmptySplit, MalformedLine, UnknownLanguage, UnknownVerse, located
 from .fileio import atomic_write_lines, atomic_writer, read_rows
 
 
@@ -64,14 +64,15 @@ class TrainTexts:
                 raise UnknownLanguage(f"language {code!r} not in corpus")
         if not split.train:
             raise EmptySplit("split has no train verses")
-        by_id = {v.id: v for v in corpus.verses}
-        missing = sorted(set(split.train) - by_id.keys())
+        row_of = {vid: row for row, vid in enumerate(corpus.ids)}
+        missing = sorted(split.train - row_of.keys())
         if missing:
             raise UnknownVerse(
                 f"{len(missing)} train verse id(s) not in corpus: {', '.join(map(repr, missing[:5]))}"
             )
+        self._corpus = corpus
         self._checked = frozenset(codes)
-        self._train = [by_id[vid] for vid in sorted(split.train)]
+        self._rows = [row_of[vid] for vid in sorted(split.train)]
         self._texts: dict[str, tuple[str, ...]] = {}
 
     def __getitem__(self, code: str) -> tuple[str, ...]:
@@ -79,7 +80,8 @@ class TrainTexts:
         if texts is None:
             if code not in self._checked:
                 raise UnknownLanguage(f"language {code!r} was not checked against the corpus")
-            texts = tuple(" ".join(tokenize(verse.text(code))) for verse in self._train)
+            column = self._corpus.texts(code)
+            texts = tuple(" ".join(tokenize(column[row])) for row in self._rows)
             self._texts[code] = texts
         return texts
 
@@ -197,10 +199,8 @@ def read_schedule_steps(path: str | Path) -> list[tuple[int, list[str]]]:
             raise MalformedLine(f"{path}:{lineno}: empty language code in {cell!r}")
         if line_of.setdefault(step, lineno) != lineno:  # its files would replace the first's
             raise MalformedLine(f"{path}:{lineno}: step {step} repeats line {line_of[step]}")
-        try:
+        with located(f"{path}:{lineno}"):
             steps.append((step, _codes(langs)))
-        except UnknownLanguage as exc:
-            raise UnknownLanguage(f"{path}:{lineno}: {exc}") from None
     return steps
 
 

@@ -4,18 +4,15 @@ import random
 
 import pytest
 
-from versemt.corpus import ParallelCorpus, Verse
+from versemt.corpus import ParallelCorpus
 
 
 def make_corpus(texts_by_lang: dict[str, dict[str, str]]) -> ParallelCorpus:
     """Build a corpus from {lang: {verse_id: text}}; ids must agree across langs."""
-    languages = tuple(sorted(texts_by_lang))
-    ids = sorted(next(iter(texts_by_lang.values())))
-    verses = tuple(
-        Verse(id=vid, texts={lang: texts_by_lang[lang][vid] for lang in languages})
-        for vid in ids
-    )
-    return ParallelCorpus(verses=verses, languages=languages)
+    ids = tuple(sorted(next(iter(texts_by_lang.values()))))
+    return ParallelCorpus(ids, {
+        lang: tuple(texts_by_lang[lang][vid] for vid in ids) for lang in sorted(texts_by_lang)
+    })
 
 
 @pytest.fixture

@@ -285,17 +285,16 @@ def expand_multiway_pairs_oracle(langs, corpus, split, mode):
     if not split.train:
         raise EmptySplit("split has no train verses")
     train_ids = sorted(split.train)
-    by_id = {v.id: v for v in corpus.verses}
+    text_of = {lang: dict(zip(corpus.ids, corpus.texts(lang))) for lang in corpus.languages}
     for src in codes:
         for tgt in codes:
             if src == tgt:
                 continue
             labels = tuple(label_tokens(src, tgt, mode))
             for vid in train_ids:
-                verse = by_id[vid]
                 yield OracleExample(
-                    source_tokens=labels + tuple(tokenize(verse.text(src))),
-                    target_tokens=tuple(tokenize(verse.text(tgt))),
+                    source_tokens=labels + tuple(tokenize(text_of[src][vid])),
+                    target_tokens=tuple(tokenize(text_of[tgt][vid])),
                     src=src,
                     tgt=tgt,
                 )

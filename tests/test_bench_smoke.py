@@ -1,4 +1,5 @@
-"""Smoke run of the benchmark at its tiny size: every stage passes its checks."""
+"""Runs of the benchmark: at its tiny size every stage passes its checks, and at
+full size seed 1 writes the bytes that `bench/golden.json` records."""
 
 from __future__ import annotations
 
@@ -7,17 +8,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tiny_run(workload: str, results: Path, trace: str = "0") -> dict:
+def _run(workload: str, results: Path, *flags: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--size", "tiny",
-         "--seed", "1", "--seconds", "1", "--trace", trace, "--results", str(results)],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--results", str(results), *flags],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _tiny_run(workload: str, results: Path, trace: str = "0") -> dict:
+    return _run(workload, results, "--size", "tiny", "--seconds", "1", "--trace", trace)
+
+
+@pytest.mark.parametrize("workload", ["multiway-label", "ne-lexicon", "tag-eval"])
+def test_full_size_seed_1_outputs_match_the_golden_digests(tmp_path, workload):
+    # bench/run.py only prints a digest that differs, so the test compares them.
+    assert _run(workload, tmp_path, "--seconds", "0.5", "--trace", "0")["failed"] == 0
+    record = json.loads((tmp_path / f"{workload}.seed1.trace0.json").read_text())
+    golden = json.loads((ROOT / "bench" / "golden.json").read_text())
+    assert record["output_digests"] == golden["full"][workload]["1"]
 
 
 def test_tag_eval_tiny_run_is_correct(tmp_path):

@@ -142,6 +142,19 @@ class TestLanguageAlias:
                          "--aligners", str(tmp_path / "aligners"),
                          "--out", str(tmp_path / "lex.tsv")])
 
+    def test_a_file_named_by_no_language_exits_2_naming_it(self, tmp_path, capsys):
+        _write(tmp_path / "store" / "en.tsv", "v1\tIn the beginning\nv2\tAnd the earth\n")
+        _write(tmp_path / "store" / "xx.tsv", self.UK)
+        status, aligned = self._align(tmp_path)
+        assert status == cli.EXIT_DATA
+        assert (f"UnknownLanguage: {tmp_path / 'store' / 'xx.tsv'}: unknown language code "
+                f"'xx'") in capsys.readouterr().err
+        assert not aligned.exists()
+        assert self._lex_build(tmp_path, ["zz.tsv"]) == cli.EXIT_DATA
+        assert (f"UnknownLanguage: {tmp_path / 'aligners' / 'zz.tsv'}: unknown language code "
+                f"'zz'") in capsys.readouterr().err
+        assert not (tmp_path / "lex.tsv").exists()
+
     def test_an_aligner_under_the_alias_serves_its_language(self, tmp_path, capsys):
         assert self._lex_build(tmp_path, ["ur.tsv"]) == cli.EXIT_OK, capsys.readouterr().err
         assert (tmp_path / "lex.tsv").read_text(encoding="utf-8").splitlines() == [
@@ -735,6 +748,18 @@ class TestMalformedInputs:
             '{"line": 1, "map": {"1": {"src": "Noah", "tgt": "Noa"}}}',
         )
 
+    def test_a_placeholder_the_sidecar_lacks_names_its_line(self, tmp_path, capsys):
+        decode = tmp_path / "decode.jsonl"
+        _write(decode, '{"line": 1, "map": {"1": {"src": "Noah", "tgt": "Noa"}}}\n'
+                       '{"line": 2, "map": {"1": {"src": "Shem", "tgt": "Sem"}}}\n')
+        translated = tmp_path / "hyp.fr"
+        _write(translated, "$NE1 sov .\n$NE2 vaknade .\n")
+        status, err = self._main(
+            ["restore", "--in", translated, "--decode", decode, "--out", tmp_path / "out"], capsys)
+        assert status == cli.EXIT_DATA
+        assert f"UnknownPlaceholder: {translated}:2: $NE2 has no decode entry" in err
+        assert not (tmp_path / "out").exists()
+
     def _label(self, tmp_path, corpus_dir, capsys, splits, schedule):
         prefix = tmp_path / "bitext"
         status, err = self._main(
@@ -760,6 +785,20 @@ class TestMalformedInputs:
         _write(schedule, "1\ten,sw\n")
         err = self._label(tmp_path, corpus_dir, capsys, splits, schedule)
         assert "zzz999" in err
+
+    def test_label_langs_with_a_train_id_missing_from_the_corpus_writes_nothing(
+            self, tmp_path, corpus_dir, capsys):
+        splits = self._valid_split(tmp_path, corpus_dir)
+        with splits.open("a", encoding="utf-8") as handle:
+            handle.write("zz\ttrain\n")
+        prefix = tmp_path / "bitext"
+        status, err = self._main(
+            ["label", "--corpus", corpus_dir, "--split", splits, "--langs", "en,sw",
+             "--out-prefix", prefix], capsys)
+        assert status == cli.EXIT_DATA
+        assert f"UnknownVerse: {splits}: 1 train verse id(s) not in corpus: 'zz'" in err
+        assert not (tmp_path / "bitext.src").exists()
+        assert not (tmp_path / "bitext.tgt").exists()
 
     @pytest.mark.parametrize("line", ["x\ten,sw", "1\t", "1\ten,,sw"])
     def test_malformed_schedule_line(self, tmp_path, corpus_dir, capsys, line):
@@ -1483,6 +1522,27 @@ class TestOneReaderPerFormat:
             assert count in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("files, argv, message", [
+        ({"hyp": "", "ref": ""}, ["bleu", "--hyp", "hyp", "--ref", "ref"],
+         "EmptyCorpus: hyp, ref: no sentences to score"),
+        ({"src": "", "tgt": ""}, ["align-train", "--src", "src", "--tgt", "tgt", "--out", "out"],
+         "EmptyBitext: src, tgt: bitext is empty"),
+        ({"j.jsonl": '{"meaning": null, "order_correct": true, "set_correct": true}\n'},
+         ["rubric", "--in", "j.jsonl", "--out", "out"],
+         "UnresolvedJudgments: j.jsonl: 1 judgment(s) still pending the human meaning pass"),
+        ({"j.jsonl": '{"meaning": 1, "order_correct": true, "set_correct": true}\n'},
+         ["rubric", "--in", "j.jsonl", "--out", "out"],
+         "MalformedLine: j.jsonl:1: `meaning` must be true, false or null"),
+    ], ids=["bleu", "align-train", "rubric-pending", "rubric-line"])
+    def test_an_input_error_names_its_files_once(self, tmp_path, monkeypatch, capsys, files,
+                                                  argv, message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            _write(tmp_path / name, text)
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sample_names_an_empty_file(self, tmp_path, capsys):
         verses = tmp_path / "verses.tsv"
         _write(verses, "")
@@ -1653,6 +1713,7 @@ def test_corrupted_input_never_exits_3(tmp_path_factory, name, argv, data):
     with contextlib.chdir(root), contextlib.redirect_stderr(io.StringIO()) as err:
         status = cli.main(argv)
     assert status in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA), err.getvalue()
+    assert status != cli.EXIT_DATA or name in err.getvalue(), err.getvalue()
 
 
 # Commands that parse and run on `_valid_inputs`, to be broken at random. `gl-monitor`

@@ -150,13 +150,13 @@ class TestIntersect:
         corpus = intersect_alignment(
             {"en": {"1": "a", "2": "b", "3": "c"}, "sw": {"2": "x", "3": "y", "4": "z"}}
         )
-        assert corpus.ids() == ["2", "3"]
+        assert corpus.ids == ("2", "3")
         assert set(corpus.languages) == {"en", "sw"}
 
     def test_single_map_identity(self):
         corpus = intersect_alignment({"en": {"2": "b", "1": "a"}})
-        assert corpus.ids() == ["1", "2"]
-        assert corpus.texts("en") == ["a", "b"]
+        assert corpus.ids == ("1", "2")
+        assert corpus.texts("en") == ("a", "b")
 
     def test_disjoint_maps_warn(self, caplog):
         with caplog.at_level(logging.WARNING):
@@ -176,7 +176,7 @@ class TestIntersect:
                 lang: {str(i): "t" for i in ids_set}
                 for lang, ids_set in zip(("en", "sw", "de"), maps_sets)
             }
-            return set(intersect_alignment(maps).ids())
+            return set(intersect_alignment(maps).ids)
 
         expected = {str(i) for i in a & b & c}
         assert ids(a, b, c) == expected
@@ -218,7 +218,7 @@ class TestSplit:
     def test_partition_property(self, n, seed):
         corpus = _verse_corpus(n)
         split = split_corpus(corpus, (0.75, 0.15, 0.10), seed)
-        ids = set(corpus.ids())
+        ids = set(corpus.ids)
         assert split.train | split.val | split.test == ids
         assert not (split.train & split.val)
         assert not (split.train & split.test)
@@ -272,7 +272,7 @@ class TestCorpusIo:
         )
         write_corpus_dir(corpus, tmp_path / "store")
         loaded = read_corpus_dir(tmp_path / "store")
-        assert loaded.ids() == corpus.ids()
+        assert loaded.ids == corpus.ids
         assert loaded.texts("sw") == corpus.texts("sw")
 
     def test_split_roundtrip(self, tmp_path):

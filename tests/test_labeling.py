@@ -96,7 +96,7 @@ class TestExpandMultiway:
         split = split_corpus(corpus, (0.8, 0.1, 0.1), seed=0)
         # 10 verses at these ratios put 8 in train: force all 10 into train
         split = type(split)(
-            train=frozenset(corpus.ids()), val=frozenset(), test=frozenset(),
+            train=frozenset(corpus.ids), val=frozenset(), test=frozenset(),
         )
         blocks = list(_expand(["en", "sw"], corpus, split, LabelMode.LANGUAGE_ONLY))
         assert _line_count(blocks) == 20
@@ -221,7 +221,7 @@ def _labeling_case(draw):
     # Repeats, and the Ukrainian alias "ur" beside "uk".
     aliases = ["ur"] if "uk" in corpus_langs else []
     langs = draw(st.lists(st.sampled_from(corpus_langs + aliases), min_size=1, max_size=6))
-    train = draw(st.sets(st.sampled_from(corpus.ids()), min_size=1))
+    train = draw(st.sets(st.sampled_from(corpus.ids), min_size=1))
     split = SplitAssignment(
         train=frozenset(train), val=frozenset(), test=frozenset()
     )
@@ -276,7 +276,7 @@ def _label_stage_case(draw):
     text = st.one_of(st.just(""), st.lists(pieces, min_size=1, max_size=5).map(" ".join))
     texts = {lang: {f"v{i}": draw(text) for i in range(n_verses)} for lang in corpus_langs}
     corpus = make_corpus(texts)
-    train = draw(st.sets(st.sampled_from(corpus.ids()), min_size=1))
+    train = draw(st.sets(st.sampled_from(corpus.ids), min_size=1))
     names = corpus_langs + (["ur"] if "uk" in corpus_langs else [])
     step_langs = st.lists(st.sampled_from(names), min_size=1, max_size=5)
     steps = draw(st.lists(step_langs, min_size=1, max_size=4))
@@ -316,7 +316,7 @@ def _full_train_split(corpus):
     from versemt.corpus import SplitAssignment
 
     return SplitAssignment(
-        train=frozenset(corpus.ids()),
+        train=frozenset(corpus.ids),
         val=frozenset(),
         test=frozenset(),
     )
