@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
+import io
 import logging
 import math
 import os
@@ -208,6 +210,8 @@ def _cmd_lex_trim(args: argparse.Namespace) -> None:
         raise UsageError("--manual-file goes with policy manual-selection, and only with it")
     if args.policy == "frequency-equals-one" and not (args.corpus or args.freq):
         raise UsageError("policy frequency-equals-one needs --corpus or --freq")
+    if args.corpus and args.policy != "frequency-equals-one":
+        raise UsageError("--corpus goes with policy frequency-equals-one only")
     table = lexicon.load_lexicon(args.infile, args.freq)
     parallel = corpus.read_corpus_dir(args.corpus) if args.corpus else None
     trimmed = lexicon.trim_table(table, args.policy, parallel, args.manual_file)
@@ -325,6 +329,10 @@ def _cmd_bleu(args: argparse.Namespace) -> None:
 
 
 def _cmd_rubric(args: argparse.Namespace) -> None:
+    judging = (args.hyp, args.ref, args.decode)
+    if args.infile and any(judging) or not args.infile and not (all(judging) and args.out):
+        raise UsageError("rubric needs either --in and an optional --out, "
+                         "or all of --hyp/--ref/--decode/--out")
     if args.infile:
         with located(args.infile):
             percentages = evaluation.aggregate_rubric(evaluation.read_judgments(args.infile))
@@ -333,8 +341,6 @@ def _cmd_rubric(args: argparse.Namespace) -> None:
         if args.out:
             atomic_write_lines(args.out, lines)
         return
-    if not (args.hyp and args.ref and args.decode and args.out):
-        raise UsageError("rubric needs either --in, or --hyp/--ref/--decode/--out")
     decodes = netag.read_decode_sidecar(args.decode)
     hyp_lines, ref_lines = read_parallel_lines(
         args.hyp, args.ref, records=(args.decode, len(decodes))
@@ -354,7 +360,7 @@ def _cmd_emit_config(args: argparse.Namespace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    run_manifest(args.manifest, dispatch)  # looked up now, so a replaced dispatch runs the stages
+    run_manifest(args.manifest, dispatch, _check_command)  # a replaced dispatch runs the stages
 
 
 # ---------------------------------------------------------------------------
@@ -362,161 +368,89 @@ def _cmd_run(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _flag(name: str, **spec: object) -> tuple[str, dict]:
+    return name, spec
+
+
+# Flags that several subcommands take.
+_IN = _flag("--in", dest="infile", required=True)
+_OUT = _flag("--out", required=True)
+_SEED = _flag("--seed", type=int)
+_CORPUS = _flag("--corpus", required=True)
+_FREQ_OUT = _flag("--freq-out")
+
+# Every subcommand, in the order --help lists them: name, help, handler, flags.
+_SUBCOMMANDS = (
+    ("ingest", "normalize one language file into a corpus directory", _cmd_ingest,
+     [_flag("--lang", required=True), _IN, _OUT]),
+    ("align", "intersect per-language files on shared verse ids", _cmd_align,
+     [_IN, _OUT, _flag("--stats", help="optional stats TSV report")]),
+    ("split", "deterministic train/val/test split", _cmd_split,
+     [_CORPUS, _flag("--ratios", default="0.75,0.15,0.10"), _SEED, _OUT]),
+    ("label", "emit labeled multiway bitext", _cmd_label,
+     [_CORPUS, _flag("--split", required=True), _flag("--mode", default="language-plus-family"),
+      _flag("--langs", help="comma-separated language codes"),
+      _flag("--schedule", help="schedule TSV (one bitext per step)"),
+      _flag("--out-prefix", required=True)]),
+    ("schedule", "build a family/sparse addition schedule", _cmd_schedule,
+     [_flag("--anchor", required=True),
+      _flag("--mode", choices=["family-addition", "sparse-addition"], required=True),
+      _SEED, _OUT]),
+    ("bpe-learn", "learn a BPE model from tokenized text", _cmd_bpe_learn,
+     [_IN, _flag("--merges", type=int, default=subword.DEFAULT_NUM_MERGES),
+      _flag("--side", choices=["source", "target"], default="source"),
+      _flag("--reserved", help="file of reserved tokens, one per line"), _OUT]),
+    ("bpe-apply", "apply a BPE model to tokenized text", _cmd_bpe_apply,
+     [_flag("--model", required=True), _IN, _OUT]),
+    ("bpe-revert", "join BPE pieces back into tokens", _cmd_bpe_revert, [_IN, _OUT]),
+    ("align-train", "train a lexical translation table by EM", _cmd_align_train,
+     [_flag("--src", required=True), _flag("--tgt", required=True),
+      _flag("--iterations", type=int, default=5), _flag("--tension", type=float, default=4.0),
+      _flag("--null-prob", type=float, default=0.08), _OUT]),
+    ("lex-filter", "clean a raw named-entity candidate list", _cmd_lex_filter,
+     [_IN, _flag("--stoplist"), _OUT]),
+    ("lex-build", "project a seed list into a parallel lexicon table", _cmd_lex_build,
+     [_flag("--seed-list", required=True), _CORPUS,
+      _flag("--aligners", required=True, help="directory of <lang>.tsv tables"),
+      _flag("--min-votes", type=int, default=lexicon.DEFAULT_MIN_VOTES), _OUT, _FREQ_OUT]),
+    ("lex-trim", "trim a lexicon table by policy", _cmd_lex_trim,
+     [_IN, _flag("--freq"),
+      _flag("--policy", choices=["none", "frequency-equals-one", "manual-selection"],
+            default="none"),
+      _flag("--manual-file"), _flag("--corpus"), _OUT, _FREQ_OUT]),
+    ("tag", "replace named entities with ordered placeholders", _cmd_tag,
+     [_flag("--lexicon", required=True), _flag("--src", required=True, help="source language code"),
+      _flag("--tgt", required=True, help="target language code"), _IN, _OUT,
+      _flag("--tgt-in", help="target side for training-pair tagging"), _flag("--tgt-out"),
+      _flag("--decode", help="decode sidecar path (default <out>.decode.jsonl)")]),
+    ("restore", "replace placeholders using a decode sidecar", _cmd_restore,
+     [_IN, _flag("--decode", required=True), _OUT]),
+    ("sample", "ablation-sample low-resource verses with duplication", _cmd_sample,
+     [_IN, _flag("--fraction", type=float, required=True), _SEED, _flag("--total", type=int),
+      _OUT, _flag("--manifest")]),
+    ("gl-monitor", "early-stopping monitor over stdin `epoch<TAB>score`", _cmd_gl_monitor,
+     [_flag("--alpha", type=float, default=0.1)]),
+    ("fit", "fit score against log10 word count", _cmd_fit, [_IN, _flag("--out")]),
+    ("bleu", "corpus BLEU of hypothesis vs reference file", _cmd_bleu,
+     [_flag("--hyp", required=True), _flag("--ref", required=True),
+      _flag("--max-n", type=int, default=4), _flag("--report")]),
+    ("rubric", "judge sentences or aggregate a judgments file", _cmd_rubric,
+     [_flag("--in", dest="infile", help="judgments JSONL to aggregate"), _flag("--hyp"),
+      _flag("--ref"), _flag("--decode"), _flag("--out")]),
+    ("emit-config", "write trainer hyperparameters for a profile", _cmd_emit_config,
+     [_flag("--profile", required=True), _OUT]),
+    ("run", "run a pipeline manifest", _cmd_run, [_flag("--manifest", required=True)]),
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="versemt", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
-
-    p = sub.add_parser("ingest", help="normalize one language file into a corpus directory")
-    p.add_argument("--lang", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("align", help="intersect per-language files on shared verse ids")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stats", default=None, help="optional stats TSV report")
-    p.set_defaults(func=_cmd_align)
-
-    p = sub.add_parser("split", help="deterministic train/val/test split")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--ratios", default="0.75,0.15,0.10")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_split)
-
-    p = sub.add_parser("label", help="emit labeled multiway bitext")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--mode", default="language-plus-family")
-    p.add_argument("--langs", default=None, help="comma-separated language codes")
-    p.add_argument("--schedule", default=None, help="schedule TSV (one bitext per step)")
-    p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=_cmd_label)
-
-    p = sub.add_parser("schedule", help="build a family/sparse addition schedule")
-    p.add_argument("--anchor", required=True)
-    p.add_argument("--mode", choices=["family-addition", "sparse-addition"], required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_schedule)
-
-    p = sub.add_parser("bpe-learn", help="learn a BPE model from tokenized text")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--merges", type=int, default=subword.DEFAULT_NUM_MERGES)
-    p.add_argument("--side", choices=["source", "target"], default="source")
-    p.add_argument("--reserved", default=None, help="file of reserved tokens, one per line")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bpe_learn)
-
-    p = sub.add_parser("bpe-apply", help="apply a BPE model to tokenized text")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bpe_apply)
-
-    p = sub.add_parser("bpe-revert", help="join BPE pieces back into tokens")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bpe_revert)
-
-    p = sub.add_parser("align-train", help="train a lexical translation table by EM")
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--tension", type=float, default=4.0)
-    p.add_argument("--null-prob", type=float, default=0.08)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_align_train)
-
-    p = sub.add_parser("lex-filter", help="clean a raw named-entity candidate list")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--stoplist", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_lex_filter)
-
-    p = sub.add_parser("lex-build", help="project a seed list into a parallel lexicon table")
-    p.add_argument("--seed-list", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--aligners", required=True, help="directory of <lang>.tsv tables")
-    p.add_argument("--min-votes", type=int, default=lexicon.DEFAULT_MIN_VOTES)
-    p.add_argument("--out", required=True)
-    p.add_argument("--freq-out", default=None)
-    p.set_defaults(func=_cmd_lex_build)
-
-    p = sub.add_parser("lex-trim", help="trim a lexicon table by policy")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--freq", default=None)
-    p.add_argument(
-        "--policy",
-        choices=["none", "frequency-equals-one", "manual-selection"],
-        default="none",
-    )
-    p.add_argument("--manual-file", default=None)
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--freq-out", default=None)
-    p.set_defaults(func=_cmd_lex_trim)
-
-    p = sub.add_parser("tag", help="replace named entities with ordered placeholders")
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--src", required=True, help="source language code")
-    p.add_argument("--tgt", required=True, help="target language code")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--tgt-in", default=None, help="target side for training-pair tagging")
-    p.add_argument("--tgt-out", default=None)
-    p.add_argument("--decode", default=None, help="decode sidecar path (default <out>.decode.jsonl)")
-    p.set_defaults(func=_cmd_tag)
-
-    p = sub.add_parser("restore", help="replace placeholders using a decode sidecar")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--decode", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_restore)
-
-    p = sub.add_parser("sample", help="ablation-sample low-resource verses with duplication")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--fraction", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--total", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("gl-monitor", help="early-stopping monitor over stdin `epoch<TAB>score`")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.set_defaults(func=_cmd_gl_monitor)
-
-    p = sub.add_parser("fit", help="fit score against log10 word count")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("bleu", help="corpus BLEU of hypothesis vs reference file")
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_bleu)
-
-    p = sub.add_parser("rubric", help="judge sentences or aggregate a judgments file")
-    p.add_argument("--in", dest="infile", default=None, help="judgments JSONL to aggregate")
-    p.add_argument("--hyp", default=None)
-    p.add_argument("--ref", default=None)
-    p.add_argument("--decode", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_rubric)
-
-    p = sub.add_parser("emit-config", help="write trainer hyperparameters for a profile")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_emit_config)
-
-    p = sub.add_parser("run", help="run a pipeline manifest")
-    p.add_argument("--manifest", required=True)
-    p.set_defaults(func=_cmd_run)
-
+    subparsers = parser.add_subparsers(dest="command", metavar="subcommand")
+    for name, summary, handler, flags in _SUBCOMMANDS:
+        sub = subparsers.add_parser(name, help=summary)
+        for flag, spec in flags:
+            sub.add_argument(flag, **spec)
+        sub.set_defaults(func=handler)
     return parser
 
 
@@ -539,11 +473,23 @@ def _get_parser() -> _Parser:
     return _parser
 
 
-def dispatch(argv: Sequence[str]) -> int:
-    """Parse argv and execute exactly one pipeline stage."""
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
     args = _get_parser().parse_args(list(argv))
     if not getattr(args, "command", None):
         raise UsageError("a subcommand is required (see --help)")
+    return args
+
+
+def _check_command(argv: Sequence[str]) -> None:
+    """Parse a stage's command as ``dispatch`` will at the stage's turn, raising
+    its usage error now; a --help is printed at that turn, not here."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        _parse(argv)
+
+
+def dispatch(argv: Sequence[str]) -> int:
+    """Parse argv and execute exactly one pipeline stage."""
+    args = _parse(argv)
     try:
         args.func(args)
     except OSError as exc:

@@ -357,10 +357,10 @@ class _ManifestRun:
                     if idle is None:  # forked the first time a ready stage finds no idle worker
                         idle = stack.enter_context(_Worker(self.run_stage, workers))
                         workers.append(idle)
-                    idle.start(theirs[0], self._command(theirs[0]))
+                    idle.start(theirs[0], self.command(theirs[0]))
                     busy[idle] = theirs
                 if mine:
-                    self._finish(*mine, self.run_stage(mine[0], self._command(mine[0])))
+                    self._finish(*mine, self.run_stage(mine[0], self.command(mine[0])))
                 elif not busy:
                     break
                 # Collect every worker that is done; wait for one only with nothing to run.
@@ -385,7 +385,7 @@ class _ManifestRun:
                 return name, fingerprint
         return None
 
-    def _command(self, name: str) -> list[str]:
+    def command(self, name: str) -> list[str]:
         return self.by_name[name].get("command", [])
 
     def _print_in_turn(self, name: str, events: list) -> None:
@@ -432,12 +432,13 @@ class _ManifestRun:
         self.done.add(name)
 
 
-def run_manifest(manifest_path: str | Path, dispatch: Callable) -> None:
+def run_manifest(manifest_path: str | Path, dispatch: Callable, check: Callable) -> None:
     """Run manifest stages in dependency order, skipping up-to-date ones; each
-    stage's command goes to ``dispatch``. Up to three stages whose inputs are
-    ready run at the same time where the process may use more than one CPU.
-    After a failed stage no stage starts; those running finish and are recorded
-    if they succeed."""
+    stage's command goes to ``dispatch``. Before any stage starts, every stage's
+    command, in that order, goes to ``check``; its first usage error fails the
+    run, naming the stage. Up to three stages whose inputs are ready run at the
+    same time where the process may use more than one CPU. After a failed stage
+    no stage starts; those running finish and are recorded if they succeed."""
     manifest_path = Path(manifest_path)
     stages = _validated_stages(read_json(manifest_path), manifest_path)
 
@@ -446,4 +447,10 @@ def run_manifest(manifest_path: str | Path, dispatch: Callable) -> None:
     if not isinstance(state, dict):
         raise MalformedLine(f"{state_path}: the top level must be a JSON object")
 
-    _ManifestRun(stages, state, state_path, dispatch).run(_may_fork_a_worker())
+    run = _ManifestRun(stages, state, state_path, dispatch)
+    for name in run.waiting:  # all of them: a stage is found up to date only at its turn
+        try:
+            check(run.command(name))
+        except UsageError as error:
+            raise StageFailed(f"stage {name}: {error}") from error
+    run.run(_may_fork_a_worker())

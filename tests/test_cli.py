@@ -1572,6 +1572,28 @@ class TestOneReaderPerFormat:
         assert "--manual-file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("policy", ["none", "manual-selection"])
+    def test_corpus_without_the_frequency_policy_is_usage_error(self, tmp_path, capsys, policy):
+        # Neither the lexicon, the selection file nor the corpus exists: none is read.
+        out = tmp_path / "out.tsv"
+        keep = ["--manual-file", str(tmp_path / "keep.txt")] if policy == "manual-selection" else []
+        status = cli.main(["lex-trim", "--in", str(tmp_path / "lex.tsv"), "--policy", policy,
+                           *keep, "--corpus", str(tmp_path / "aligned"), "--out", str(out)])
+        assert status == cli.EXIT_USAGE
+        assert "--corpus goes with policy frequency-equals-one" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--hyp", "--ref", "--decode"])
+    def test_rubric_in_with_a_judging_flag_is_usage_error(self, tmp_path, capsys, flag):
+        judgments = tmp_path / "judgments.jsonl"
+        _write(judgments, '{"meaning": true, "order_correct": true, "set_correct": true}\n')
+        out = tmp_path / "out.tsv"
+        status = cli.main(["rubric", "--in", str(judgments), flag, str(tmp_path / "missing"),
+                           "--out", str(out)])
+        assert status == cli.EXIT_USAGE
+        assert "rubric needs either --in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_over_long_json_integer_names_its_line(self, tmp_path, capsys):
         decode = tmp_path / "decode.jsonl"
         _write(decode, '{"line": 1, "map": {}}\n{"line": ' + "9" * 5000 + "}\n")

@@ -278,7 +278,7 @@ def test_no_worker_outlives_an_exception_in_the_runner(tmp_path, monkeypatch, in
     monkeypatch.chdir(tmp_path)
     _slots(monkeypatch, 2)
     with pytest.raises(interrupt):
-        manifest.run_manifest("pipeline.json", cli.dispatch)
+        manifest.run_manifest("pipeline.json", cli.dispatch, cli._check_command)
     _assert_no_child_left()
 
 
@@ -469,6 +469,25 @@ def test_two_stdin_readers_are_refused_before_any_stage_runs(tmp_path, monkeypat
             "give it to one stage at most\n") in capsys.readouterr().err
     assert not (tmp_path / "a.cfg").exists()
     assert not (tmp_path / "pipeline.json.state.json").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_bad_stage_flag_fails_the_run_before_any_stage_runs(tmp_path, monkeypatch, cpus):
+    stages = [
+        _stage("a", ["lex-filter", "--in", "raw.txt", "--out", "names.txt"], ["raw.txt"],
+               ["names.txt"]),
+        _stage("b", ["lex-filter", "--in", "names.txt", "--out", "clean.txt", "--bogus"],
+               ["names.txt"], ["clean.txt"]),
+    ]
+    _write(tmp_path / "raw.txt", "Noah\nShem\n")
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    monkeypatch.chdir(tmp_path)
+    forks = _slots(monkeypatch, cpus)
+    status, output = _run()
+    assert status == cli.EXIT_DATA
+    assert output == "error: StageFailed: stage b: unrecognized arguments: --bogus\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipeline.json", "raw.txt"]
+    assert forks == []
 
 
 def test_a_real_workload_prints_and_writes_the_same_on_one_and_two_cpus(tmp_path, monkeypatch):
