@@ -360,7 +360,8 @@ def _cmd_emit_config(args: argparse.Namespace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    run_manifest(args.manifest, dispatch, _check_command)  # a replaced dispatch runs the stages
+    # dispatch is looked up now, so a replaced dispatch runs the stages.
+    run_manifest(args.manifest, dispatch, _check_command)
 
 
 # ---------------------------------------------------------------------------
