@@ -18,7 +18,7 @@ from .errors import EmptyBitext, EmptyCorpus, EmptySplit, MalformedLine, Pipelin
 from .errors import UnknownLanguage, UnknownVerse, UsageError, located
 from .fileio import atomic_write_lines, atomic_write_text, read_lines, read_parallel_lines
 from .fileio import read_rows, read_word_list
-from .manifest import _fork_join_map, run_manifest
+from .manifest import _fork_join_map, _nested, _path_parts, run_manifest
 
 log = logging.getLogger("versemt")
 
@@ -35,25 +35,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV_VAR)
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-
-
 def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
+    if len(parts := text.split(",")) != 3:
         raise UsageError(f"--ratios expects three comma-separated fractions, got {text!r}")
     try:
-        r = tuple(float(p) for p in parts)
+        return tuple(float(p) for p in parts)  # type: ignore[return-value]
     except ValueError as exc:
         raise UsageError(f"bad ratio in {text!r}: {exc}") from exc
-    return r  # type: ignore[return-value]
 
 
 def _label_mode(text: str) -> labeling.LabelMode:
@@ -66,6 +54,16 @@ def _label_mode(text: str) -> labeling.LabelMode:
     if text not in aliases:
         raise UsageError(f"unknown label mode {text!r}")
     return aliases[text]
+
+
+def _decode_path(args: argparse.Namespace) -> str:
+    return args.decode or f"{args.out}.decode.jsonl"
+
+
+def _overlapping(*paths: str | None) -> bool:
+    """Whether one of the paths given, absent ones aside, is at, inside or above another."""
+    parts = [_path_parts(path) for path in paths if path]
+    return any(_nested(a, b) for i, a in enumerate(parts) for b in parts[:i])
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +88,12 @@ def _cmd_align(args: argparse.Namespace) -> None:
 
 def _cmd_split(args: argparse.Namespace) -> None:
     parallel = corpus.read_corpus_dir(args.corpus)
-    ratios = _parse_ratios(args.ratios)
-    seed = _default_seed(args.seed)
-    assignment = corpus.split_corpus(parallel, ratios, seed)
+    assignment = corpus.split_corpus(parallel, args.ratios, args.seed)
     corpus.write_split(assignment, args.out)
-    log.info("split seed=%d sizes=%d/%d/%d", seed, *map(len, assignment))
+    log.info("split seed=%d sizes=%d/%d/%d", args.seed, *map(len, assignment))
 
 
 def _cmd_label(args: argparse.Namespace) -> None:
-    if bool(args.langs) == bool(args.schedule):
-        raise UsageError("exactly one of --langs / --schedule is required")
-    mode = _label_mode(args.mode)
     if args.langs:  # one step, written to the prefix itself
         steps = [(None, args.langs.split(","))]
     else:
@@ -111,7 +104,7 @@ def _cmd_label(args: argparse.Namespace) -> None:
         texts = labeling.TrainTexts((c for _, langs in steps for c in langs), parallel, split)
     for step, langs in steps:
         prefix = args.out_prefix if step is None else f"{args.out_prefix}.step{step}"
-        examples = labeling.expand_multiway_pairs(langs, texts, mode)
+        examples = labeling.expand_multiway_pairs(langs, texts, args.mode)
         count = labeling.write_labeled_bitext(examples, f"{prefix}.src", f"{prefix}.tgt")
         if step is None:
             log.info("label pairs=%s lines=%d", args.langs, count)
@@ -121,7 +114,7 @@ def _cmd_label(args: argparse.Namespace) -> None:
 
 def _cmd_schedule(args: argparse.Namespace) -> None:
     mode = labeling.ScheduleMode(args.mode)
-    schedule = labeling.build_addition_schedule(args.anchor, mode, _default_seed(args.seed))
+    schedule = labeling.build_addition_schedule(args.anchor, mode, args.seed)
     labeling.write_schedule(schedule, args.out)
     log.info("schedule anchor=%s mode=%s steps=%d", args.anchor, args.mode, len(schedule.steps))
 
@@ -206,12 +199,6 @@ def _cmd_lex_build(args: argparse.Namespace) -> None:
 
 
 def _cmd_lex_trim(args: argparse.Namespace) -> None:
-    if (args.policy == "manual-selection") != bool(args.manual_file):
-        raise UsageError("--manual-file goes with policy manual-selection, and only with it")
-    if args.policy == "frequency-equals-one" and not (args.corpus or args.freq):
-        raise UsageError("policy frequency-equals-one needs --corpus or --freq")
-    if args.corpus and args.policy != "frequency-equals-one":
-        raise UsageError("--corpus goes with policy frequency-equals-one only")
     table = lexicon.load_lexicon(args.infile, args.freq)
     parallel = corpus.read_corpus_dir(args.corpus) if args.corpus else None
     trimmed = lexicon.trim_table(table, args.policy, parallel, args.manual_file)
@@ -220,15 +207,13 @@ def _cmd_lex_trim(args: argparse.Namespace) -> None:
 
 
 def _cmd_tag(args: argparse.Namespace) -> None:
-    if bool(args.tgt_in) != bool(args.tgt_out):
-        raise UsageError("--tgt-in and --tgt-out must be given together")
     src_lang, tgt_lang = corpus.get_language(args.src).code, corpus.get_language(args.tgt).code
     table = lexicon.load_lexicon(args.lexicon)
     for lang in (src_lang, tgt_lang):
         if lang not in table.languages:  # checked before any line, so also on an empty input
             raise UnknownLanguage(f"language {lang!r} not in lexicon table")
     files = read_parallel_lines(args.infile, *([args.tgt_in] if args.tgt_in else []))
-    decode_path = args.decode or f"{args.out}.decode.jsonl"
+    decode_path = _decode_path(args)
     tagged_src, tagged_tgt, decodes = [], [], []
     for src, *tgt in zip(*([corpus.tokenize(line) for line in lines] for lines in files)):
         if tgt:
@@ -258,7 +243,7 @@ def _cmd_restore(args: argparse.Namespace) -> None:
 def _cmd_sample(args: argparse.Namespace) -> None:
     text_by_id = corpus.read_verse_file(args.infile)
     total = args.total if args.total is not None else len(text_by_id)
-    plan = harness.AblationPlan(fraction=args.fraction, seed=_default_seed(args.seed), total=total)
+    plan = harness.AblationPlan(fraction=args.fraction, seed=args.seed, total=total)
     with located(args.infile):
         result = harness.sample_low_resource(list(text_by_id.items()), plan)
     atomic_write_lines(args.out, [f"{vid}\t{text_by_id[vid]}" for vid in result.ids])
@@ -329,10 +314,6 @@ def _cmd_bleu(args: argparse.Namespace) -> None:
 
 
 def _cmd_rubric(args: argparse.Namespace) -> None:
-    judging = (args.hyp, args.ref, args.decode)
-    if args.infile and any(judging) or not args.infile and not (all(judging) and args.out):
-        raise UsageError("rubric needs either --in and an optional --out, "
-                         "or all of --hyp/--ref/--decode/--out")
     if args.infile:
         with located(args.infile):
             percentages = evaluation.aggregate_rubric(evaluation.read_judgments(args.infile))
@@ -379,20 +360,26 @@ _OUT = _flag("--out", required=True)
 _SEED = _flag("--seed", type=int)
 _CORPUS = _flag("--corpus", required=True)
 _FREQ_OUT = _flag("--freq-out")
+_APART = "must be separate paths, not one inside another"
+_FREQ_OUT_APART = (lambda a: _overlapping(a.out, a.freq_out), f"--out and --freq-out {_APART}")
 
-# Every subcommand, in the order --help lists them: name, help, handler, flags.
+# Every subcommand in --help order: name, help, handler, flags, then its (broken, message) rules.
 _SUBCOMMANDS = (
     ("ingest", "normalize one language file into a corpus directory", _cmd_ingest,
      [_flag("--lang", required=True), _IN, _OUT]),
     ("align", "intersect per-language files on shared verse ids", _cmd_align,
-     [_IN, _OUT, _flag("--stats", help="optional stats TSV report")]),
+     [_IN, _OUT, _flag("--stats", help="optional stats TSV report")],
+     (lambda a: _overlapping(a.out, a.stats), f"--out and --stats {_APART}")),
     ("split", "deterministic train/val/test split", _cmd_split,
-     [_CORPUS, _flag("--ratios", default="0.75,0.15,0.10"), _SEED, _OUT]),
+     [_CORPUS, _flag("--ratios", type=_parse_ratios, default="0.75,0.15,0.10"), _SEED, _OUT]),
     ("label", "emit labeled multiway bitext", _cmd_label,
-     [_CORPUS, _flag("--split", required=True), _flag("--mode", default="language-plus-family"),
+     [_CORPUS, _flag("--split", required=True),
+      _flag("--mode", type=_label_mode, default="language-plus-family"),
       _flag("--langs", help="comma-separated language codes"),
       _flag("--schedule", help="schedule TSV (one bitext per step)"),
-      _flag("--out-prefix", required=True)]),
+      _flag("--out-prefix", required=True)],
+     (lambda a: bool(a.langs) == bool(a.schedule),
+      "exactly one of --langs / --schedule is required")),
     ("schedule", "build a family/sparse addition schedule", _cmd_schedule,
      [_flag("--anchor", required=True),
       _flag("--mode", choices=["family-addition", "sparse-addition"], required=True),
@@ -413,22 +400,34 @@ _SUBCOMMANDS = (
     ("lex-build", "project a seed list into a parallel lexicon table", _cmd_lex_build,
      [_flag("--seed-list", required=True), _CORPUS,
       _flag("--aligners", required=True, help="directory of <lang>.tsv tables"),
-      _flag("--min-votes", type=int, default=lexicon.DEFAULT_MIN_VOTES), _OUT, _FREQ_OUT]),
+      _flag("--min-votes", type=int, default=lexicon.DEFAULT_MIN_VOTES), _OUT, _FREQ_OUT],
+     _FREQ_OUT_APART),
     ("lex-trim", "trim a lexicon table by policy", _cmd_lex_trim,
      [_IN, _flag("--freq"),
       _flag("--policy", choices=["none", "frequency-equals-one", "manual-selection"],
             default="none"),
-      _flag("--manual-file"), _flag("--corpus"), _OUT, _FREQ_OUT]),
+      _flag("--manual-file"), _flag("--corpus"), _OUT, _FREQ_OUT],
+     (lambda a: (a.policy == "manual-selection") != bool(a.manual_file),
+      "--manual-file goes with policy manual-selection, and only with it"),
+     (lambda a: a.policy == "frequency-equals-one" and not (a.corpus or a.freq),
+      "policy frequency-equals-one needs --corpus or --freq"),
+     (lambda a: a.corpus and a.policy != "frequency-equals-one",
+      "--corpus goes with policy frequency-equals-one only"),
+     _FREQ_OUT_APART),
     ("tag", "replace named entities with ordered placeholders", _cmd_tag,
      [_flag("--lexicon", required=True), _flag("--src", required=True, help="source language code"),
       _flag("--tgt", required=True, help="target language code"), _IN, _OUT,
       _flag("--tgt-in", help="target side for training-pair tagging"), _flag("--tgt-out"),
-      _flag("--decode", help="decode sidecar path (default <out>.decode.jsonl)")]),
+      _flag("--decode", help="decode sidecar path (default <out>.decode.jsonl)")],
+     (lambda a: bool(a.tgt_in) != bool(a.tgt_out), "--tgt-in and --tgt-out must be given together"),
+     (lambda a: _overlapping(a.out, a.tgt_out, _decode_path(a)),
+      f"--out, --tgt-out and the decode sidecar {_APART}")),
     ("restore", "replace placeholders using a decode sidecar", _cmd_restore,
      [_IN, _flag("--decode", required=True), _OUT]),
     ("sample", "ablation-sample low-resource verses with duplication", _cmd_sample,
      [_IN, _flag("--fraction", type=float, required=True), _SEED, _flag("--total", type=int),
-      _OUT, _flag("--manifest")]),
+      _OUT, _flag("--manifest")],
+     (lambda a: _overlapping(a.out, a.manifest), f"--out and --manifest {_APART}")),
     ("gl-monitor", "early-stopping monitor over stdin `epoch<TAB>score`", _cmd_gl_monitor,
      [_flag("--alpha", type=float, default=0.1)]),
     ("fit", "fit score against log10 word count", _cmd_fit, [_IN, _flag("--out")]),
@@ -437,17 +436,21 @@ _SUBCOMMANDS = (
       _flag("--max-n", type=int, default=4), _flag("--report")]),
     ("rubric", "judge sentences or aggregate a judgments file", _cmd_rubric,
      [_flag("--in", dest="infile", help="judgments JSONL to aggregate"), _flag("--hyp"),
-      _flag("--ref"), _flag("--decode"), _flag("--out")]),
+      _flag("--ref"), _flag("--decode"), _flag("--out")],
+     (lambda a: a.infile and (a.hyp or a.ref or a.decode)
+      or not a.infile and not (a.hyp and a.ref and a.decode and a.out),
+      "rubric needs either --in and an optional --out, or all of --hyp/--ref/--decode/--out")),
     ("emit-config", "write trainer hyperparameters for a profile", _cmd_emit_config,
      [_flag("--profile", required=True), _OUT]),
     ("run", "run a pipeline manifest", _cmd_run, [_flag("--manifest", required=True)]),
 )
+_RULES = {name: rules for name, _summary, _handler, _flags, *rules in _SUBCOMMANDS}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="versemt", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", metavar="subcommand")
-    for name, summary, handler, flags in _SUBCOMMANDS:
+    for name, summary, handler, flags, *_rules in _SUBCOMMANDS:
         sub = subparsers.add_parser(name, help=summary)
         for flag, spec in flags:
             sub.add_argument(flag, **spec)
@@ -478,6 +481,15 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     args = _get_parser().parse_args(list(argv))
     if not getattr(args, "command", None):
         raise UsageError("a subcommand is required (see --help)")
+    if "seed" in args and args.seed is None:  # split, schedule and sample
+        env = os.environ.get(SEED_ENV_VAR)
+        try:
+            args.seed = int(env) if env else 0
+        except ValueError:
+            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    for broken, message in _RULES[args.command]:
+        if broken(args):
+            raise UsageError(message)
     return args
 
 

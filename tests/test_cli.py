@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -1709,6 +1710,109 @@ class TestExitCodeMeaning:
         assert status == cli.EXIT_USAGE
         assert f"{cli.SEED_ENV_VAR} must be an integer, got 'seven'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["split", "--corpus", "aligned", "--out", "out"],
+        ["schedule", "--anchor", "sw", "--mode", "family-addition", "--out", "out"],
+    ], ids=["split", "schedule"])
+    def test_junk_seed_variable_is_usage_error_for_every_seeded_subcommand(
+            self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "seven")
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert f"{cli.SEED_ENV_VAR} must be an integer, got 'seven'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+_MIXED_OUTPUTS = "must be separate paths, not one inside another"
+_TAG = ["tag", "--lexicon", "lexicon.tsv", "--src", "en", "--tgt", "sw", "--in", "text.txt"]
+
+
+class TestFlagRules:
+    """The rules on a subcommand's flags, each run alone on valid inputs: a usage error
+    (exit 1) that writes nothing."""
+
+    def _refused(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert f"usage error: {message}\n" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lex-trim", "--in", "lexicon.tsv", "--policy", "manual-selection", "--out", "out"],
+         "--manual-file goes with policy manual-selection, and only with it"),
+        (["split", "--corpus", "aligned", "--ratios", "0.5,0.5", "--out", "out"],
+         "--ratios expects three comma-separated fractions, got '0.5,0.5'"),
+        (["split", "--corpus", "aligned", "--ratios", "a,b,c", "--out", "out"],
+         "bad ratio in 'a,b,c': could not convert string to float: 'a'"),
+        (["rubric", "--hyp", "text.txt", "--ref", "text.txt", "--decode", "decode.jsonl"],
+         "rubric needs either --in and an optional --out, or all of --hyp/--ref/--decode/--out"),
+        (["rubric"],
+         "rubric needs either --in and an optional --out, or all of --hyp/--ref/--decode/--out"),
+    ], ids=["manual-selection-without-file", "ratio-count", "ratio-number", "rubric-no-out",
+            "rubric-nothing"])
+    def test_a_broken_flag_rule_is_usage_error(self, tmp_path, monkeypatch, capsys, argv,
+                                               message):
+        self._refused(tmp_path, monkeypatch, capsys, argv, message)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([*_TAG, "--out", "o.txt", "--decode", "o.txt"],
+         f"--out, --tgt-out and the decode sidecar {_MIXED_OUTPUTS}"),
+        ([*_TAG, "--out", "o.txt", "--tgt-in", "text.txt", "--tgt-out", "./o.txt"],
+         f"--out, --tgt-out and the decode sidecar {_MIXED_OUTPUTS}"),
+        ([*_TAG, "--out", "o.txt", "--tgt-in", "text.txt", "--tgt-out", "o.txt.decode.jsonl"],
+         f"--out, --tgt-out and the decode sidecar {_MIXED_OUTPUTS}"),
+        (["lex-build", "--seed-list", "seeds.txt", "--corpus", "aligned", "--aligners",
+          "aligners", "--out", "l.tsv", "--freq-out", "l.tsv"],
+         f"--out and --freq-out {_MIXED_OUTPUTS}"),
+        (["lex-trim", "--in", "lexicon.tsv", "--out", "t.tsv", "--freq-out", "d/../t.tsv"],
+         f"--out and --freq-out {_MIXED_OUTPUTS}"),
+        (["sample", "--in", "sample.tsv", "--fraction", "1", "--out", "s.tsv",
+          "--manifest", "s.tsv"], f"--out and --manifest {_MIXED_OUTPUTS}"),
+        (["align", "--in", "aligned", "--out", "store", "--stats", "store/en.tsv"],
+         f"--out and --stats {_MIXED_OUTPUTS}"),
+        (["align", "--in", "aligned", "--out", "store", "--stats", "store"],
+         f"--out and --stats {_MIXED_OUTPUTS}"),
+    ], ids=["tag-decode", "tag-tgt-out", "tag-default-decode", "lex-build", "lex-trim",
+            "sample", "align-below", "align-at"])
+    def test_two_outputs_on_one_path_are_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                     argv, message):
+        self._refused(tmp_path, monkeypatch, capsys, argv, message)
+
+    @pytest.mark.parametrize("argv", [
+        ["align", "--in", "aligned", "--out", "store", "--stats", "store.tsv"],
+        ["sample", "--in", "sample.tsv", "--fraction", "1", "--out", "s", "--manifest", "s.tsv"],
+    ], ids=["align", "sample"])
+    def test_outputs_that_share_only_a_name_prefix_are_fine(self, tmp_path, monkeypatch, capsys,
+                                                            argv):
+        monkeypatch.chdir(tmp_path)
+        _valid_inputs(tmp_path)
+        assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
+
+
+def _handlers_raising_usage_errors(source: str) -> list[str]:
+    raising = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"):
+            for raised in ast.walk(node):
+                if isinstance(raised, ast.Raise) and raised.exc is not None:
+                    exc = raised.exc.func if isinstance(raised.exc, ast.Call) else raised.exc
+                    if getattr(exc, "id", getattr(exc, "attr", None)) == "UsageError":
+                        raising.append(node.name)
+    return raising
+
+
+def test_no_stage_handler_raises_a_usage_error():
+    # A flag rule checked in a handler would fail a manifest run only at its stage's
+    # turn; the rules belong in the subcommand table, which the parse checks.
+    assert _handlers_raising_usage_errors("def _cmd_x(args):\n    raise UsageError('x')\n"
+                                          "def _cmd_y(args):\n    raise errors.UsageError\n"
+                                          "def _cmd_z(args):\n    raise ValueError('z')\n"
+                                          ) == ["_cmd_x", "_cmd_y"]
+    assert _handlers_raising_usage_errors(Path(cli.__file__).read_text(encoding="utf-8")) == []
 
 
 # Every corrupted input: the file each `_READERS` command reads, each `_LINE_INPUTS`

@@ -490,6 +490,81 @@ def test_a_bad_stage_flag_fails_the_run_before_any_stage_runs(tmp_path, monkeypa
     assert forks == []
 
 
+_MIXED_OUTPUTS = "must be separate paths, not one inside another"
+_TAG = ["tag", "--lexicon", "lex.tsv", "--src", "en", "--tgt", "sw", "--in", "names.txt"]
+_LABEL = ["label", "--corpus", "aligned", "--split", "splits.tsv", "--out-prefix", "bitext"]
+_TRIM = ["lex-trim", "--in", "lex.tsv", "--out", "trimmed.tsv"]
+_RUBRIC = "rubric needs either --in and an optional --out, or all of --hyp/--ref/--decode/--out"
+_BAD_SEED = "VERSEMT_SEED must be an integer, got 'abc'"
+# rule: (VERSEMT_SEED or None, a stage command that breaks the rule, the message
+# the command fails with when it runs alone).
+_BROKEN_RULES = {
+    "label-mode": (None, [*_LABEL, "--langs", "en,sw", "--mode", "tribe"],
+                   "unknown label mode 'tribe'"),
+    "label-neither": (None, _LABEL, "exactly one of --langs / --schedule is required"),
+    "label-both": (None, [*_LABEL, "--langs", "en,sw", "--schedule", "sched.tsv"],
+                   "exactly one of --langs / --schedule is required"),
+    "split-ratios": (None, ["split", "--corpus", "aligned", "--ratios", "0.5,0.5", "--out", "s"],
+                     "--ratios expects three comma-separated fractions, got '0.5,0.5'"),
+    "split-ratio": (None, ["split", "--corpus", "aligned", "--ratios", "a,b,c", "--out", "s"],
+                    "bad ratio in 'a,b,c': could not convert string to float: 'a'"),
+    "tag-tgt-in": (None, [*_TAG, "--out", "t", "--tgt-in", "names.txt"],
+                   "--tgt-in and --tgt-out must be given together"),
+    "tag-tgt-out": (None, [*_TAG, "--out", "t", "--tgt-out", "t.sw"],
+                    "--tgt-in and --tgt-out must be given together"),
+    "rubric-in-hyp": (None, ["rubric", "--in", "j.jsonl", "--hyp", "names.txt"], _RUBRIC),
+    "rubric-no-out": (None, ["rubric", "--hyp", "h", "--ref", "r", "--decode", "d"], _RUBRIC),
+    "trim-manual-file": (None, [*_TRIM, "--manual-file", "keep.txt"],
+                         "--manual-file goes with policy manual-selection, and only with it"),
+    "trim-frequency": (None, [*_TRIM, "--policy", "frequency-equals-one"],
+                       "policy frequency-equals-one needs --corpus or --freq"),
+    "trim-corpus": (None, [*_TRIM, "--corpus", "aligned"],
+                    "--corpus goes with policy frequency-equals-one only"),
+    "seed-split": ("abc", ["split", "--corpus", "aligned", "--out", "s"], _BAD_SEED),
+    "seed-schedule": ("abc", ["schedule", "--anchor", "sw", "--mode", "family-addition",
+                              "--out", "s"], _BAD_SEED),
+    "seed-sample": ("abc", ["sample", "--in", "names.txt", "--fraction", "1", "--out", "s"],
+                    _BAD_SEED),
+    "tag-out-decode": (None, [*_TAG, "--out", "t", "--decode", "./t"],
+                       f"--out, --tgt-out and the decode sidecar {_MIXED_OUTPUTS}"),
+    "tag-tgt-out-decode": (None, [*_TAG, "--out", "t", "--tgt-in", "names.txt", "--tgt-out",
+                                  "t.decode.jsonl"],
+                           f"--out, --tgt-out and the decode sidecar {_MIXED_OUTPUTS}"),
+    "lex-build-freq-out": (None, ["lex-build", "--seed-list", "names.txt", "--corpus", "aligned",
+                                  "--aligners", "aligners", "--out", "l", "--freq-out", "l"],
+                           f"--out and --freq-out {_MIXED_OUTPUTS}"),
+    "lex-trim-freq-out": (None, [*_TRIM, "--freq-out", "trimmed.tsv"],
+                          f"--out and --freq-out {_MIXED_OUTPUTS}"),
+    "sample-manifest": (None, ["sample", "--in", "names.txt", "--fraction", "1", "--out", "s",
+                               "--manifest", "s"], f"--out and --manifest {_MIXED_OUTPUTS}"),
+    "align-stats": (None, ["align", "--in", "store", "--out", "aligned", "--stats",
+                           "aligned/en.tsv"], f"--out and --stats {_MIXED_OUTPUTS}"),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("rule", list(_BROKEN_RULES))
+def test_a_broken_flag_rule_fails_the_run_before_any_stage_runs(tmp_path, monkeypatch, rule,
+                                                                 cpus):
+    seed, command, message = _BROKEN_RULES[rule]
+    stages = [
+        _stage("a", ["lex-filter", "--in", "raw.txt", "--out", "names.txt"], ["raw.txt"],
+               ["names.txt"]),
+        _stage("b", command, ["names.txt"], ["b-out"]),
+    ]
+    _write(tmp_path / "raw.txt", "Noah\nShem\n")
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    monkeypatch.chdir(tmp_path)
+    if seed is not None:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+    forks = _slots(monkeypatch, cpus)
+    status, output = _run()
+    assert status == cli.EXIT_DATA
+    assert output == f"error: StageFailed: stage b: {message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipeline.json", "raw.txt"]
+    assert forks == []
+
+
 def test_a_real_workload_prints_and_writes_the_same_on_one_and_two_cpus(tmp_path, monkeypatch):
     # The benchmark's ne-lexicon workload at its tiny size: three align-trains
     # ready together, so two workers, and lex-build's three target languages,
