@@ -11,7 +11,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
 from .errors import EmptyBitext, EmptyCorpus, EmptySplit, MalformedLine, PipelineError
@@ -101,7 +101,7 @@ def _cmd_label(args: argparse.Namespace) -> None:
     parallel = corpus.read_corpus_dir(args.corpus)
     split = corpus.read_split(args.split)
     with located(args.split, (EmptySplit, UnknownVerse)):
-        texts = labeling.TrainTexts((c for _, langs in steps for c in langs), parallel, split)
+        texts = labeling.train_texts((c for _, langs in steps for c in langs), parallel, split)
     for step, langs in steps:
         prefix = args.out_prefix if step is None else f"{args.out_prefix}.step{step}"
         examples = labeling.expand_multiway_pairs(langs, texts, args.mode)
@@ -114,9 +114,9 @@ def _cmd_label(args: argparse.Namespace) -> None:
 
 def _cmd_schedule(args: argparse.Namespace) -> None:
     mode = labeling.ScheduleMode(args.mode)
-    schedule = labeling.build_addition_schedule(args.anchor, mode, args.seed)
-    labeling.write_schedule(schedule, args.out)
-    log.info("schedule anchor=%s mode=%s steps=%d", args.anchor, args.mode, len(schedule.steps))
+    steps = labeling.build_addition_schedule(args.anchor, mode, args.seed)
+    labeling.write_schedule(steps, args.out)
+    log.info("schedule anchor=%s mode=%s steps=%d", args.anchor, args.mode, len(steps))
 
 
 def _cmd_bpe_learn(args: argparse.Namespace) -> None:
@@ -246,7 +246,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     plan = harness.AblationPlan(fraction=args.fraction, seed=args.seed, total=total)
     with located(args.infile):
         result = harness.sample_low_resource(list(text_by_id.items()), plan)
-    atomic_write_lines(args.out, [f"{vid}\t{text_by_id[vid]}" for vid in result.ids])
+    corpus.write_language_file(((vid, text_by_id[vid]) for vid in result.ids), args.out)
     if args.manifest:
         harness.write_ablation_manifest([(plan, result)], args.manifest)
     log.info(
@@ -350,8 +350,11 @@ def _cmd_run(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _flag(name: str, **spec: object) -> tuple[str, dict]:
-    return name, spec
+def _flag(
+    name: str, check: Callable | None = None, **spec: object
+) -> tuple[str, dict, Callable | None]:
+    """A flag's name, its argparse spec, and a check of its value run after the parse."""
+    return name, spec, check
 
 
 # Flags that several subcommands take.
@@ -366,22 +369,24 @@ _FREQ_OUT_APART = (lambda a: _overlapping(a.out, a.freq_out), f"--out and --freq
 # Every subcommand in --help order: name, help, handler, flags, then its (broken, message) rules.
 _SUBCOMMANDS = (
     ("ingest", "normalize one language file into a corpus directory", _cmd_ingest,
-     [_flag("--lang", required=True), _IN, _OUT]),
+     [_flag("--lang", corpus.get_language, required=True), _IN, _OUT]),
     ("align", "intersect per-language files on shared verse ids", _cmd_align,
      [_IN, _OUT, _flag("--stats", help="optional stats TSV report")],
      (lambda a: _overlapping(a.out, a.stats), f"--out and --stats {_APART}")),
     ("split", "deterministic train/val/test split", _cmd_split,
-     [_CORPUS, _flag("--ratios", type=_parse_ratios, default="0.75,0.15,0.10"), _SEED, _OUT]),
+     [_CORPUS, _flag("--ratios", corpus.check_ratios, type=_parse_ratios,
+                     default="0.75,0.15,0.10"), _SEED, _OUT]),
     ("label", "emit labeled multiway bitext", _cmd_label,
      [_CORPUS, _flag("--split", required=True),
       _flag("--mode", type=_label_mode, default="language-plus-family"),
-      _flag("--langs", help="comma-separated language codes"),
+      _flag("--langs", lambda text: [*map(corpus.get_language, text.split(","))],
+            help="comma-separated language codes"),
       _flag("--schedule", help="schedule TSV (one bitext per step)"),
       _flag("--out-prefix", required=True)],
      (lambda a: bool(a.langs) == bool(a.schedule),
       "exactly one of --langs / --schedule is required")),
     ("schedule", "build a family/sparse addition schedule", _cmd_schedule,
-     [_flag("--anchor", required=True),
+     [_flag("--anchor", corpus.get_language, required=True),
       _flag("--mode", choices=["family-addition", "sparse-addition"], required=True),
       _SEED, _OUT]),
     ("bpe-learn", "learn a BPE model from tokenized text", _cmd_bpe_learn,
@@ -415,8 +420,9 @@ _SUBCOMMANDS = (
       "--corpus goes with policy frequency-equals-one only"),
      _FREQ_OUT_APART),
     ("tag", "replace named entities with ordered placeholders", _cmd_tag,
-     [_flag("--lexicon", required=True), _flag("--src", required=True, help="source language code"),
-      _flag("--tgt", required=True, help="target language code"), _IN, _OUT,
+     [_flag("--lexicon", required=True),
+      _flag("--src", corpus.get_language, required=True, help="source language code"),
+      _flag("--tgt", corpus.get_language, required=True, help="target language code"), _IN, _OUT,
       _flag("--tgt-in", help="target side for training-pair tagging"), _flag("--tgt-out"),
       _flag("--decode", help="decode sidecar path (default <out>.decode.jsonl)")],
      (lambda a: bool(a.tgt_in) != bool(a.tgt_out), "--tgt-in and --tgt-out must be given together"),
@@ -445,6 +451,9 @@ _SUBCOMMANDS = (
     ("run", "run a pipeline manifest", _cmd_run, [_flag("--manifest", required=True)]),
 )
 _RULES = {name: rules for name, _summary, _handler, _flags, *rules in _SUBCOMMANDS}
+_CHECKS = {name: [(spec.get("dest", flag[2:].replace("-", "_")), check)
+                  for flag, spec, check in flags if check]
+           for name, _summary, _handler, flags, *_rules in _SUBCOMMANDS}
 
 
 def build_parser() -> _Parser:
@@ -452,7 +461,7 @@ def build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="command", metavar="subcommand")
     for name, summary, handler, flags, *_rules in _SUBCOMMANDS:
         sub = subparsers.add_parser(name, help=summary)
-        for flag, spec in flags:
+        for flag, spec, _check in flags:
             sub.add_argument(flag, **spec)
         sub.set_defaults(func=handler)
     return parser
@@ -490,6 +499,9 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     for broken, message in _RULES[args.command]:
         if broken(args):
             raise UsageError(message)
+    for dest, check in _CHECKS[args.command]:  # a bad value is a data error, as in the layer
+        if getattr(args, dest) is not None:
+            check(getattr(args, dest))
     return args
 
 

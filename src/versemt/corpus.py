@@ -57,12 +57,6 @@ def get_language(code: str) -> Language:
     return REGISTRY[code]
 
 
-def languages_in_family(family: str) -> tuple[Language, ...]:
-    if family not in FAMILIES:
-        raise UnknownLanguage(f"unknown family {family!r}")
-    return tuple(lang for lang in REGISTRY.values() if lang.family == family)
-
-
 def registry_order(codes: Iterable[str]) -> list[str]:
     """Sort language codes into registry (family table) order."""
     order = {code: i for i, code in enumerate(REGISTRY)}
@@ -160,6 +154,11 @@ class SplitAssignment(NamedTuple):
     test: frozenset[str]
 
 
+def check_ratios(ratios: tuple[float, float, float]) -> None:
+    if len(ratios) != 3 or any(not 0 < r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise BadRatios(f"ratios must be three positive fractions summing to 1.0, got {ratios!r}")
+
+
 def split_corpus(
     corpus: ParallelCorpus, ratios: tuple[float, float, float], seed: int
 ) -> SplitAssignment:
@@ -169,8 +168,7 @@ def split_corpus(
     boundaries (floor for train and val, remainder test), so sizes match the
     ratios within one verse and all languages share the split.
     """
-    if len(ratios) != 3 or any(not 0 < r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise BadRatios(f"ratios must be three positive fractions summing to 1.0, got {ratios!r}")
+    check_ratios(ratios)
     ids = sorted(corpus.ids)
     rng = random.Random(seed)
     rng.shuffle(ids)
@@ -217,7 +215,7 @@ def corpus_stats(corpus: ParallelCorpus, lang: str) -> CorpusStats:
 
 
 def write_language_file(verses: Iterable[tuple[str, str]], path: str | Path) -> None:
-    """Write ``(verse id, text)`` pairs, given in verse id order, as a verse file."""
+    """Write ``(verse id, text)`` pairs, in the order given, as a verse file."""
     atomic_write_lines(path, [f"{vid}\t{text}" for vid, text in verses])
 
 

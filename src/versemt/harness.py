@@ -68,16 +68,12 @@ def sample_low_resource(
 class GlState:
     """Early-stopping monitor for scores where higher is better."""
 
-    def __init__(
-        self,
-        best: float | None = None,
-        history: tuple[tuple[int, float], ...] = (),
-        alpha: float = 0.1,
-    ) -> None:
+    def __init__(self, best: float | None = None, last_epoch: int | None = None,
+                 alpha: float = 0.1) -> None:
         if not (math.isfinite(alpha) and alpha >= 0):
             raise BadParameter(f"alpha must be finite and >= 0, got {alpha}")
         self.best = best
-        self.history = history
+        self.last_epoch = last_epoch
         self.alpha = alpha
 
 
@@ -90,13 +86,11 @@ def gl_update(state: GlState, epoch: int, val_score: float) -> tuple[GlState, fl
     """
     if not (math.isfinite(val_score) and val_score >= 0):
         raise BadParameter(f"val_score must be finite and >= 0, got {val_score}")
-    if state.history and epoch <= state.history[-1][0]:
-        raise NonMonotoneEpoch(
-            f"epoch {epoch} does not follow epoch {state.history[-1][0]}"
-        )
+    if state.last_epoch is not None and epoch <= state.last_epoch:
+        raise NonMonotoneEpoch(f"epoch {epoch} does not follow epoch {state.last_epoch}")
     best = val_score if state.best is None else max(state.best, val_score)
     gl = 0.0 if best == 0 else 100.0 * (1.0 - val_score / best)
-    new_state = GlState(best, state.history + ((epoch, val_score),), state.alpha)
+    new_state = GlState(best, epoch, state.alpha)
     return new_state, gl, "stop" if gl > state.alpha else "continue"
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     FAMILIES,
@@ -13,7 +13,6 @@ from .corpus import (
     ParallelCorpus,
     SplitAssignment,
     get_language,
-    languages_in_family,
     registry_order,
     tokenize,
 )
@@ -49,41 +48,32 @@ def _codes(langs: Iterable[str]) -> list[str]:
     return sorted({get_language(c).code for c in langs})
 
 
-class TrainTexts:
-    """The split's train verses in each of ``langs``, ordered by verse id.
+def train_texts(
+    langs: Iterable[str], corpus: ParallelCorpus, split: SplitAssignment
+) -> dict[str, tuple[str, ...]]:
+    """The split's train verses in each of ``langs``, ordered by verse id and
+    keyed by registry code, each tokenized and space-joined once.
 
-    The corpus and the split are checked here, before any line is made. A
-    language's texts are tokenized and space-joined on first use and then
-    shared by every direction and every step that names the language.
+    The corpus and the split are checked here, before any line is made.
     """
-
-    def __init__(self, langs: Iterable[str], corpus: ParallelCorpus, split: SplitAssignment) -> None:
-        codes = _codes(langs)
-        for code in codes:
-            if code not in corpus.languages:
-                raise UnknownLanguage(f"language {code!r} not in corpus")
-        if not split.train:
-            raise EmptySplit("split has no train verses")
-        row_of = {vid: row for row, vid in enumerate(corpus.ids)}
-        missing = sorted(split.train - row_of.keys())
-        if missing:
-            raise UnknownVerse(
-                f"{len(missing)} train verse id(s) not in corpus: {', '.join(map(repr, missing[:5]))}"
-            )
-        self._corpus = corpus
-        self._checked = frozenset(codes)
-        self._rows = [row_of[vid] for vid in sorted(split.train)]
-        self._texts: dict[str, tuple[str, ...]] = {}
-
-    def __getitem__(self, code: str) -> tuple[str, ...]:
-        texts = self._texts.get(code)
-        if texts is None:
-            if code not in self._checked:
-                raise UnknownLanguage(f"language {code!r} was not checked against the corpus")
-            column = self._corpus.texts(code)
-            texts = tuple(" ".join(tokenize(column[row])) for row in self._rows)
-            self._texts[code] = texts
-        return texts
+    codes = _codes(langs)
+    for code in codes:
+        if code not in corpus.languages:
+            raise UnknownLanguage(f"language {code!r} not in corpus")
+    if not split.train:
+        raise EmptySplit("split has no train verses")
+    row_of = {vid: row for row, vid in enumerate(corpus.ids)}
+    missing = sorted(split.train - row_of.keys())
+    if missing:
+        raise UnknownVerse(
+            f"{len(missing)} train verse id(s) not in corpus: {', '.join(map(repr, missing[:5]))}"
+        )
+    rows = [row_of[vid] for vid in sorted(split.train)]
+    texts = {}
+    for code in codes:
+        column = corpus.texts(code)
+        texts[code] = tuple(" ".join(tokenize(column[row])) for row in rows)
+    return texts
 
 
 class LabeledExample(NamedTuple):
@@ -97,11 +87,15 @@ class LabeledExample(NamedTuple):
 
 
 def expand_multiway_pairs(
-    langs: Iterable[str], texts: TrainTexts, mode: LabelMode
+    langs: Iterable[str], texts: Mapping[str, Sequence[str]], mode: LabelMode
 ) -> Iterator[LabeledExample]:
     """Emit one block per ordered pair of distinct languages, in (src, tgt)
-    order; each holds |train| lines, so a step has |train| * n(n-1) lines."""
+    order; each holds |train| lines, so a step has |train| * n(n-1) lines.
+    ``texts`` is what ``train_texts`` returned for these languages, or more."""
     codes = _codes(langs)
+    for code in codes:
+        if code not in texts:
+            raise UnknownLanguage(f"language {code!r} was not checked against the corpus")
     for src in codes:
         source_texts = texts[src]
         for tgt in codes:
@@ -117,18 +111,12 @@ class ScheduleMode(Enum):
     SPARSE_ADDITION = "sparse-addition"
 
 
-class AdditionSchedule(NamedTuple):
-    mode: ScheduleMode
-    steps: tuple[frozenset[str], ...]
-    anchor: str
-
-
 def build_addition_schedule(
     anchor: str,
     mode: ScheduleMode,
     seed: int,
-) -> AdditionSchedule:
-    """Construct a cumulative language schedule anchored at a target language.
+) -> tuple[frozenset[str], ...]:
+    """The steps of a cumulative language schedule anchored at a target language.
 
     Family addition grows by whole families: the anchor's own family first,
     then each remaining family in ``FAMILIES`` order, whose first three follow
@@ -142,11 +130,11 @@ def build_addition_schedule(
     family_steps: list[frozenset[str]] = []
     cumulative: set[str] = set()
     for family in ordered_families:
-        cumulative.update(lang.code for lang in languages_in_family(family))
+        cumulative.update(lang.code for lang in REGISTRY.values() if lang.family == family)
         family_steps.append(frozenset(cumulative))
 
     if mode is ScheduleMode.FAMILY_ADDITION:
-        return AdditionSchedule(mode=mode, steps=tuple(family_steps), anchor=anchor_lang.code)
+        return tuple(family_steps)
 
     sizes = [len(step) for step in family_steps]
     rng = random.Random(seed)
@@ -162,7 +150,7 @@ def build_addition_schedule(
             chosen.add(pick)
             remaining.remove(pick)
         sparse_steps.append(frozenset(chosen))
-    return AdditionSchedule(mode=mode, steps=tuple(sparse_steps), anchor=anchor_lang.code)
+    return tuple(sparse_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +158,9 @@ def build_addition_schedule(
 # ---------------------------------------------------------------------------
 
 
-def write_schedule(schedule: AdditionSchedule, path: str | Path) -> None:
+def write_schedule(steps: Iterable[frozenset[str]], path: str | Path) -> None:
     lines = []
-    for i, step in enumerate(schedule.steps, start=1):
+    for i, step in enumerate(steps, start=1):
         lines.append(f"{i}\t{','.join(registry_order(step))}")
     atomic_write_lines(path, lines)
 

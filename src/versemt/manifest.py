@@ -7,7 +7,6 @@ import contextlib
 import functools
 import graphlib
 import hashlib
-import heapq
 import io
 import json
 import logging
@@ -122,18 +121,14 @@ def _topological_order(graph: dict[str, set[str]]) -> list[str]:
     """Stage names in dependency order; among ready stages, the least name first.
     Every run starts the stages in this order, as far as they are ready, and
     prints their output in it."""
-    sorter = graphlib.TopologicalSorter(graph)
     try:
-        sorter.prepare()
+        graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         raise CycleDetected(f"manifest stages form a cycle: {exc.args[1]}") from None
-    ordered, ready = [], sorted(sorter.get_ready())  # a sorted list is a heap
-    while ready:
-        name = heapq.heappop(ready)
-        ordered.append(name)
-        sorter.done(name)
-        for other in sorter.get_ready():
-            heapq.heappush(ready, other)
+    ordered: list[str] = []
+    while len(ordered) < len(graph):  # acyclic, so some stage is always ready
+        done = set(ordered)
+        ordered.append(min(n for n, before in graph.items() if n not in done and before <= done))
     return ordered
 
 
@@ -435,10 +430,10 @@ class _ManifestRun:
 def run_manifest(manifest_path: str | Path, dispatch: Callable, check: Callable) -> None:
     """Run manifest stages in dependency order, skipping up-to-date ones; each
     stage's command goes to ``dispatch``. Before any stage starts, every stage's
-    command, in that order, goes to ``check``; its first usage error fails the
-    run, naming the stage. Up to three stages whose inputs are ready run at the
-    same time where the process may use more than one CPU. After a failed stage
-    no stage starts; those running finish and are recorded if they succeed."""
+    command, in that order, goes to ``check``; its first usage or data error
+    fails the run, naming the stage. Up to three stages whose inputs are ready
+    run at once where the process may use more than one CPU. After a failed
+    stage no stage starts; those running finish and are recorded if they succeed."""
     manifest_path = Path(manifest_path)
     stages = _validated_stages(read_json(manifest_path), manifest_path)
 
@@ -451,6 +446,6 @@ def run_manifest(manifest_path: str | Path, dispatch: Callable, check: Callable)
     for name in run.waiting:  # all of them: a stage is found up to date only at its turn
         try:
             check(run.command(name))
-        except UsageError as error:
+        except (PipelineError, UsageError) as error:
             raise StageFailed(f"stage {name}: {error}") from error
     run.run(_may_fork_a_worker())

@@ -32,15 +32,8 @@ class TaggedSentence(NamedTuple):
         return " ".join(self.tokens)
 
 
-class DecodeTable(NamedTuple):
-    """Placeholder index -> (source surface, target surface)."""
-
-    mapping: dict[int, tuple[str, str]]
-
-    def target(self, index: int) -> str:
-        if index not in self.mapping:
-            raise UnknownPlaceholder(f"$NE{index} has no decode entry")
-        return self.mapping[index][1]
+# Placeholder index -> (source surface, target surface).
+DecodeTable = dict[int, tuple[str, str]]
 
 
 def _replace_spans(
@@ -84,7 +77,7 @@ def _tag(
         for start, end, key in tgt_index.occurrences(tgt):
             free.setdefault(key, []).append(range(start, end))
 
-    mapping: dict[int, tuple[str, str]] = {}
+    mapping: DecodeTable = {}
     src_spans: list[tuple[tuple[int, int], int]] = []
     tgt_spans: list[tuple[tuple[int, int], int]] = []
     consumed: set[int] = set()
@@ -100,7 +93,7 @@ def _tag(
         mapping[index] = (" ".join(src[span[0] : span[1]]), tgt_surface)
         src_spans.append((span, index))
     tagged_src = TaggedSentence(_replace_spans(src, src_spans), len(mapping))
-    return tagged_src, tgt_spans, DecodeTable(mapping)
+    return tagged_src, tgt_spans, mapping
 
 
 def tag_training_pair(
@@ -139,7 +132,9 @@ def restore_placeholders(translated: Sequence[str], decode: DecodeTable) -> list
     for token in translated:
         match = PLACEHOLDER_RE.match(token)
         if match:
-            out.extend(tokenize(decode.target(int(match.group(1)))))
+            if (entry := decode.get(int(match.group(1)))) is None:
+                raise UnknownPlaceholder(f"$NE{match.group(1)} has no decode entry")
+            out.extend(tokenize(entry[1]))
         else:
             out.append(token)
     return out
@@ -166,7 +161,7 @@ def check_entity_order(
     hyp: Sequence[str], ref: Sequence[str], decode: DecodeTable
 ) -> EntityJudgment:
     """Compare the multiset and ordering of decode-table entities in hyp vs ref."""
-    surfaces = [tokenize(tgt) for _, tgt in decode.mapping.values()]
+    surfaces = [tokenize(tgt) for _, tgt in decode.values()]
     index = SurfaceIndex((tokens, " ".join(tokens)) for tokens in surfaces if tokens)
     hyp_seq = [surface for _, _, surface in index.scan(hyp)]
     ref_seq = [surface for _, _, surface in index.scan(ref)]
@@ -191,7 +186,7 @@ def write_decode_sidecar(tables: Iterable[DecodeTable], path: str | Path) -> Non
         record = {
             "line": lineno,
             "map": {
-                str(i): {"src": src, "tgt": tgt} for i, (src, tgt) in sorted(decode.mapping.items())
+                str(i): {"src": src, "tgt": tgt} for i, (src, tgt) in sorted(decode.items())
             },
         }
         lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
@@ -209,7 +204,7 @@ def read_decode_sidecar(path: str | Path) -> list[DecodeTable]:
         cells = record.get("map")
         if not isinstance(cells, dict):
             raise MalformedLine(f"{where}: `map` must be an object")
-        mapping: dict[int, tuple[str, str]] = {}
+        mapping: DecodeTable = {}
         for key, cell in cells.items():
             if not PLACEHOLDER_RE.fullmatch(f"$NE{key}"):
                 raise MalformedLine(f"{where}: map key {key!r} is not a placeholder index")
@@ -217,5 +212,5 @@ def read_decode_sidecar(path: str | Path) -> list[DecodeTable]:
             if not (isinstance(src, str) and isinstance(tgt, str)):
                 raise MalformedLine(f"{where}: map entry {key} needs string `src` and `tgt`")
             mapping[int(key)] = (src, tgt)
-        tables.append(DecodeTable(mapping))
+        tables.append(mapping)
     return tables

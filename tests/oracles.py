@@ -604,7 +604,7 @@ def tag_training_pair_oracle(src, tgt, table, src_lang, tgt_lang):
 
     from versemt.corpus import tokenize
     from versemt.lexicon import lookup_rows
-    from versemt.netag import DecodeTable, TaggedSentence, _replace_spans
+    from versemt.netag import TaggedSentence, _replace_spans
 
     log = logging.getLogger("versemt.netag")
 
@@ -631,7 +631,7 @@ def tag_training_pair_oracle(src, tgt, table, src_lang, tgt_lang):
         tgt_spans.append((tgt_span, index))
     tagged_src = TaggedSentence(_replace_spans(src, src_spans), len(kept))
     tagged_tgt = TaggedSentence(_replace_spans(tgt, tgt_spans), len(kept))
-    return tagged_src, tagged_tgt, DecodeTable(mapping)
+    return tagged_src, tagged_tgt, mapping
 
 
 # `corpus.tokenize` as it was before alphanumeric-edged chunks skipped peeling.

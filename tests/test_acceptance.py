@@ -18,7 +18,7 @@ from versemt.evaluation import aggregate_rubric, corpus_bleu, judge_sentence
 from versemt.harness import AblationPlan, GlState, fit_power_law, gl_update, sample_low_resource
 from versemt.labeling import LabelMode, label_tokens
 from versemt.lexicon import LexiconEntry, LexiconTable, assemble_table
-from versemt.netag import DecodeTable, restore_placeholders, tag_training_pair
+from versemt.netag import restore_placeholders, tag_training_pair
 from versemt.subword import apply_bpe, learn_bpe, revert_bpe
 
 from conftest import make_corpus
@@ -90,7 +90,7 @@ def test_criterion_02_ne_round_trip_1000_pairs():
         if restore_placeholders(tagged_tgt.tokens, decode) == tgt:
             restored_ok += 1
         seen = [int(t[3:]) for t in tagged_src.tokens if t.startswith("$NE") and t[3:].isdigit()]
-        if seen == list(range(1, len(seen) + 1)) and len(seen) == len(decode.mapping):
+        if seen == list(range(1, len(seen) + 1)) and len(seen) == len(decode):
             indices_ok += 1
     elapsed = time.perf_counter() - start
     ok = restored_ok == total and indices_ok == total and elapsed < 10.0
@@ -117,7 +117,7 @@ def test_criterion_03_table_format_reproduction():
     tagged_src, _, decode = tag_training_pair(src, tgt, table, "en", "sw")
     tagging_ok = (
         tagged_src.text == "And $NE1 fathered three sons , $NE2 , $NE3 , and $NE4 ."
-        and decode.mapping
+        and decode
         == {1: ("Noah", "Noa"), 2: ("Shem", "Sem"), 3: ("Ham", "Ham"), 4: ("Japheth", "Jafet")}
     )
     translated = "Och $NE1 födde tre söner , $NE2 $NE3 och $NE4".split()
@@ -365,7 +365,7 @@ def test_criterion_11_split_exactness():
 
 
 def test_criterion_12_rubric_aggregation():
-    decode = DecodeTable({1: ("Noah", "Noa")})
+    decode = {1: ("Noah", "Noa")}
     judgments = (
         [judge_sentence("Noa hem", "Noa hem", decode, meaning=True)] * 194
         + [judge_sentence("hem", "Noa hem", decode, meaning=True)] * 108

@@ -77,3 +77,15 @@ def test_multiway_label_tiny_traced_run_times_and_counts_labeling(tmp_path):
     # A correct run's bitext/run.step*.src files hold exactly labeled_lines lines.
     record = json.loads((tmp_path / "multiway-label.seed1.trace1.json").read_text())
     assert metrics["labeling.lines"]["value"] == record["input_sizes"]["labeled_lines"] > 0
+
+
+def test_tag_eval_tiny_traced_run_times_tagging_and_restore(tmp_path):
+    # The tracer reads what tag_source and tag_training_pair return and counts
+    # lookup_rows' rows, so a change to what netag or lexicon return fails this run.
+    result = _tiny_run("tag-eval", tmp_path, trace="1")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    for name in ("netag.tag_s", "netag.restore_s", "netag.sidecar_io_s", "lexicon.lookup_calls",
+                 "netag.tagged_ratio"):
+        assert metrics[name]["value"] > 0, name

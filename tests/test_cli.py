@@ -1793,6 +1793,41 @@ class TestFlagRules:
         assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
 
 
+_TAG_VALID = ["tag", "--lexicon", "lexicon.tsv", "--in", "text.txt", "--out", "out"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["ingest", "--lang", "xx", "--in", "raw.txt", "--out", "out"],
+     "UnknownLanguage: unknown language code 'xx'"),
+    (["schedule", "--anchor", "xx", "--mode", "family-addition", "--out", "out"],
+     "UnknownLanguage: unknown language code 'xx'"),
+    ([*_TAG_VALID, "--src", "xx", "--tgt", "sw"], "UnknownLanguage: unknown language code 'xx'"),
+    ([*_TAG_VALID, "--src", "en", "--tgt", "po"],
+     "UnknownLanguage: language code 'po' is ambiguous; use pl or pt"),
+    (["label", "--corpus", "aligned", "--split", "splits.tsv", "--langs", "en,xx",
+      "--out-prefix", "out"], "UnknownLanguage: unknown language code 'xx'"),
+    (["split", "--corpus", "aligned", "--ratios", "0.5,0.5,0.5", "--out", "out"],
+     "BadRatios: ratios must be three positive fractions summing to 1.0, got (0.5, 0.5, 0.5)"),
+], ids=["ingest-lang", "schedule-anchor", "tag-src", "tag-tgt-po", "label-langs", "split-ratios"])
+def test_a_bad_code_or_ratio_alone_is_the_layers_data_error(tmp_path, monkeypatch, capsys, argv,
+                                                            error):
+    monkeypatch.chdir(tmp_path)
+    _valid_inputs(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_missing_flag_or_help_comes_before_a_bad_value(capsys):
+    assert cli.main(["split", "--ratios", "0.5,0.5,0.5", "--out", "out"]) == cli.EXIT_USAGE
+    assert "the following arguments are required: --corpus" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["ingest", "--lang", "xx", "--in", "raw.txt", "--out", "out", "--help"])
+    assert exit_.value.code == 0
+    assert "usage: versemt ingest" in capsys.readouterr().out
+
+
 def _handlers_raising_usage_errors(source: str) -> list[str]:
     raising = []
     for node in ast.parse(source).body:

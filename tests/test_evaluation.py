@@ -20,7 +20,6 @@ from versemt.evaluation import (
     write_bleu_report,
     write_judgments,
 )
-from versemt.netag import DecodeTable
 
 from oracles import bleu_oracle
 
@@ -114,7 +113,7 @@ class TestBleu:
         assert 0.0 <= report.brevity_penalty <= 1.0
 
 
-DECODE = DecodeTable({1: ("Noah", "Noa"), 2: ("Shem", "Sem")})
+DECODE = {1: ("Noah", "Noa"), 2: ("Shem", "Sem")}
 
 
 class TestJudge:

@@ -13,7 +13,7 @@ from versemt.errors import EmptySplit, MalformedLine, PipelineError, UnknownLang
 from versemt.labeling import (
     LabelMode,
     ScheduleMode,
-    TrainTexts,
+    train_texts,
     build_addition_schedule,
     expand_multiway_pairs,
     label_tokens,
@@ -83,7 +83,7 @@ def _pair_corpus(langs: list[str], n_verses: int):
 
 def _expand(langs, corpus, split, mode):
     """``label``'s path for one step: check the inputs, then expand."""
-    return expand_multiway_pairs(langs, TrainTexts(langs, corpus, split), mode)
+    return expand_multiway_pairs(langs, train_texts(langs, corpus, split), mode)
 
 
 def _line_count(blocks) -> int:
@@ -150,7 +150,7 @@ class TestExpandMultiway:
 
     def test_language_not_checked_against_the_corpus_is_refused(self):
         corpus = _pair_corpus(["en", "sw", "fr"], 3)
-        texts = TrainTexts(["en", "sw"], corpus, _full_train_split(corpus))
+        texts = train_texts(["en", "sw"], corpus, _full_train_split(corpus))
         with pytest.raises(UnknownLanguage, match="'fr' was not checked"):
             list(expand_multiway_pairs(["en", "fr"], texts, LabelMode.LANGUAGE_ONLY))
 
@@ -347,41 +347,41 @@ class TestSpanning:
 class TestSchedules:
     def test_family_mode_step1_is_anchor_family(self):
         schedule = build_addition_schedule("sw", ScheduleMode.FAMILY_ADDITION, seed=0)
-        assert schedule.steps[0] == frozenset({"de", "dn", "dt", "no", "sw", "en"})
+        assert schedule[0] == frozenset({"de", "dn", "dt", "no", "sw", "en"})
 
     def test_family_mode_step2_adds_slavic(self):
         schedule = build_addition_schedule("sw", ScheduleMode.FAMILY_ADDITION, seed=0)
-        added = schedule.steps[1] - schedule.steps[0]
+        added = schedule[1] - schedule[0]
         assert added == frozenset({"cr", "cz", "pl", "ru", "uk", "bg"})
 
     def test_family_mode_romance_anchor(self):
         schedule = build_addition_schedule("fr", ScheduleMode.FAMILY_ADDITION, seed=0)
-        assert schedule.steps[0] == frozenset({"es", "fr", "it", "pt", "ro"})
-        assert schedule.steps[1] - schedule.steps[0] == frozenset(
+        assert schedule[0] == frozenset({"es", "fr", "it", "pt", "ro"})
+        assert schedule[1] - schedule[0] == frozenset(
             {"de", "dn", "dt", "no", "sw", "en"}
         )
 
     def test_steps_monotone_and_end_with_everything(self):
         for mode in ScheduleMode:
             schedule = build_addition_schedule("sw", mode, seed=5)
-            for prev, cur in zip(schedule.steps, schedule.steps[1:]):
+            for prev, cur in zip(schedule, schedule[1:]):
                 assert prev < cur
-            assert schedule.steps[-1] == frozenset(REGISTRY)
+            assert schedule[-1] == frozenset(REGISTRY)
 
     def test_sparse_sizes_match_family_mode(self):
         family = build_addition_schedule("sw", ScheduleMode.FAMILY_ADDITION, seed=1)
         sparse = build_addition_schedule("sw", ScheduleMode.SPARSE_ADDITION, seed=1)
-        assert [len(s) for s in sparse.steps] == [len(s) for s in family.steps]
+        assert [len(s) for s in sparse] == [len(s) for s in family]
 
     def test_sparse_spans_all_once_big_enough(self):
         sparse = build_addition_schedule("sw", ScheduleMode.SPARSE_ADDITION, seed=9)
-        for step in sparse.steps:
+        for step in sparse:
             if len(step) >= 8:
                 assert language_set_spans(step, FAMILIES)
 
     def test_sparse_family_coverage_grows_until_spanned(self):
         sparse = build_addition_schedule("sw", ScheduleMode.SPARSE_ADDITION, seed=2)
-        coverage = [len({REGISTRY[c].family for c in step}) for step in sparse.steps]
+        coverage = [len({REGISTRY[c].family for c in step}) for step in sparse]
         for prev, cur in zip(coverage, coverage[1:]):
             assert cur > prev or prev == len(FAMILIES)
 
@@ -389,7 +389,7 @@ class TestSchedules:
         first = build_addition_schedule("sw", ScheduleMode.SPARSE_ADDITION, seed=3)
         second = build_addition_schedule("sw", ScheduleMode.SPARSE_ADDITION, seed=3)
         assert first == second
-        assert all("sw" in step for step in first.steps)
+        assert all("sw" in step for step in first)
 
     def test_unknown_anchor(self):
         with pytest.raises(UnknownLanguage):
@@ -401,8 +401,8 @@ class TestLabelingIo:
         schedule = build_addition_schedule("sw", ScheduleMode.FAMILY_ADDITION, seed=0)
         write_schedule(schedule, tmp_path / "sched.tsv")
         steps = read_schedule_steps(tmp_path / "sched.tsv")
-        assert [set(langs) for _, langs in steps] == [set(s) for s in schedule.steps]
-        assert [k for k, _ in steps] == list(range(1, len(schedule.steps) + 1))
+        assert [set(langs) for _, langs in steps] == [set(s) for s in schedule]
+        assert [k for k, _ in steps] == list(range(1, len(schedule) + 1))
 
     @pytest.mark.parametrize(
         "line, problem",

@@ -496,6 +496,7 @@ _LABEL = ["label", "--corpus", "aligned", "--split", "splits.tsv", "--out-prefix
 _TRIM = ["lex-trim", "--in", "lex.tsv", "--out", "trimmed.tsv"]
 _RUBRIC = "rubric needs either --in and an optional --out, or all of --hyp/--ref/--decode/--out"
 _BAD_SEED = "VERSEMT_SEED must be an integer, got 'abc'"
+_UNKNOWN_XX = "unknown language code 'xx'"
 # rule: (VERSEMT_SEED or None, a stage command that breaks the rule, the message
 # the command fails with when it runs alone).
 _BROKEN_RULES = {
@@ -539,6 +540,20 @@ _BROKEN_RULES = {
                                "--manifest", "s"], f"--out and --manifest {_MIXED_OUTPUTS}"),
     "align-stats": (None, ["align", "--in", "store", "--out", "aligned", "--stats",
                            "aligned/en.tsv"], f"--out and --stats {_MIXED_OUTPUTS}"),
+    # Values the layer behind a flag refuses, with its data error.
+    "ingest-lang": (None, ["ingest", "--lang", "xx", "--in", "names.txt", "--out", "store"],
+                    _UNKNOWN_XX),
+    "schedule-anchor": (None, ["schedule", "--anchor", "xx", "--mode", "family-addition",
+                               "--out", "s"], _UNKNOWN_XX),
+    "tag-src": (None, [*_TAG[:4], "xx", *_TAG[5:], "--out", "t"], _UNKNOWN_XX),
+    "tag-tgt": (None, [*_TAG[:6], "xx", *_TAG[7:], "--out", "t"], _UNKNOWN_XX),
+    "tag-tgt-po": (None, [*_TAG[:6], "po", *_TAG[7:], "--out", "t"],
+                   "language code 'po' is ambiguous; use pl or pt"),
+    "label-langs": (None, [*_LABEL, "--langs", "en,xx,sw"], _UNKNOWN_XX),
+    "split-ratio-sum": (None, ["split", "--corpus", "aligned", "--ratios", "0.5,0.5,0.5",
+                               "--out", "s"],
+                        "ratios must be three positive fractions summing to 1.0, "
+                        "got (0.5, 0.5, 0.5)"),
 }
 
 

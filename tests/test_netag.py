@@ -10,7 +10,6 @@ from versemt.corpus import tokenize
 from versemt.errors import UnknownPlaceholder
 from versemt.lexicon import LexiconEntry, LexiconTable
 from versemt.netag import (
-    DecodeTable,
     check_entity_order,
     read_decode_sidecar,
     restore_placeholders,
@@ -40,7 +39,7 @@ class TestTagTrainingPair:
         tagged_src, tagged_tgt, decode = tag_training_pair(src, tgt, NOAH_TABLE, "en", "sw")
         assert tagged_src.text == "And $NE1 fathered three sons , $NE2 , $NE3 , and $NE4 ."
         assert tagged_tgt.text == "Och $NE1 födde tre söner : $NE2 , $NE3 och $NE4 ."
-        assert decode.mapping == {
+        assert decode == {
             1: ("Noah", "Noa"),
             2: ("Shem", "Sem"),
             3: ("Ham", "Ham"),
@@ -53,7 +52,7 @@ class TestTagTrainingPair:
         tagged_src, tagged_tgt, decode = tag_training_pair(src, tgt, NOAH_TABLE, "en", "sw")
         assert tagged_src.tokens == tuple(src)
         assert tagged_tgt.tokens == tuple(tgt)
-        assert decode.mapping == {}
+        assert decode == {}
 
     def test_repeated_entity_distinct_indices(self):
         table = _table([("John", "Johannes")])
@@ -62,7 +61,7 @@ class TestTagTrainingPair:
         tagged_src, tagged_tgt, decode = tag_training_pair(src, tgt, table, "en", "sw")
         assert tagged_src.text == "$NE1 saw $NE2"
         assert tagged_tgt.text == "$NE1 sag $NE2"
-        assert decode.mapping == {1: ("John", "Johannes"), 2: ("John", "Johannes")}
+        assert decode == {1: ("John", "Johannes"), 2: ("John", "Johannes")}
 
     def test_surplus_source_occurrence_untagged(self):
         table = _table([("John", "Johannes")])
@@ -71,7 +70,7 @@ class TestTagTrainingPair:
         tagged_src, tagged_tgt, decode = tag_training_pair(src, tgt, table, "en", "sw")
         assert tagged_src.text == "$NE1 saw John"
         assert tagged_tgt.text == "$NE1 sag honom"
-        assert decode.mapping == {1: ("John", "Johannes")}
+        assert decode == {1: ("John", "Johannes")}
 
     def test_missing_target_cell_untagged_both_sides(self):
         entries = (LexiconEntry(id="a", surfaces={"en": "Noah"}, frequency={}),)
@@ -81,7 +80,7 @@ class TestTagTrainingPair:
         tagged_src, tagged_tgt, decode = tag_training_pair(src, tgt, table, "en", "sw")
         assert tagged_src.tokens == tuple(src)
         assert tagged_tgt.tokens == tuple(tgt)
-        assert decode.mapping == {}
+        assert decode == {}
 
     def test_indices_dense_and_increasing(self):
         src = tokenize("Ham and Japheth and Noah")
@@ -89,7 +88,7 @@ class TestTagTrainingPair:
         tagged_src, _, decode = tag_training_pair(src, tgt, NOAH_TABLE, "en", "sw")
         indices = [int(t[3:]) for t in tagged_src.tokens if t.startswith("$NE")]
         assert indices == [1, 2, 3]
-        assert sorted(decode.mapping) == indices
+        assert sorted(decode) == indices
 
     def test_multi_token_surface_single_placeholder(self):
         table = _table([("New York", "New York")])
@@ -98,7 +97,7 @@ class TestTagTrainingPair:
         tagged_src, tagged_tgt, decode = tag_training_pair(src, tgt, table, "en", "sw")
         assert tagged_src.text == "go to $NE1 now"
         assert tagged_tgt.text == "åk till $NE1 nu"
-        assert decode.mapping == {1: ("New York", "New York")}
+        assert decode == {1: ("New York", "New York")}
 
 
 SAUL_TABLE = _table([("Saul", "Saul"), ("Jonathan", "Jonatan"), ("David", "David")])
@@ -111,7 +110,7 @@ class TestTagSource:
         )
         tagged, decode = tag_source(src, SAUL_TABLE, "en", "sw")
         assert tagged.placeholder_count == 3
-        assert decode.mapping == {
+        assert decode == {
             1: ("Saul", "Saul"),
             2: ("Jonathan", "Jonatan"),
             3: ("David", "David"),
@@ -120,7 +119,7 @@ class TestTagSource:
     def test_unknown_names_zero_placeholders(self):
         tagged, decode = tag_source(tokenize("Zedekiah met Jehoiachin"), SAUL_TABLE, "en", "sw")
         assert tagged.placeholder_count == 0
-        assert decode.mapping == {}
+        assert decode == {}
 
     def test_table7_row3_ten_rare_entities(self):
         pairs = [
@@ -143,7 +142,7 @@ class TestTagSource:
         tagged, decode = tag_source(src, table, "en", "sw")
         placeholders = [t for t in tagged.tokens if t.startswith("$NE")]
         assert placeholders == [f"$NE{i}" for i in range(1, 11)]
-        assert [decode.mapping[i] for i in range(1, 11)] == pairs
+        assert [decode[i] for i in range(1, 11)] == pairs
 
     def test_empty_target_cell_skipped(self):
         entries = (
@@ -153,36 +152,36 @@ class TestTagSource:
         table = LexiconTable(entries=entries, languages=("en", "sw"))
         tagged, decode = tag_source(tokenize("Saul met David"), table, "en", "sw")
         assert tagged.text == "Saul met $NE1"
-        assert decode.mapping == {1: ("David", "David")}
+        assert decode == {1: ("David", "David")}
 
 
 class TestRestore:
     def test_table7_row1_restoration(self):
-        decode = DecodeTable(
-            {1: ("Noah", "Noa"), 2: ("Shem", "Sem"), 3: ("Ham", "Ham"), 4: ("Japheth", "Jafet")}
-        )
+        decode = {
+            1: ("Noah", "Noa"), 2: ("Shem", "Sem"), 3: ("Ham", "Ham"), 4: ("Japheth", "Jafet")
+        }
         translated = "Och $NE1 födde tre söner , $NE2 $NE3 och $NE4".split()
         restored = restore_placeholders(translated, decode)
         assert " ".join(restored) == "Och Noa födde tre söner , Sem Ham och Jafet"
 
     def test_identity_without_placeholders(self):
-        decode = DecodeTable({1: ("Noah", "Noa")})
+        decode = {1: ("Noah", "Noa")}
         tokens = ["Och", "han", "sov", "."]
         assert restore_placeholders(tokens, decode) == tokens
 
     def test_unknown_placeholder(self):
-        decode = DecodeTable(
-            {1: ("Noah", "Noa"), 2: ("Shem", "Sem"), 3: ("Ham", "Ham"), 4: ("Japheth", "Jafet")}
-        )
-        with pytest.raises(UnknownPlaceholder):
+        decode = {
+            1: ("Noah", "Noa"), 2: ("Shem", "Sem"), 3: ("Ham", "Ham"), 4: ("Japheth", "Jafet")
+        }
+        with pytest.raises(UnknownPlaceholder, match=r"^\$NE9 has no decode entry$"):
             restore_placeholders(["$NE9"], decode)
 
     def test_multi_token_target_inserted(self):
-        decode = DecodeTable({1: ("New York", "New York")})
+        decode = {1: ("New York", "New York")}
         assert restore_placeholders(["i", "$NE1", "!"], decode) == ["i", "New", "York", "!"]
 
     def test_non_placeholder_dollar_tokens_untouched(self):
-        decode = DecodeTable({1: ("Noah", "Noa")})
+        decode = {1: ("Noah", "Noa")}
         assert restore_placeholders(["$NE0", "$NEx", "$NE"], decode) == ["$NE0", "$NEx", "$NE"]
 
 
@@ -213,9 +212,7 @@ class TestRoundTrip:
 
 
 class TestCheckOrder:
-    DECODE = DecodeTable(
-        {1: ("Noah", "Noa"), 2: ("Shem", "Sem"), 3: ("Ham", "Ham"), 4: ("Japheth", "Jafet")}
-    )
+    DECODE = {1: ("Noah", "Noa"), 2: ("Shem", "Sem"), 3: ("Ham", "Ham"), 4: ("Japheth", "Jafet")}
 
     def test_all_correct(self):
         ref = "Och Noa födde tre söner : Sem , Ham och Jafet .".split()
@@ -249,18 +246,18 @@ class TestCheckOrder:
 class TestSidecar:
     def test_roundtrip(self, tmp_path):
         tables = [
-            DecodeTable({1: ("Noah", "Noa"), 2: ("Shem", "Sem")}),
-            DecodeTable({}),
-            DecodeTable({1: ("New York", "New York")}),
+            {1: ("Noah", "Noa"), 2: ("Shem", "Sem")},
+            {},
+            {1: ("New York", "New York")},
         ]
         write_decode_sidecar(tables, tmp_path / "decode.jsonl")
         loaded = read_decode_sidecar(tmp_path / "decode.jsonl")
-        assert [t.mapping for t in loaded] == [t.mapping for t in tables]
+        assert loaded == tables
 
     def test_line_numbers(self, tmp_path):
         import json
 
-        write_decode_sidecar([DecodeTable({}), DecodeTable({})], tmp_path / "d.jsonl")
+        write_decode_sidecar([{}, {}], tmp_path / "d.jsonl")
         records = [
             json.loads(line) for line in (tmp_path / "d.jsonl").read_text().splitlines()
         ]
@@ -269,7 +266,7 @@ class TestSidecar:
 
 def test_check_entity_order_skips_whitespace_only_target():
     # A blank target surface matches no token; scanning for it must not stall.
-    decode = DecodeTable({1: ("Noah", " "), 2: ("Shem", "Sem")})
+    decode = {1: ("Noah", " "), 2: ("Shem", "Sem")}
     judgment = check_entity_order(["Sem", "sov"], ["Sem", "sov"], decode)
     assert (judgment.set_correct, judgment.order_correct) == (True, True)
 
@@ -292,6 +289,6 @@ def test_tag_training_pair_matches_sliding_window_oracle(cells, src, tgt):
     table = _table(cells)
     got_src, got_tgt, got_decode = tag_training_pair(src, tgt, table, "en", "sw")
     want_src, want_tgt, want_decode = tag_training_pair_oracle(src, tgt, table, "en", "sw")
-    assert got_decode.mapping == want_decode.mapping
+    assert got_decode == want_decode
     assert got_src == want_src
     assert got_tgt == want_tgt

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from versemt import lexicon
 from versemt.corpus import tokenize
 from versemt.lexicon import LexiconEntry, LexiconTable, SurfaceIndex, _leftmost_spans, lookup_rows
-from versemt.netag import DecodeTable, check_entity_order
+from versemt.netag import check_entity_order
 
 from oracles import count_occurrences_oracle, entity_order_oracle, lookup_rows_oracle
 
@@ -53,7 +53,7 @@ def test_lookup_rows_matches_oracle(cells, sentences):
 )
 @settings(max_examples=200, deadline=None)
 def test_check_entity_order_matches_oracle(targets, hyp, ref):
-    decode = DecodeTable({i: (f"src{i}", tgt) for i, tgt in enumerate(targets, start=1)})
+    decode = {i: (f"src{i}", tgt) for i, tgt in enumerate(targets, start=1)}
     judgment = check_entity_order(hyp, ref, decode)
     got = (judgment.set_correct, judgment.order_correct, judgment.missing, judgment.spurious)
     assert got == entity_order_oracle(hyp, ref, targets)
