@@ -97,6 +97,11 @@ def _position_priors(n: int, m: int, params: DiagonalParams) -> list[list[float]
     return priors
 
 
+def check_iterations(iterations: int) -> None:
+    if iterations < 0:
+        raise BadParameter("iterations must be >= 0")
+
+
 def train_em(
     bitext: Sequence[SentencePair],
     iterations: int,
@@ -111,8 +116,7 @@ def train_em(
     """
     if not bitext:
         raise EmptyBitext("bitext is empty")
-    if iterations < 0:
-        raise BadParameter("iterations must be >= 0")
+    check_iterations(iterations)
     # Intern once: every (e, f) pair of the support gets one slot, in table
     # order (rows sorted by e, each row sorted by f); row r owns the slots
     # bounds[r]:bounds[r + 1]. t[slot] holds the pair's probability, first uniform.

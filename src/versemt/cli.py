@@ -8,7 +8,6 @@ import errno
 import io
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -21,8 +20,6 @@ from .fileio import read_rows, read_word_list
 from .manifest import _fork_join_map, _nested, _path_parts, run_manifest
 
 log = logging.getLogger("versemt")
-
-SEED_ENV_VAR = "VERSEMT_SEED"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -360,7 +357,7 @@ def _flag(
 # Flags that several subcommands take.
 _IN = _flag("--in", dest="infile", required=True)
 _OUT = _flag("--out", required=True)
-_SEED = _flag("--seed", type=int)
+_SEED = _flag("--seed", type=int, default=0)
 _CORPUS = _flag("--corpus", required=True)
 _FREQ_OUT = _flag("--freq-out")
 _APART = "must be separate paths, not one inside another"
@@ -390,7 +387,7 @@ _SUBCOMMANDS = (
       _flag("--mode", choices=["family-addition", "sparse-addition"], required=True),
       _SEED, _OUT]),
     ("bpe-learn", "learn a BPE model from tokenized text", _cmd_bpe_learn,
-     [_IN, _flag("--merges", type=int, default=subword.DEFAULT_NUM_MERGES),
+     [_IN, _flag("--merges", subword.check_merges, type=int, default=subword.DEFAULT_NUM_MERGES),
       _flag("--side", choices=["source", "target"], default="source"),
       _flag("--reserved", help="file of reserved tokens, one per line"), _OUT]),
     ("bpe-apply", "apply a BPE model to tokenized text", _cmd_bpe_apply,
@@ -398,8 +395,10 @@ _SUBCOMMANDS = (
     ("bpe-revert", "join BPE pieces back into tokens", _cmd_bpe_revert, [_IN, _OUT]),
     ("align-train", "train a lexical translation table by EM", _cmd_align_train,
      [_flag("--src", required=True), _flag("--tgt", required=True),
-      _flag("--iterations", type=int, default=5), _flag("--tension", type=float, default=4.0),
-      _flag("--null-prob", type=float, default=0.08), _OUT]),
+      _flag("--iterations", alignment.check_iterations, type=int, default=5),
+      _flag("--tension", lambda v: alignment.DiagonalParams(tension=v), type=float, default=4.0),
+      _flag("--null-prob", lambda v: alignment.DiagonalParams(null_prob=v), type=float,
+            default=0.08), _OUT]),
     ("lex-filter", "clean a raw named-entity candidate list", _cmd_lex_filter,
      [_IN, _flag("--stoplist"), _OUT]),
     ("lex-build", "project a seed list into a parallel lexicon table", _cmd_lex_build,
@@ -439,7 +438,7 @@ _SUBCOMMANDS = (
     ("fit", "fit score against log10 word count", _cmd_fit, [_IN, _flag("--out")]),
     ("bleu", "corpus BLEU of hypothesis vs reference file", _cmd_bleu,
      [_flag("--hyp", required=True), _flag("--ref", required=True),
-      _flag("--max-n", type=int, default=4), _flag("--report")]),
+      _flag("--max-n", evaluation.check_max_n, type=int, default=4), _flag("--report")]),
     ("rubric", "judge sentences or aggregate a judgments file", _cmd_rubric,
      [_flag("--in", dest="infile", help="judgments JSONL to aggregate"), _flag("--hyp"),
       _flag("--ref"), _flag("--decode"), _flag("--out")],
@@ -490,12 +489,6 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     args = _get_parser().parse_args(list(argv))
     if not getattr(args, "command", None):
         raise UsageError("a subcommand is required (see --help)")
-    if "seed" in args and args.seed is None:  # split, schedule and sample
-        env = os.environ.get(SEED_ENV_VAR)
-        try:
-            args.seed = int(env) if env else 0
-        except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     for broken, message in _RULES[args.command]:
         if broken(args):
             raise UsageError(message)

@@ -42,6 +42,11 @@ class BleuReport(NamedTuple):
     reference_length: int
 
 
+def check_max_n(max_n: int) -> None:
+    if max_n < 1:
+        raise BadParameter("max_n must be >= 1")
+
+
 def corpus_bleu(
     hypotheses: Sequence[Sentence],
     references: Sequence[Sentence],
@@ -58,8 +63,7 @@ def corpus_bleu(
         )
     if not hypotheses:
         raise EmptyCorpus("no sentences to score")
-    if max_n < 1:
-        raise BadParameter("max_n must be >= 1")
+    check_max_n(max_n)
     hyp_tokens = [_tokens(h) for h in hypotheses]
     ref_tokens = [_tokens(r) for r in references]
 

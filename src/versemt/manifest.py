@@ -43,15 +43,14 @@ def _file_digest(path: Path) -> str:
 
 def _validated_stages(manifest: object, where: Path) -> list[dict]:
     """The manifest's stages, once every field a run reads has its type, no
-    output path is at, inside or above another stage's output, and one stage
-    at most reads stdin."""
+    output path is at, inside or above another stage's output, and no stage
+    reads stdin."""
     if not isinstance(manifest, dict):
         raise MalformedLine(f"{where}: the top level must be a JSON object")
     stages = manifest.get("stages", [])
     if not isinstance(stages, list):
         raise MalformedLine(f"{where}: `stages` must be a list")
     names: set[str] = set()
-    stdin_reader: str | None = None
     declared: list[tuple[str, tuple[str, ...], str]] = []  # (stage, parts, output as declared)
     for index, stage in enumerate(stages):
         at = f"{where}: stages[{index}]"
@@ -69,11 +68,8 @@ def _validated_stages(manifest: object, where: Path) -> list[dict]:
             # A nested run would recurse on its own manifest, forking workers each time.
             raise MalformedLine(f"{at}: a stage cannot run a manifest")
         if stage.get("command", [])[:1] == ["gl-monitor"]:
-            # The only stage that reads the run's stdin; two at once would split it.
-            if stdin_reader is not None:
-                raise MalformedLine(f"{at}: stages {stdin_reader!r} and {name!r} both read "
-                                    "stdin; give it to one stage at most")
-            stdin_reader = name
+            # Stdin is not fingerprinted, so a rerun on other scores would be skipped.
+            raise MalformedLine(f"{at}: a gl-monitor stage would read stdin; run it on its own")
         outputs = [(name, _path_parts(output), output) for output in stage.get("outputs", [])]
         for _, parts, output in outputs:
             # Stages with nested outputs would race on the same files.

@@ -61,6 +61,11 @@ def _merge_symbols(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str
     return tuple(out)
 
 
+def check_merges(num_merges: int) -> None:
+    if num_merges < 0:
+        raise BadParameter("num_merges must be >= 0")
+
+
 def learn_bpe(
     tokenized_corpus: Iterable[str],
     num_merges: int,
@@ -74,8 +79,7 @@ def learn_bpe(
     statistics. Ties on frequency break lexicographically on (left, right),
     so the model is deterministic. Stops early if no pair is left to merge.
     """
-    if num_merges < 0:
-        raise BadParameter("num_merges must be >= 0")
+    check_merges(num_merges)
     reserved_set = frozenset(reserved)
     word_freq = Counter(tokenized_corpus)
     if num_merges > 0 and not word_freq:

@@ -433,16 +433,6 @@ class TestPipelineStages:
         assert lines[0].endswith("continue")
 
 
-class TestSeedEnv:
-    def test_env_seed_used(self, tmp_path, corpus_dir, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "77")
-        a = tmp_path / "a.tsv"
-        b = tmp_path / "b.tsv"
-        cli.dispatch(["split", "--corpus", str(corpus_dir), "--out", str(a)])
-        cli.dispatch(["split", "--corpus", str(corpus_dir), "--seed", "77", "--out", str(b)])
-        assert a.read_text() == b.read_text()
-
-
 class TestManifest:
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "pipeline.json"
@@ -1702,27 +1692,19 @@ class TestExitCodeMeaning:
         assert cli.main(["gl-monitor"]) == cli.EXIT_DATA
         assert "MalformedLine: <stdin>:2:" in capsys.readouterr().err
 
-    def test_junk_seed_variable_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        _valid_inputs(tmp_path)
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "seven")
-        status = cli.main(["sample", "--in", "sample.tsv", "--fraction", "1", "--out", "out"])
-        assert status == cli.EXIT_USAGE
-        assert f"{cli.SEED_ENV_VAR} must be an integer, got 'seven'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("argv", [
         ["split", "--corpus", "aligned", "--out", "out"],
-        ["schedule", "--anchor", "sw", "--mode", "family-addition", "--out", "out"],
-    ], ids=["split", "schedule"])
-    def test_junk_seed_variable_is_usage_error_for_every_seeded_subcommand(
+        ["schedule", "--anchor", "sw", "--mode", "sparse-addition", "--out", "out"],
+        ["sample", "--in", "sample.tsv", "--fraction", "0.5", "--total", "6", "--out", "out"],
+    ], ids=["split", "schedule", "sample"])
+    def test_a_seeded_subcommand_without_seed_uses_seed_0_whatever_the_environment(
             self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         _valid_inputs(tmp_path)
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "seven")
-        assert cli.main(argv) == cli.EXIT_USAGE
-        assert f"{cli.SEED_ENV_VAR} must be an integer, got 'seven'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert cli.main([*argv[:-1], "seed0", "--seed", "0"]) == cli.EXIT_OK
+        monkeypatch.setenv("VERSEMT_SEED", "seven")
+        assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
+        assert (tmp_path / "out").read_bytes() == (tmp_path / "seed0").read_bytes()
 
 
 _MIXED_OUTPUTS = "must be separate paths, not one inside another"
@@ -1794,6 +1776,7 @@ class TestFlagRules:
 
 
 _TAG_VALID = ["tag", "--lexicon", "lexicon.tsv", "--in", "text.txt", "--out", "out"]
+_ALIGN_TRAIN = ["align-train", "--src", "text.txt", "--tgt", "text.txt", "--out", "out"]
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -1808,7 +1791,18 @@ _TAG_VALID = ["tag", "--lexicon", "lexicon.tsv", "--in", "text.txt", "--out", "o
       "--out-prefix", "out"], "UnknownLanguage: unknown language code 'xx'"),
     (["split", "--corpus", "aligned", "--ratios", "0.5,0.5,0.5", "--out", "out"],
      "BadRatios: ratios must be three positive fractions summing to 1.0, got (0.5, 0.5, 0.5)"),
-], ids=["ingest-lang", "schedule-anchor", "tag-src", "tag-tgt-po", "label-langs", "split-ratios"])
+    ([*_ALIGN_TRAIN, "--iterations", "-1"], "BadParameter: iterations must be >= 0"),
+    ([*_ALIGN_TRAIN, "--tension", "nan"], "BadParameter: tension must be finite and >= 0, got nan"),
+    ([*_ALIGN_TRAIN, "--null-prob", "1"], "BadParameter: null_prob must be in [0, 1), got 1.0"),
+    (["bpe-learn", "--in", "text.txt", "--merges", "-1", "--out", "out"],
+     "BadParameter: num_merges must be >= 0"),
+    (["bleu", "--hyp", "text.txt", "--ref", "text.txt", "--max-n", "0"],
+     "BadParameter: max_n must be >= 1"),
+    # A bad range now comes before an unreadable input.
+    (["bleu", "--hyp", "absent", "--ref", "absent", "--max-n", "0"],
+     "BadParameter: max_n must be >= 1"),
+], ids=["ingest-lang", "schedule-anchor", "tag-src", "tag-tgt-po", "label-langs", "split-ratios",
+        "iterations", "tension", "null-prob", "merges", "max-n", "max-n-before-hyp"])
 def test_a_bad_code_or_ratio_alone_is_the_layers_data_error(tmp_path, monkeypatch, capsys, argv,
                                                             error):
     monkeypatch.chdir(tmp_path)
@@ -1878,7 +1872,7 @@ def test_corrupted_input_never_exits_3(tmp_path_factory, name, argv, data):
 
 
 # Commands that parse and run on `_valid_inputs`, to be broken at random. `gl-monitor`
-# is left out: it reads the runner's stdin.
+# is left out: it reads stdin, so a manifest refuses it as a stage.
 _STAGE_COMMANDS = [
     *(argv for argv in _READERS.values() if argv[0] != "run"),
     *([arg.replace("BAD", "text.txt") for arg in argv] for argv in _LINE_INPUTS),

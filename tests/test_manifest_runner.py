@@ -430,9 +430,10 @@ def test_a_help_stage_is_an_exit_status_not_the_end_of_the_run(tmp_path, monkeyp
     assert (tmp_path / "b.cfg").exists()
 
 
-def test_a_stage_reading_stdin_reads_the_runs_and_prints_one_block(tmp_path, monkeypatch):
-    # Stage output is held until the stage ends: gl-monitor's decisions do not
-    # stream, and come out together once the run's stdin ends.
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_stage_reading_stdin_is_refused_before_any_stage_runs(tmp_path, monkeypatch, cpus):
+    # The state file fingerprints a stage's command and inputs, not its stdin, so a
+    # rerun on other scores would be skipped as up to date.
     stages = [
         _stage("a-config", ["emit-config", "--profile", "multilingual", "--out", "a.cfg"], [],
                ["a.cfg"]),
@@ -440,35 +441,36 @@ def test_a_stage_reading_stdin_reads_the_runs_and_prints_one_block(tmp_path, mon
     ]
     _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
     monkeypatch.chdir(tmp_path)
-    outputs = []
-    for cpus in (1, 2):
-        (tmp_path / "pipeline.json.state.json").unlink(missing_ok=True)
-        monkeypatch.setattr(sys, "stdin", io.StringIO("1\t8\n2\t9\n3\t10\n"))
-        forks = _slots(monkeypatch, cpus)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1\t8\n2\t9\n"))
+    forks = _slots(monkeypatch, cpus)
+    status, output = _run()
+    assert status == cli.EXIT_DATA
+    assert output == ("error: MalformedLine: pipeline.json: stages[1]: a gl-monitor stage would "
+                      "read stdin; run it on its own\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipeline.json"]
+    assert forks == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_seeded_stage_reads_no_seed_from_the_environment(tmp_path, monkeypatch, cpus):
+    # The state file does not fingerprint the environment: a stage without --seed
+    # must write the --seed 0 bytes whatever the environment holds.
+    raw = "".join(f"v{i:02d}\tthe man saw house {i}\n" for i in range(40))
+    _write(tmp_path / "raw/en.txt", raw)
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(["ingest", "--lang", "en", "--in", "raw/en.txt", "--out", "store"]) == 0
+    assert cli.dispatch(["align", "--in", "store", "--out", "aligned"]) == 0
+    assert cli.dispatch(["split", "--corpus", "aligned", "--seed", "0", "--out", "seed0.tsv"]) == 0
+    stages = [_stage("split", ["split", "--corpus", "aligned", "--out", "splits.tsv"],
+                     ["aligned"], ["splits.tsv"])]
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    forks = _slots(monkeypatch, cpus)
+    for seed in ("1", "2"):
+        monkeypatch.setenv("VERSEMT_SEED", seed)
         status, output = _run()
         assert status == cli.EXIT_OK, output
-        assert len(forks) == cpus - 1
-        outputs.append(output)
-    assert outputs[0] == outputs[1]
-    lines = outputs[1].splitlines()
-    monitor_at = lines.index("INFO versemt: stage b-monitor: gl-monitor --alpha 5")
-    assert [line.split("\t")[0] for line in lines[monitor_at + 1:]] == ["1", "2", "3"]
-
-
-def test_two_stdin_readers_are_refused_before_any_stage_runs(tmp_path, monkeypatch, capsys):
-    stages = [
-        _stage("a-config", ["emit-config", "--profile", "multilingual", "--out", "a.cfg"], [],
-               ["a.cfg"]),
-        _stage("b-monitor", ["gl-monitor", "--alpha", "5"], [], []),
-        _stage("c-monitor", ["gl-monitor"], [], []),
-    ]
-    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["run", "--manifest", "pipeline.json"]) == cli.EXIT_DATA
-    assert ("pipeline.json: stages[2]: stages 'b-monitor' and 'c-monitor' both read stdin; "
-            "give it to one stage at most\n") in capsys.readouterr().err
-    assert not (tmp_path / "a.cfg").exists()
-    assert not (tmp_path / "pipeline.json.state.json").exists()
+        assert (tmp_path / "splits.tsv").read_bytes() == (tmp_path / "seed0.tsv").read_bytes()
+    assert forks == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -495,65 +497,70 @@ _TAG = ["tag", "--lexicon", "lex.tsv", "--src", "en", "--tgt", "sw", "--in", "na
 _LABEL = ["label", "--corpus", "aligned", "--split", "splits.tsv", "--out-prefix", "bitext"]
 _TRIM = ["lex-trim", "--in", "lex.tsv", "--out", "trimmed.tsv"]
 _RUBRIC = "rubric needs either --in and an optional --out, or all of --hyp/--ref/--decode/--out"
-_BAD_SEED = "VERSEMT_SEED must be an integer, got 'abc'"
 _UNKNOWN_XX = "unknown language code 'xx'"
-# rule: (VERSEMT_SEED or None, a stage command that breaks the rule, the message
-# the command fails with when it runs alone).
+_ALIGN_TRAIN = ["align-train", "--src", "names.txt", "--tgt", "names.txt", "--out", "t"]
+# rule: (a stage command that breaks the rule, the message the command fails with
+# when it runs alone).
 _BROKEN_RULES = {
-    "label-mode": (None, [*_LABEL, "--langs", "en,sw", "--mode", "tribe"],
+    "label-mode": ([*_LABEL, "--langs", "en,sw", "--mode", "tribe"],
                    "unknown label mode 'tribe'"),
-    "label-neither": (None, _LABEL, "exactly one of --langs / --schedule is required"),
-    "label-both": (None, [*_LABEL, "--langs", "en,sw", "--schedule", "sched.tsv"],
+    "label-neither": (_LABEL, "exactly one of --langs / --schedule is required"),
+    "label-both": ([*_LABEL, "--langs", "en,sw", "--schedule", "sched.tsv"],
                    "exactly one of --langs / --schedule is required"),
-    "split-ratios": (None, ["split", "--corpus", "aligned", "--ratios", "0.5,0.5", "--out", "s"],
+    "split-ratios": (["split", "--corpus", "aligned", "--ratios", "0.5,0.5", "--out", "s"],
                      "--ratios expects three comma-separated fractions, got '0.5,0.5'"),
-    "split-ratio": (None, ["split", "--corpus", "aligned", "--ratios", "a,b,c", "--out", "s"],
+    "split-ratio": (["split", "--corpus", "aligned", "--ratios", "a,b,c", "--out", "s"],
                     "bad ratio in 'a,b,c': could not convert string to float: 'a'"),
-    "tag-tgt-in": (None, [*_TAG, "--out", "t", "--tgt-in", "names.txt"],
+    "tag-tgt-in": ([*_TAG, "--out", "t", "--tgt-in", "names.txt"],
                    "--tgt-in and --tgt-out must be given together"),
-    "tag-tgt-out": (None, [*_TAG, "--out", "t", "--tgt-out", "t.sw"],
+    "tag-tgt-out": ([*_TAG, "--out", "t", "--tgt-out", "t.sw"],
                     "--tgt-in and --tgt-out must be given together"),
-    "rubric-in-hyp": (None, ["rubric", "--in", "j.jsonl", "--hyp", "names.txt"], _RUBRIC),
-    "rubric-no-out": (None, ["rubric", "--hyp", "h", "--ref", "r", "--decode", "d"], _RUBRIC),
-    "trim-manual-file": (None, [*_TRIM, "--manual-file", "keep.txt"],
+    "rubric-in-hyp": (["rubric", "--in", "j.jsonl", "--hyp", "names.txt"], _RUBRIC),
+    "rubric-no-out": (["rubric", "--hyp", "h", "--ref", "r", "--decode", "d"], _RUBRIC),
+    "trim-manual-file": ([*_TRIM, "--manual-file", "keep.txt"],
                          "--manual-file goes with policy manual-selection, and only with it"),
-    "trim-frequency": (None, [*_TRIM, "--policy", "frequency-equals-one"],
+    "trim-frequency": ([*_TRIM, "--policy", "frequency-equals-one"],
                        "policy frequency-equals-one needs --corpus or --freq"),
-    "trim-corpus": (None, [*_TRIM, "--corpus", "aligned"],
+    "trim-corpus": ([*_TRIM, "--corpus", "aligned"],
                     "--corpus goes with policy frequency-equals-one only"),
-    "seed-split": ("abc", ["split", "--corpus", "aligned", "--out", "s"], _BAD_SEED),
-    "seed-schedule": ("abc", ["schedule", "--anchor", "sw", "--mode", "family-addition",
-                              "--out", "s"], _BAD_SEED),
-    "seed-sample": ("abc", ["sample", "--in", "names.txt", "--fraction", "1", "--out", "s"],
-                    _BAD_SEED),
-    "tag-out-decode": (None, [*_TAG, "--out", "t", "--decode", "./t"],
+    "tag-out-decode": ([*_TAG, "--out", "t", "--decode", "./t"],
                        f"--out, --tgt-out and the decode sidecar {_MIXED_OUTPUTS}"),
-    "tag-tgt-out-decode": (None, [*_TAG, "--out", "t", "--tgt-in", "names.txt", "--tgt-out",
-                                  "t.decode.jsonl"],
+    "tag-tgt-out-decode": ([*_TAG, "--out", "t", "--tgt-in", "names.txt", "--tgt-out",
+                            "t.decode.jsonl"],
                            f"--out, --tgt-out and the decode sidecar {_MIXED_OUTPUTS}"),
-    "lex-build-freq-out": (None, ["lex-build", "--seed-list", "names.txt", "--corpus", "aligned",
-                                  "--aligners", "aligners", "--out", "l", "--freq-out", "l"],
+    "lex-build-freq-out": (["lex-build", "--seed-list", "names.txt", "--corpus", "aligned",
+                            "--aligners", "aligners", "--out", "l", "--freq-out", "l"],
                            f"--out and --freq-out {_MIXED_OUTPUTS}"),
-    "lex-trim-freq-out": (None, [*_TRIM, "--freq-out", "trimmed.tsv"],
+    "lex-trim-freq-out": ([*_TRIM, "--freq-out", "trimmed.tsv"],
                           f"--out and --freq-out {_MIXED_OUTPUTS}"),
-    "sample-manifest": (None, ["sample", "--in", "names.txt", "--fraction", "1", "--out", "s",
-                               "--manifest", "s"], f"--out and --manifest {_MIXED_OUTPUTS}"),
-    "align-stats": (None, ["align", "--in", "store", "--out", "aligned", "--stats",
-                           "aligned/en.tsv"], f"--out and --stats {_MIXED_OUTPUTS}"),
+    "sample-manifest": (["sample", "--in", "names.txt", "--fraction", "1", "--out", "s",
+                         "--manifest", "s"], f"--out and --manifest {_MIXED_OUTPUTS}"),
+    "align-stats": (["align", "--in", "store", "--out", "aligned", "--stats",
+                     "aligned/en.tsv"], f"--out and --stats {_MIXED_OUTPUTS}"),
     # Values the layer behind a flag refuses, with its data error.
-    "ingest-lang": (None, ["ingest", "--lang", "xx", "--in", "names.txt", "--out", "store"],
+    "ingest-lang": (["ingest", "--lang", "xx", "--in", "names.txt", "--out", "store"],
                     _UNKNOWN_XX),
-    "schedule-anchor": (None, ["schedule", "--anchor", "xx", "--mode", "family-addition",
-                               "--out", "s"], _UNKNOWN_XX),
-    "tag-src": (None, [*_TAG[:4], "xx", *_TAG[5:], "--out", "t"], _UNKNOWN_XX),
-    "tag-tgt": (None, [*_TAG[:6], "xx", *_TAG[7:], "--out", "t"], _UNKNOWN_XX),
-    "tag-tgt-po": (None, [*_TAG[:6], "po", *_TAG[7:], "--out", "t"],
+    "schedule-anchor": (["schedule", "--anchor", "xx", "--mode", "family-addition",
+                         "--out", "s"], _UNKNOWN_XX),
+    "tag-src": ([*_TAG[:4], "xx", *_TAG[5:], "--out", "t"], _UNKNOWN_XX),
+    "tag-tgt": ([*_TAG[:6], "xx", *_TAG[7:], "--out", "t"], _UNKNOWN_XX),
+    "tag-tgt-po": ([*_TAG[:6], "po", *_TAG[7:], "--out", "t"],
                    "language code 'po' is ambiguous; use pl or pt"),
-    "label-langs": (None, [*_LABEL, "--langs", "en,xx,sw"], _UNKNOWN_XX),
-    "split-ratio-sum": (None, ["split", "--corpus", "aligned", "--ratios", "0.5,0.5,0.5",
-                               "--out", "s"],
+    "label-langs": ([*_LABEL, "--langs", "en,xx,sw"], _UNKNOWN_XX),
+    "split-ratio-sum": (["split", "--corpus", "aligned", "--ratios", "0.5,0.5,0.5",
+                         "--out", "s"],
                         "ratios must be three positive fractions summing to 1.0, "
                         "got (0.5, 0.5, 0.5)"),
+    "align-train-iterations": ([*_ALIGN_TRAIN, "--iterations", "-1"],
+                               "iterations must be >= 0"),
+    "align-train-tension": ([*_ALIGN_TRAIN, "--tension", "nan"],
+                            "tension must be finite and >= 0, got nan"),
+    "align-train-null-prob": ([*_ALIGN_TRAIN, "--null-prob", "1"],
+                              "null_prob must be in [0, 1), got 1.0"),
+    "bpe-learn-merges": (["bpe-learn", "--in", "names.txt", "--merges", "-1", "--out", "m"],
+                         "num_merges must be >= 0"),
+    "bleu-max-n": (["bleu", "--hyp", "names.txt", "--ref", "names.txt", "--max-n", "0"],
+                   "max_n must be >= 1"),
 }
 
 
@@ -561,7 +568,7 @@ _BROKEN_RULES = {
 @pytest.mark.parametrize("rule", list(_BROKEN_RULES))
 def test_a_broken_flag_rule_fails_the_run_before_any_stage_runs(tmp_path, monkeypatch, rule,
                                                                  cpus):
-    seed, command, message = _BROKEN_RULES[rule]
+    command, message = _BROKEN_RULES[rule]
     stages = [
         _stage("a", ["lex-filter", "--in", "raw.txt", "--out", "names.txt"], ["raw.txt"],
                ["names.txt"]),
@@ -570,8 +577,6 @@ def test_a_broken_flag_rule_fails_the_run_before_any_stage_runs(tmp_path, monkey
     _write(tmp_path / "raw.txt", "Noah\nShem\n")
     _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
     monkeypatch.chdir(tmp_path)
-    if seed is not None:
-        monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
     forks = _slots(monkeypatch, cpus)
     status, output = _run()
     assert status == cli.EXIT_DATA
