@@ -70,6 +70,8 @@ class TranslationTable:
         self.probs = probs
         self.log_likelihood_history = log_likelihood_history
         self.params = params
+        # ((n, m), priors) of the last sentence shape decoded: one value, read once per call.
+        self._priors: tuple[tuple[int, int], list[list[float]]] = ((0, 0), [])
 
     def prob(self, source_word: str, target_word: str) -> float:
         return self.probs.get(source_word, {}).get(target_word, 0.0)
@@ -195,26 +197,19 @@ def train_em(
     return TranslationTable(probs=probs, log_likelihood_history=tuple(history), params=params)
 
 
-def viterbi_align(
-    table: TranslationTable,
-    pair: SentencePair,
-    prior_cache: dict[tuple[int, int], list[list[float]]] | None = None,
-) -> list[int]:
+def viterbi_align(table: TranslationTable, pair: SentencePair) -> list[int]:
     """The alignment vector a: a[j] is the source index linked to target
-    position j, or -1 where NULL (or no source word) is the best link.
-
-    ``prior_cache`` maps (n, m) to the position priors of ``table.params``, the
-    prior the table was trained with; a caller aligning many pairs with one
-    table passes one dict to all calls.
-    """
+    position j, or -1 where NULL (or no source word) is the best link, under
+    ``table.params``. The table keeps the position priors of the last sentence
+    shape (n, m) it decoded, so pairs of one shape in a row compute them once."""
     src_tokens, tgt_tokens = pair
     if not src_tokens or not tgt_tokens:
         raise EmptySentence("both sentences must be non-empty")
     n, m = len(src_tokens), len(tgt_tokens)
-    cache = {} if prior_cache is None else prior_cache
-    priors = cache.get((n, m))
-    if priors is None:
-        priors = cache[n, m] = _position_priors(n, m, table.params)
+    shape, priors = table._priors
+    if shape != (n, m):
+        priors = _position_priors(n, m, table.params)
+        table._priors = ((n, m), priors)
     # Each source row is fetched once per sentence, not once per cell.
     rows = [table.probs.get(e, {}) for e in src_tokens]
     null_row = table.probs.get(NULL_TOKEN, {})
@@ -241,9 +236,10 @@ def viterbi_align(
 # ---------------------------------------------------------------------------
 
 
-def save_table(table: TranslationTable, path: str | Path, iterations: int) -> None:
-    """Write the table one source row at a time, so saving holds no copy of it."""
-    params = table.params
+def save_table(table: TranslationTable, path: str | Path) -> None:
+    """Write the table one source row at a time, so saving holds no copy of it.
+    ``iterations=`` counts its EM iterations, so a table from ``load_table`` saves 0."""
+    params, iterations = table.params, len(table.log_likelihood_history)
     with atomic_writer(path) as handle:
         handle.write(f"#lambda={params.tension}\tp0={params.null_prob}\titerations={iterations}\n")
         for source_word in sorted(table.probs):
@@ -280,5 +276,8 @@ def load_table(path: str | Path) -> TranslationTable:
             prob = math.nan
         if not 0.0 <= prob <= 1.0:  # also false for nan
             raise MalformedLine(f"{path}:{lineno}: probability {fields[2]!r} is not in [0, 1]")
-        probs.setdefault(fields[0], {})[fields[1]] = prob
+        row = probs.setdefault(fields[0], {})
+        if fields[1] in row:  # the last would silently replace the first
+            raise MalformedLine(f"{path}:{lineno}: pair {fields[0]!r}, {fields[1]!r} is repeated")
+        row[fields[1]] = prob
     return TranslationTable(probs=probs, params=params)

@@ -147,7 +147,7 @@ def _cmd_align_train(args: argparse.Namespace) -> None:
     params = alignment.DiagonalParams(tension=args.tension, null_prob=args.null_prob)
     with located(f"{args.src}, {args.tgt}", EmptyBitext):
         table = alignment.train_em(bitext, args.iterations, params)
-    alignment.save_table(table, args.out, args.iterations)
+    alignment.save_table(table, args.out)
     log.info(
         "align-train pairs=%d iterations=%d ll=%s",
         len(bitext),
@@ -430,7 +430,8 @@ _SUBCOMMANDS = (
     ("restore", "replace placeholders using a decode sidecar", _cmd_restore,
      [_IN, _flag("--decode", required=True), _OUT]),
     ("sample", "ablation-sample low-resource verses with duplication", _cmd_sample,
-     [_IN, _flag("--fraction", type=float, required=True), _SEED, _flag("--total", type=int),
+     [_IN, _flag("--fraction", lambda v: harness.AblationPlan(v, 0, 1), type=float, required=True),
+      _SEED, _flag("--total", lambda v: harness.AblationPlan(1.0, 0, v), type=int),
       _OUT, _flag("--manifest")],
      (lambda a: _overlapping(a.out, a.manifest), f"--out and --manifest {_APART}")),
     ("gl-monitor", "early-stopping monitor over stdin `epoch<TAB>score`", _cmd_gl_monitor,

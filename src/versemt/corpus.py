@@ -255,9 +255,13 @@ def write_split(split: SplitAssignment, path: str | Path) -> None:
 
 def read_split(path: str | Path) -> SplitAssignment:
     parts: dict[str, set[str]] = {"train": set(), "val": set(), "test": set()}
+    line_of: dict[str, int] = {}
     for lineno, (verse_id, part) in read_rows(path, 2, "verse_id<TAB>train|val|test"):
         if part not in parts:
             raise MalformedLine(f"{path}:{lineno}: expected `verse_id<TAB>train|val|test`")
+        first = line_of.setdefault(verse_id, lineno)
+        if first != lineno:  # the verse would be in two parts, or twice in one
+            raise MalformedLine(f"{path}:{lineno}: verse {verse_id!r} repeats line {first}")
         parts[part].add(verse_id)
     return SplitAssignment(**{part: frozenset(ids) for part, ids in parts.items()})
 

@@ -11,6 +11,7 @@ from typing import Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, S
 from .alignment import TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, get_language, registry_order, tokenize
 from .errors import EmptyResult, MalformedLine, MissingAligner, MissingSelectionFile, UnknownLanguage
+from .errors import located
 from .fileio import atomic_write_lines, read_lines, read_rows, read_word_list
 
 log = logging.getLogger(__name__)
@@ -204,15 +205,12 @@ def assemble_table(
         table = aligners[lang]
         tgt = tgt_tokens[lang]
         vectors: dict[int, list[int]] = {}  # verse -> Viterbi alignment vector
-        # Verses are visited by sentence shape (n, m), so each shape's
-        # position priors are computed once and only one shape's are held.
-        prior_cache: dict[tuple[int, int], list[list[float]]] = {}
+        # Verses are visited by sentence shape (n, m): the table keeps the
+        # position priors of the last shape decoded, so each shape's are computed once.
         for v in sorted(wanted_verses, key=lambda v: (len(en_tokens[v]), len(tgt[v]), v)):
             if not en_tokens[v] or not tgt[v]:
                 continue
-            if (len(en_tokens[v]), len(tgt[v])) not in prior_cache:
-                prior_cache.clear()
-            vectors[v] = viterbi_align(table, (en_tokens[v], tgt[v]), prior_cache)
+            vectors[v] = viterbi_align(table, (en_tokens[v], tgt[v]))
         votes: list[Counter[str]] = [Counter() for _ in en_spans]
         for entry_votes, spans in zip(votes, en_spans):
             for v, a, b in spans:
@@ -337,7 +335,8 @@ def load_lexicon(path: str | Path, freq_path: str | Path | None = None) -> Lexic
     header = next(lines, (1, ""))[1]
     if not header.startswith("id\t"):
         raise MalformedLine(f"{path}:1: missing `id<TAB>...` header")
-    columns = [get_language(lang).code for lang in header.split("\t")[1:]]
+    with located(f"{path}:1"):
+        columns = [get_language(lang).code for lang in header.split("\t")[1:]]
     twice = [lang for k, lang in enumerate(columns) if lang in columns[:k]]
     if twice:
         raise MalformedLine(f"{path}:1: language {twice[0]!r} names two columns")

@@ -495,15 +495,12 @@ def assemble_table_oracle(seed, corpus, aligners, min_votes):
     for lang in target_langs:
         table = aligners[lang]
         links_by_verse = {}
-        prior_cache = {}
         tgt = tgt_tokens[lang]
         for v in sorted(wanted_verses, key=lambda v: (len(en_tokens[v]), len(tgt[v]), v)):
             if not en_tokens[v] or not tgt[v]:
                 continue
-            if (len(en_tokens[v]), len(tgt[v])) not in prior_cache:
-                prior_cache.clear()
             by_src = {}
-            vector = viterbi_align(table, (en_tokens[v], tgt[v]), prior_cache)
+            vector = viterbi_align(table, (en_tokens[v], tgt[v]))
             for j, i in enumerate(vector):
                 if i >= 0:
                     by_src.setdefault(i, []).append(j)

@@ -193,17 +193,19 @@ class TestViterbi:
         with pytest.raises(EmptySentence):
             viterbi_align(table, ([], ["x"]))
 
-    def test_prior_cache_gives_same_links(self):
+    def test_tables_decoded_alternately_each_use_their_own_priors(self):
         bitext = _random_bitext(random.Random(5), pairs=30, vocab=6, max_len=5)
-        params = DiagonalParams(tension=4.0, null_prob=0.08)
-        table = train_em(bitext, 3, params)
-        cache: dict = {}
+        flat, steep = DiagonalParams(tension=0.0), DiagonalParams(tension=20.0)
+        tables = [train_em(bitext, 3, flat), train_em(bitext, 3, steep)]
+        links = {id(table): [] for table in tables}
         for pair in bitext:
-            if pair[0] and pair[1]:
-                assert viterbi_align(table, pair, cache) == viterbi_align(table, pair)
-        shapes = {(len(src), len(tgt)) for src, tgt in bitext if src and tgt}
-        assert cache.keys() == shapes
-        assert all(cache[n, m] == _position_priors(n, m, params) for n, m in shapes)
+            for table in tables:  # each pair's shape, decoded by one table and then the other
+                links[id(table)].append(viterbi_align(table, pair))
+                n, m = len(pair[0]), len(pair[1])
+                assert table._priors == ((n, m), _position_priors(n, m, table.params))
+        for table in tables:
+            assert links[id(table)] == [viterbi_align_oracle(table, pair) for pair in bitext]
+        assert links[id(tables[0])] != links[id(tables[1])]
 
 
 _viterbi_words = st.lists(st.sampled_from(["a", "b", "c", "A"]), max_size=5)
@@ -225,17 +227,16 @@ _viterbi_targets = st.lists(st.sampled_from(["x", "y", "z", "X"]), max_size=5)
 )
 @settings(max_examples=150, deadline=None)
 def test_viterbi_links_equal_oracle(bitext, extra, tension, null_prob, iterations):
-    """Rows fetched once per sentence give the links of per-cell lookups,
-    with and without a shared prior cache; `extra` adds unseen words."""
+    """Rows fetched once per sentence give the links of per-cell lookups;
+    `extra` adds unseen words."""
     params = DiagonalParams(tension=tension, null_prob=null_prob)
     table = train_em(bitext, iterations, params)
-    cache, oracle_cache = {}, {}
+    oracle_cache = {}
     for pair in bitext + extra:
         if not pair[0] or not pair[1]:
             continue
         want = viterbi_align_oracle(table, pair)
         assert viterbi_align(table, pair) == want
-        assert viterbi_align(table, pair, cache) == want
         assert viterbi_align_oracle(table, pair, oracle_cache) == want
 
 
@@ -244,7 +245,7 @@ class TestTableIo:
         bitext = _random_bitext(random.Random(3), pairs=10, vocab=5)
         params = DiagonalParams()
         table = train_em(bitext, 3, params)
-        save_table(table, tmp_path / "table.tsv", iterations=3)
+        save_table(table, tmp_path / "table.tsv")
         loaded = load_table(tmp_path / "table.tsv")
         for source_word, row in table.probs.items():
             for target_word, prob in row.items():
@@ -252,13 +253,13 @@ class TestTableIo:
 
     def test_header_records_params(self, tmp_path):
         table = train_em([(["a"], ["x"])], 1)
-        save_table(table, tmp_path / "t.tsv", iterations=1)
+        save_table(table, tmp_path / "t.tsv")
         header = (tmp_path / "t.tsv").read_text().splitlines()[0]
         assert header == "#lambda=4.0\tp0=0.08\titerations=1"
 
     def test_sorted_rows(self, tmp_path):
         table = train_em([(["b", "a"], ["y", "x"])], 2)
-        save_table(table, tmp_path / "t.tsv", 2)
+        save_table(table, tmp_path / "t.tsv")
         rows = [
             line.split("\t")[:2]
             for line in (tmp_path / "t.tsv").read_text().splitlines()
@@ -269,7 +270,7 @@ class TestTableIo:
     def test_load_returns_header_params(self, tmp_path):
         params = DiagonalParams(tension=2.5, null_prob=0.1)
         table = train_em([(["a"], ["x"])], 1, params)
-        save_table(table, tmp_path / "t.tsv", iterations=1)
+        save_table(table, tmp_path / "t.tsv")
         assert load_table(tmp_path / "t.tsv").params == params
 
     @pytest.mark.parametrize("text", ["a\tx\t1\n", ""], ids=["headerless", "empty"])
@@ -284,6 +285,14 @@ class TestTableIo:
             f"#lambda=4.0\tp0=0.08\titerations=1\na\tx\t1\na\ty\t{prob}\n", encoding="utf-8"
         )
         with pytest.raises(MalformedLine, match="t.tsv:3"):
+            load_table(tmp_path / "t.tsv")
+
+    def test_a_repeated_pair_is_malformed(self, tmp_path):
+        (tmp_path / "t.tsv").write_text(
+            "#lambda=4.0\tp0=0.08\titerations=1\nNoah\tNoa\t0.9\nNoah\tNoa\t0.1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedLine, match="t.tsv:3: pair 'Noah', 'Noa' is repeated"):
             load_table(tmp_path / "t.tsv")
 
     def test_malformed_header(self, tmp_path):
@@ -317,8 +326,9 @@ _word = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), mi
 def test_save_table_writes_the_bytes_of_the_joined_text(tmp_path_factory, probs, tension,
                                                         null_prob, iterations):
     root = tmp_path_factory.mktemp("tables")
-    table = TranslationTable(probs=probs, params=DiagonalParams(tension, null_prob))
-    save_table(table, root / "rows.tsv", iterations)
+    table = TranslationTable(probs=probs, log_likelihood_history=(0.0,) * iterations,
+                             params=DiagonalParams(tension, null_prob))
+    save_table(table, root / "rows.tsv")
     _save_table_joined(table, root / "joined.tsv", iterations)
     assert (root / "rows.tsv").read_bytes() == (root / "joined.tsv").read_bytes()
 
@@ -343,7 +353,7 @@ with tempfile.TemporaryDirectory() as tmp:
                    [rng.choice(words).upper() for _ in range(rng.randint(2, 12))])
                   for _ in range(120)]
         path = Path(tmp) / "table.tsv"
-        save_table(train_em(bitext, 8), path, 8)
+        save_table(train_em(bitext, 8), path)
         digest.update(path.read_bytes())
 print(digest.hexdigest())
 """

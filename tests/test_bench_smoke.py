@@ -1,5 +1,5 @@
 """Runs of the benchmark: at its tiny size every stage passes its checks, and at
-full size seed 1 writes the bytes that `bench/golden.json` records."""
+full size seeds 1 and 2 write the bytes that `bench/golden.json` records."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(workload: str, results: Path, *flags: str) -> dict:
+def _run(workload: str, results: Path, *flags: str, seed: int = 1) -> dict:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--results", str(results), *flags],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
@@ -27,13 +27,14 @@ def _tiny_run(workload: str, results: Path, trace: str = "0") -> dict:
     return _run(workload, results, "--size", "tiny", "--seconds", "1", "--trace", trace)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("workload", ["multiway-label", "ne-lexicon", "tag-eval"])
-def test_full_size_seed_1_outputs_match_the_golden_digests(tmp_path, workload):
+def test_full_size_outputs_match_the_golden_digests(tmp_path, workload, seed):
     # bench/run.py only prints a digest that differs, so the test compares them.
-    assert _run(workload, tmp_path, "--seconds", "0.5", "--trace", "0")["failed"] == 0
-    record = json.loads((tmp_path / f"{workload}.seed1.trace0.json").read_text())
+    assert _run(workload, tmp_path, "--seconds", "0.5", "--trace", "0", seed=seed)["failed"] == 0
+    record = json.loads((tmp_path / f"{workload}.seed{seed}.trace0.json").read_text())
     golden = json.loads((ROOT / "bench" / "golden.json").read_text())
-    assert record["output_digests"] == golden["full"][workload]["1"]
+    assert record["output_digests"] == golden["full"][workload][str(seed)]
 
 
 def test_tag_eval_tiny_run_is_correct(tmp_path):

@@ -712,6 +712,24 @@ class TestMalformedInputs:
         assert status == cli.EXIT_DATA
         assert f"{lex}:3" in err
 
+    @pytest.mark.parametrize("code, message", [
+        ("xx", "unknown language code 'xx'"),
+        ("po", "language code 'po' is ambiguous; use pl or pt"),
+    ])
+    @pytest.mark.parametrize("command", ["tag", "lex-trim"])
+    def test_a_bad_language_code_in_a_lexicon_header_names_its_line(self, tmp_path, capsys,
+                                                                    command, code, message):
+        lex = tmp_path / "lex.tsv"
+        _write(lex, f"id\ten\t{code}\nne1\tNoah\tNoe\n")
+        src = tmp_path / "test.en"
+        _write(src, "Noah slept .\n")
+        argv = {"tag": ["tag", "--lexicon", lex, "--src", "en", "--tgt", "sw", "--in", src],
+                "lex-trim": ["lex-trim", "--in", lex]}[command]
+        status, err = self._main([*argv, "--out", tmp_path / "out"], capsys)
+        assert status == cli.EXIT_DATA
+        assert f"error: UnknownLanguage: {lex}:1: {message}\n" in err
+        assert not (tmp_path / "out").exists()
+
     def _restore(self, tmp_path, capsys, record: str):
         decode = tmp_path / "decode.jsonl"
         _write(decode, record + "\n")
@@ -790,6 +808,18 @@ class TestMalformedInputs:
         assert f"UnknownVerse: {splits}: 1 train verse id(s) not in corpus: 'zz'" in err
         assert not (tmp_path / "bitext.src").exists()
         assert not (tmp_path / "bitext.tgt").exists()
+
+    def test_a_verse_listed_twice_in_a_split_names_both_lines_and_writes_nothing(
+            self, tmp_path, corpus_dir, capsys):
+        splits = tmp_path / "splits.tsv"
+        _write(splits, "v000\ttrain\nv001\ttrain\nv000\ttest\n")
+        prefix = tmp_path / "bitext"
+        status, err = self._main(
+            ["label", "--corpus", corpus_dir, "--split", splits, "--langs", "en,sw",
+             "--out-prefix", prefix], capsys)
+        assert status == cli.EXIT_DATA
+        assert f"MalformedLine: {splits}:3: verse 'v000' repeats line 1" in err
+        assert not (tmp_path / "bitext.src").exists()
 
     @pytest.mark.parametrize("line", ["x\ten,sw", "1\t", "1\ten,,sw"])
     def test_malformed_schedule_line(self, tmp_path, corpus_dir, capsys, line):
@@ -1249,7 +1279,7 @@ def test_lex_build_holds_one_table_at_a_time(tmp_path, monkeypatch, capsys):
         _write(tmp_path / "aligned" / f"{lang}.tsv",
                "".join(f"v{i}\tNoa-{lang} x{i} y{i}\n" for i in range(6)))
         bitext = [(["Noah", "saw", "house"], [f"Noa-{lang}", "x", "y"])] * 3
-        alignment.save_table(alignment.train_em(bitext, 2), tmp_path / "aligners" / f"{lang}.tsv", 2)
+        alignment.save_table(alignment.train_em(bitext, 2), tmp_path / "aligners" / f"{lang}.tsv")
     _write(tmp_path / "seeds.txt", "Noah\n")
 
     real_load = alignment.load_table
@@ -1281,7 +1311,7 @@ def _three_aligners(root: Path) -> list[str]:
         _write(root / "aligned" / f"{lang}.tsv",
                "".join(f"v{i}\tNoa-{lang} x{i} y{i}\n" for i in range(6)))
         bitext = [(["Noah", "saw", "house"], [f"Noa-{lang}", "x", "y"])] * 3
-        alignment.save_table(alignment.train_em(bitext, 2), root / "aligners" / f"{lang}.tsv", 2)
+        alignment.save_table(alignment.train_em(bitext, 2), root / "aligners" / f"{lang}.tsv")
     _write(root / "seeds.txt", "Noah\n")
     return ["lex-build", "--seed-list", str(root / "seeds.txt"), "--corpus", str(root / "aligned"),
             "--aligners", str(root / "aligners"), "--out", str(root / "lex.tsv")]

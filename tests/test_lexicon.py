@@ -185,9 +185,9 @@ class TestAssemble:
             computed.append((n, m))
             return _position_priors(n, m, params)
 
-        def recording_viterbi(table, pair, prior_cache=None):
-            links = viterbi_align(table, pair, prior_cache)
-            held.append(len(prior_cache))
+        def recording_viterbi(table, pair):
+            links = viterbi_align(table, pair)
+            held.append((len(pair[0]), len(pair[1]), table._priors))
             return links
 
         _position_priors = alignment._position_priors
@@ -196,7 +196,8 @@ class TestAssemble:
         monkeypatch.setattr(lexicon, "viterbi_align", recording_viterbi)
         assemble_table(["Egypt", "Noah"], corpus, aligners)
         assert len(held) > len(computed) == len(set(computed))
-        assert set(held) == {1}
+        # The table holds one shape's priors: those of the pair it just decoded.
+        assert all(shape == (n, m) and len(priors) == m for n, m, (shape, priors) in held)
 
     def test_unique_ids(self):
         corpus, aligners, _ = _projection_fixture()

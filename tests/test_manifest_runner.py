@@ -223,6 +223,24 @@ def test_an_internal_error_in_a_worker_exits_3(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
+def test_a_worker_that_ends_without_a_reply_exits_3(tmp_path, monkeypatch):
+    runner = os.getpid()
+
+    def end_the_worker(message):
+        assert os.getpid() != runner, "b-broken ran in the runner"
+        os._exit(9)
+
+    status, output = _failing_in_a_worker(tmp_path, monkeypatch, end_the_worker)
+    assert status == cli.EXIT_INTERNAL
+    error = output.splitlines()[-1]
+    assert error.startswith("internal error: RuntimeError: worker process ")
+    assert error.endswith(" ended without a reply")
+    assert int(error.split()[5]) != runner
+    state = json.loads((tmp_path / "pipeline.json.state.json").read_text())
+    assert set(state) == {"a-ok"}
+    _assert_no_child_left()
+
+
 def test_a_data_error_in_one_worker_lets_the_other_and_the_runner_finish(tmp_path, monkeypatch):
     # a-slow runs in this process, b-broken and c-slow in the two workers; both
     # slow stages are still running when b-broken fails, and d-never, ready from
@@ -561,6 +579,10 @@ _BROKEN_RULES = {
                          "num_merges must be >= 0"),
     "bleu-max-n": (["bleu", "--hyp", "names.txt", "--ref", "names.txt", "--max-n", "0"],
                    "max_n must be >= 1"),
+    "sample-fraction": (["sample", "--in", "names.txt", "--fraction", "0", "--out", "s"],
+                        "fraction must be in (0, 1], got 0.0"),
+    "sample-total": (["sample", "--in", "names.txt", "--fraction", "1", "--total", "0",
+                      "--out", "s"], "total must be >= 1, got 0"),
 }
 
 
