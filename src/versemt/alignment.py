@@ -264,20 +264,23 @@ def load_table(path: str | Path) -> TranslationTable:
     probs: dict[str, dict[str, float]] = {}
     lines = read_lines(path)
     params = _parse_header(next(lines, (1, ""))[1], f"{path}:1")
+    source: str | None = None  # the source of `row`: a saved table's rows come grouped by it
     for lineno, line in lines:
         if not line or line.startswith("#"):
             continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedLine(f"{path}:{lineno}: expected `source<TAB>target<TAB>prob`")
         try:
-            prob = float(fields[2])
+            e, f, text = line.split("\t")
+        except ValueError:
+            raise MalformedLine(f"{path}:{lineno}: expected `source<TAB>target<TAB>prob`") from None
+        try:
+            prob = float(text)
         except ValueError:
             prob = math.nan
         if not 0.0 <= prob <= 1.0:  # also false for nan
-            raise MalformedLine(f"{path}:{lineno}: probability {fields[2]!r} is not in [0, 1]")
-        row = probs.setdefault(fields[0], {})
-        if fields[1] in row:  # the last would silently replace the first
-            raise MalformedLine(f"{path}:{lineno}: pair {fields[0]!r}, {fields[1]!r} is repeated")
-        row[fields[1]] = prob
+            raise MalformedLine(f"{path}:{lineno}: probability {text!r} is not in [0, 1]")
+        if e != source:  # a source seen before gets its row back, and its pairs checked
+            source, row = e, probs.setdefault(e, {})
+        if f in row:  # the last would silently replace the first
+            raise MalformedLine(f"{path}:{lineno}: pair {e!r}, {f!r} is repeated")
+        row[f] = prob
     return TranslationTable(probs=probs, params=params)

@@ -17,7 +17,7 @@ from .errors import EmptyBitext, EmptyCorpus, EmptySplit, MalformedLine, Pipelin
 from .errors import UnknownLanguage, UnknownVerse, UsageError, located
 from .fileio import atomic_write_lines, atomic_write_text, read_lines, read_parallel_lines
 from .fileio import read_rows, read_word_list
-from .manifest import _fork_join_map, _nested, _path_parts, run_manifest
+from .manifest import _nested, _path_parts, run_manifest
 
 log = logging.getLogger("versemt")
 
@@ -188,9 +188,7 @@ def _cmd_lex_build(args: argparse.Namespace) -> None:
     seed_list = read_word_list(args.seed_list)
     parallel = corpus.read_corpus_dir(args.corpus)
     aligners = _TableFiles(args.aligners)
-    table = lexicon.assemble_table(
-        seed_list, parallel, aligners, min_votes=args.min_votes, map_languages=_fork_join_map
-    )
+    table = lexicon.assemble_table(seed_list, parallel, aligners, min_votes=args.min_votes)
     lexicon.save_lexicon(table, args.out, args.freq_out)
     log.info("lex-build entries=%d languages=%d", len(table), len(table.languages))
 
@@ -447,7 +445,7 @@ _SUBCOMMANDS = (
       or not a.infile and not (a.hyp and a.ref and a.decode and a.out),
       "rubric needs either --in and an optional --out, or all of --hyp/--ref/--decode/--out")),
     ("emit-config", "write trainer hyperparameters for a profile", _cmd_emit_config,
-     [_flag("--profile", required=True), _OUT]),
+     [_flag("--profile", harness.check_profile, required=True), _OUT]),
     ("run", "run a pipeline manifest", _cmd_run, [_flag("--manifest", required=True)]),
 )
 _RULES = {name: rules for name, _summary, _handler, _flags, *rules in _SUBCOMMANDS}

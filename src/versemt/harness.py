@@ -161,11 +161,13 @@ _PROFILES = {
 }
 
 
-def emit_trainer_config(profile: str) -> TrainerConfig:
+def check_profile(profile: str) -> None:
     if profile not in _PROFILES:
-        raise UnknownProfile(
-            f"unknown profile {profile!r}; choose from {sorted(_PROFILES)}"
-        )
+        raise UnknownProfile(f"unknown profile {profile!r}; choose from {sorted(_PROFILES)}")
+
+
+def emit_trainer_config(profile: str) -> TrainerConfig:
+    check_profile(profile)
     return _PROFILES[profile]
 
 

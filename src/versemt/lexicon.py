@@ -6,7 +6,7 @@ import logging
 import unicodedata
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .alignment import TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, get_language, registry_order, tokenize
@@ -166,7 +166,6 @@ def assemble_table(
     corpus: ParallelCorpus,
     aligners: Mapping[str, TranslationTable],
     min_votes: int = DEFAULT_MIN_VOTES,
-    map_languages: Callable = map,
 ) -> LexiconTable:
     """Project an English seed list across the corpus languages via alignment.
 
@@ -175,10 +174,6 @@ def assemble_table(
     decoding with the positional prior that language's table was trained with;
     the majority candidate becomes the surface once it has enough votes.
     Multi-token candidates count only when the linked tokens are contiguous.
-
-    The target languages are independent: ``map_languages(step, languages)``
-    runs the per-language step over them and gives its results in language
-    order, like the builtin ``map``, which is the default.
     """
     if SEED_LANGUAGE not in corpus.languages:
         raise UnknownLanguage(f"corpus has no {SEED_LANGUAGE!r} side")
@@ -201,7 +196,7 @@ def assemble_table(
     def project(lang: str) -> list[Counter[str]]:
         """Each entry's votes in `lang`, from one Viterbi pass per wanted verse.
         The table is read here and released on return: `aligners` may read each
-        table on lookup, and then one process holds one table at a time."""
+        table on lookup, and then one table is held at a time."""
         table = aligners[lang]
         tgt = tgt_tokens[lang]
         vectors: dict[int, list[int]] = {}  # verse -> Viterbi alignment vector
@@ -221,7 +216,7 @@ def assemble_table(
                 entry_votes[" ".join(tgt[v][linked[0] : linked[-1] + 1])] += 1
         return votes
 
-    votes_in = dict(zip(target_langs, map_languages(project, target_langs)))
+    votes_in = {lang: project(lang) for lang in target_langs}
 
     chosen: list[dict[str, str]] = []  # per entry: lang -> surface
     for entry_idx, (name, _) in enumerate(surfaces):
@@ -353,12 +348,16 @@ def load_lexicon(path: str | Path, freq_path: str | Path | None = None) -> Lexic
             raise MalformedLine(f"{path}:{lineno}: whitespace-only {blank[0]} cell")
         by_id[fields[0]] = LexiconEntry(id=fields[0], surfaces=surfaces, frequency={})
     if freq_path is not None:
+        line_of: dict[tuple[str, str], int] = {}
         for lineno, (entry_id, lang, count) in read_rows(freq_path, 3, "id<TAB>lang<TAB>count"):
+            where = f"{freq_path}:{lineno}"
             try:
                 frequency = int(count)
             except ValueError:
-                where = f"{freq_path}:{lineno}"
                 raise MalformedLine(f"{where}: count {count!r} is not an integer") from None
+            first = line_of.setdefault((entry_id, lang), lineno)
+            if first != lineno:  # the last count would silently replace the first
+                raise MalformedLine(f"{where}: row {entry_id!r}, {lang!r} repeats line {first}")
             if entry_id in by_id:
                 by_id[entry_id].frequency[lang] = frequency
     return LexiconTable(entries=tuple(by_id.values()), languages=tuple(columns))

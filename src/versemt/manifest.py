@@ -1,5 +1,5 @@
-"""The manifest runner, and the forked worker processes that run calls beside it:
-the runner's stage workers and lex-build's helper."""
+"""The manifest runner, and the forked stage workers that run stages beside it:
+the only processes ``versemt`` forks."""
 
 from __future__ import annotations
 
@@ -173,34 +173,25 @@ def _print_events(events: list) -> None:
 
 
 class _Outcome(NamedTuple):
-    events: list  # the call's held output
+    events: list  # the stage's held output
     error: Exception | None  # what it raised, None if it returned
-    value: object = None  # what it returned
-
-
-def _held_call(fn: Callable, *args: object) -> _Outcome:
-    """Call ``fn(*args)`` in this process with its output held back."""
-    with _held_output() as events:
-        try:
-            return _Outcome(events, None, fn(*args))
-        except Exception as exc:
-            return _Outcome(events, exc)
 
 
 def _run_stage(dispatch: Callable, name: str, argv: list[str]) -> _Outcome:
     """Run one stage command through ``dispatch`` in this process with its output
     held back."""
-
-    def stage() -> None:
+    with _held_output() as events:
         log.info("stage %s: %s", name, " ".join(argv))
-        with contextlib.suppress(SystemExit):  # argparse's --help, its only exit
-            dispatch(argv)
-
-    return _held_call(stage)
+        try:
+            with contextlib.suppress(SystemExit):  # argparse's --help, its only exit
+                dispatch(argv)
+        except Exception as exc:
+            return _Outcome(events, exc)
+    return _Outcome(events, None)
 
 
 # The process that imported this module. Only it forks, so a run has two
-# workers at most and one lex-build helper: those fork nothing themselves.
+# stage workers at most, and they fork nothing themselves.
 _FORKING_PID = os.getpid()
 
 
@@ -217,11 +208,11 @@ def _may_fork_a_worker() -> bool:
 
 
 class _Worker:
-    """A forked process that makes the call ``call(*args)`` for each ``args`` sent
-    over its pipe, one at a time, and sends back each outcome; it exits when the
-    pipe closes, so also after the current call when its parent is gone. It
-    closes its copies of the ``earlier`` workers' pipes, or those would never
-    see their pipes close."""
+    """One of the runner's stage workers: a forked process that makes the call
+    ``call(*args)`` for each stage's ``args`` sent over its pipe, one at a time,
+    and sends back each outcome; it exits when the pipe closes, so also after
+    the current stage when its parent is gone. It closes its copies of the
+    ``earlier`` workers' pipes, or those would never see their pipes close."""
 
     def __init__(self, call: Callable[..., _Outcome], earlier: Iterable[_Worker] = ()) -> None:
         command_r, command_w = os.pipe()
@@ -275,35 +266,6 @@ class _Worker:
             self.commands.close()
         os.waitpid(self.pid, 0)
         self.replies.close()
-
-
-def _fork_join_map(fn: Callable, items: Iterable) -> list:
-    """``list(map(fn, items))``, with a forked helper calling ``fn`` on every
-    other item where a worker may fork. Each call's output is held and printed
-    in item order, up to the first call that fails, whose error is raised, so
-    the output and the error are those of the builtin ``map``. The helper gets
-    its items up front, so they must be small (they wait in its pipe), and is
-    killed at the first failure. Its results come back pickled; ``fn`` itself
-    is never pickled."""
-    items = list(items)
-    if len(items) < 2 or not _may_fork_a_worker():
-        return list(map(fn, items))
-    with _Worker(functools.partial(_held_call, fn)) as helper:
-        for item in items[1::2]:
-            helper.start(item)
-        mine: list[_Outcome] = []
-        for item in items[0::2]:
-            mine.append(_held_call(fn, item))
-            if mine[-1].error is not None:
-                break
-        results = []
-        for k in range(len(items)):  # mine end at their first failure, and so does this loop
-            events, error, value = helper.receive() if k % 2 else mine[k // 2]
-            _print_events(events)
-            if error is not None:
-                raise error  # and the helper is killed
-            results.append(value)
-    return results
 
 
 # Workers a run forks at most. Two keep two CPUs busy while the runner's own
@@ -402,7 +364,7 @@ class _ManifestRun:
 
     def _finish(self, name: str, fingerprint: str, outcome: _Outcome) -> None:
         """Print the stage's output in its turn; record the stage as done, or its failure."""
-        events, error, _ = outcome
+        events, error = outcome
         self._print_in_turn(name, events)
         failure = error
         if isinstance(error, (PipelineError, UsageError)):

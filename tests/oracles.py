@@ -442,6 +442,36 @@ def viterbi_align_oracle(table, pair, prior_cache=None):
     return links
 
 
+def load_table_oracle(path):
+    """``alignment.load_table`` as it was before each row was unpacked in one split
+    and a source's row fetched only when the source changes: every line split
+    into a field list, and the row looked up on every line."""
+    from versemt.alignment import TranslationTable, _parse_header
+    from versemt.errors import MalformedLine
+    from versemt.fileio import read_lines
+
+    probs = {}
+    lines = read_lines(path)
+    params = _parse_header(next(lines, (1, ""))[1], f"{path}:1")
+    for lineno, line in lines:
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLine(f"{path}:{lineno}: expected `source<TAB>target<TAB>prob`")
+        try:
+            prob = float(fields[2])
+        except ValueError:
+            prob = math.nan
+        if not 0.0 <= prob <= 1.0:  # also false for nan
+            raise MalformedLine(f"{path}:{lineno}: probability {fields[2]!r} is not in [0, 1]")
+        row = probs.setdefault(fields[0], {})
+        if fields[1] in row:
+            raise MalformedLine(f"{path}:{lineno}: pair {fields[0]!r}, {fields[1]!r} is repeated")
+        row[fields[1]] = prob
+    return TranslationTable(probs=probs, params=params)
+
+
 def _count_occurrences_scan(texts, surface):
     """``lexicon._count_occurrences`` as it was before occurrence indexes: one
     single-surface SurfaceIndex scan of every verse."""

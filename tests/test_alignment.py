@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from versemt.alignment import (
@@ -23,7 +23,7 @@ from versemt.alignment import (
 )
 from versemt.errors import EmptyBitext, EmptySentence, MalformedLine
 
-from oracles import model1_em_oracle, train_em_oracle, viterbi_align_oracle
+from oracles import load_table_oracle, model1_em_oracle, train_em_oracle, viterbi_align_oracle
 
 MODEL1 = DiagonalParams(tension=0.0, null_prob=0.0)
 
@@ -331,6 +331,35 @@ def test_save_table_writes_the_bytes_of_the_joined_text(tmp_path_factory, probs,
     save_table(table, root / "rows.tsv")
     _save_table_joined(table, root / "joined.tsv", iterations)
     assert (root / "rows.tsv").read_bytes() == (root / "joined.tsv").read_bytes()
+
+
+# Table file lines: rows over a few sources and targets, so pairs repeat and a
+# source's rows come in several runs; probabilities in and out of [0, 1]; and
+# lines the parser skips or refuses for their field count.
+_table_row = st.tuples(
+    st.sampled_from(["a", "b", NULL_TOKEN]), st.sampled_from(["x", "y", "z"]),
+    st.sampled_from(["0.5", "1", "0", "0.25", "1e-3", "nan", "-0.1", "1.5", "inf", "half", ""]),
+).map("\t".join)
+_table_line = _table_row | st.sampled_from(["", "#note", "a\tx", "a\tx\t0.5\t0.5", "a x 0.5"])
+
+
+@given(lines=st.lists(_table_line, max_size=12))
+@example(lines=["a\tx\t0.5", "a\tx\t0.5"])  # a pair repeated right after itself
+@example(lines=["a\tx\t0.5", "b\tx\t0.5", "a\tx\t0.5"])  # and after another source
+@example(lines=["a\tx\t0.5", "b\tx\t0.5", "a\ty\t0.5"])  # a source's rows in two runs
+@settings(max_examples=300, deadline=None)
+def test_load_table_accepts_and_refuses_what_the_line_by_line_parse_did(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("tables") / "t.tsv"
+    path.write_text("".join(f"{line}\n" for line in ["#lambda=4.0\tp0=0.08", *lines]),
+                    encoding="utf-8")
+    results = []
+    for load in (load_table, load_table_oracle):
+        try:
+            probs = load(path).probs
+            results.append([(e, list(row.items())) for e, row in probs.items()])
+        except MalformedLine as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
 
 
 def test_sum_ltr_adds_left_to_right():

@@ -10,7 +10,6 @@ import random
 import re
 import subprocess
 import sys
-import time
 import weakref
 from pathlib import Path
 
@@ -1177,6 +1176,18 @@ class TestLexTrimSources:
         assert status == cli.EXIT_DATA
         assert f"{freq}:2:" in err
 
+    @pytest.mark.parametrize("rows", ["ne1\ten\t1\nne1\ten\t5\n",
+                                      "ne1\ten\t1\nne1\tsw\t1\nne1\ten\t1\n"],
+                             ids=["next", "after-another"])
+    def test_a_repeated_id_and_language_names_the_line_it_repeats(self, tmp_path, capsys, rows):
+        freq = tmp_path / "freq.tsv"
+        _write(freq, rows)
+        status, err = self._trim(tmp_path, capsys, "--freq", freq)
+        at = len(rows.splitlines())
+        assert status == cli.EXIT_DATA
+        assert err == f"error: MalformedLine: {freq}:{at}: row 'ne1', 'en' repeats line 1\n"
+        assert not (tmp_path / "tail.tsv").exists()
+
     def test_freq_file_selects_the_tail(self, tmp_path, capsys):
         freq = tmp_path / "freq.tsv"
         _write(freq, "ne1\ten\t1\nne2\ten\t3\n")
@@ -1318,14 +1329,14 @@ def _three_aligners(root: Path) -> list[str]:
 
 
 def _no_fork():
-    raise AssertionError("forked on one CPU")
+    raise AssertionError("lex-build forked")
 
 
-@pytest.mark.parametrize("broken", [(1,), (1, 2), (0, 1)], ids=["helper", "both", "parent"])
+@pytest.mark.parametrize("broken", [(1,), (1, 2), (0, 1)], ids=["second", "last-two", "first-two"])
 def test_lex_build_names_the_first_malformed_table_as_on_one_cpu(tmp_path, monkeypatch, capsys,
                                                                  broken):
-    # The target languages come in corpus (registry) order, sw ru fr; the helper
-    # decodes the second. Each broken table has a bad probability on line 3.
+    # The target languages come in corpus (registry) order, sw ru fr. Each
+    # broken table has a bad probability on line 3.
     command = _three_aligners(tmp_path)
     targets = [lang for lang in cli.corpus.read_corpus_dir(tmp_path / "aligned").languages
                if lang != "en"]
@@ -1351,10 +1362,23 @@ def test_lex_build_names_the_first_malformed_table_as_on_one_cpu(tmp_path, monke
     assert not (tmp_path / "lex.tsv").exists()
 
 
+def test_lex_build_on_two_cpus_forks_nothing_and_writes_what_one_cpu_does(tmp_path, monkeypatch,
+                                                                          capsys):
+    command = _three_aligners(tmp_path)
+    written = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert cli.main(command) == cli.EXIT_OK, capsys.readouterr().err
+        written.append((tmp_path / "lex.tsv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].startswith(b"id\ten\tsw\tru\tfr\nne0001\tNoah\t")
+
+
 def test_a_lex_build_stage_in_a_worker_forks_no_helper(tmp_path, monkeypatch, capsys):
     # a-config runs in the runner and b-lex-build beside it in the worker, which
-    # decodes the languages one after another: a run has two workers at most and
-    # one helper, and only the runner forks.
+    # decodes the languages one after another: a run forks two workers at most,
+    # and only the runner forks.
     command = _three_aligners(tmp_path)
     stages = [
         {"name": "a-config", "command": ["emit-config", "--profile", "multilingual",
@@ -1376,31 +1400,6 @@ def test_a_lex_build_stage_in_a_worker_forks_no_helper(tmp_path, monkeypatch, ca
     assert cli.main(["run", "--manifest", str(tmp_path / "pipeline.json")]) == cli.EXIT_OK, \
         capsys.readouterr().err
     assert (tmp_path / "lex.tsv").read_text(encoding="utf-8").startswith("id\ten\tsw\tru\tfr\n")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, RuntimeError])
-def test_no_lex_build_helper_outlives_an_exception(tmp_path, monkeypatch, interrupt):
-    from versemt import lexicon
-
-    command = _three_aligners(tmp_path)
-    parent = os.getpid()
-    real_viterbi = lexicon.viterbi_align
-
-    def viterbi(*args):
-        if os.getpid() == parent:
-            raise interrupt("stop")
-        time.sleep(0.05)  # the helper is still busy when the parent stops
-        return real_viterbi(*args)
-
-    monkeypatch.setattr(lexicon, "viterbi_align", viterbi)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    if interrupt is KeyboardInterrupt:
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(command)
-    else:
-        assert cli.main(command) == cli.EXIT_INTERNAL
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -193,6 +193,7 @@ def _failing_in_a_worker(tmp_path, monkeypatch, error):
         return real_emit(profile)
 
     monkeypatch.setattr(harness, "emit_trainer_config", emit)
+    monkeypatch.setitem(harness._PROFILES, "broken", None)  # known, so it fails at its turn
     stages = [
         _stage("a-ok", ["emit-config", "--profile", "multilingual", "--out", "a.cfg"], [],
                ["a.cfg"]),
@@ -261,6 +262,8 @@ def test_a_data_error_in_one_worker_lets_the_other_and_the_runner_finish(tmp_pat
         return real_emit(profile)
 
     monkeypatch.setattr(harness, "emit_trainer_config", emit)
+    for profile in ("broken", "slow"):  # known, so they run at their turn
+        monkeypatch.setitem(harness._PROFILES, profile, None)
     stages = [_stage(name, ["emit-config", "--profile", profile, "--out", f"{name}.cfg"], [],
                      [f"{name}.cfg"])
               for name, profile in [("a-slow", "slow"), ("b-broken", "broken"),
@@ -583,6 +586,8 @@ _BROKEN_RULES = {
                         "fraction must be in (0, 1], got 0.0"),
     "sample-total": (["sample", "--in", "names.txt", "--fraction", "1", "--total", "0",
                       "--out", "s"], "total must be >= 1, got 0"),
+    "emit-config-profile": (["emit-config", "--profile", "bogus", "--out", "c"],
+                            "unknown profile 'bogus'; choose from ['multilingual', 'single-pair']"),
 }
 
 
@@ -609,8 +614,7 @@ def test_a_broken_flag_rule_fails_the_run_before_any_stage_runs(tmp_path, monkey
 
 def test_a_real_workload_prints_and_writes_the_same_on_one_and_two_cpus(tmp_path, monkeypatch):
     # The benchmark's ne-lexicon workload at its tiny size: three align-trains
-    # ready together, so two workers, and lex-build's three target languages,
-    # so one helper on two CPUs.
+    # ready together, so two workers on two CPUs.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 
@@ -626,7 +630,7 @@ def test_a_real_workload_prints_and_writes_the_same_on_one_and_two_cpus(tmp_path
         _assert_no_child_left()
         runs.append((_tree(root), output, len(forks)))
     (tree1, output1, forks1), (tree2, output2, forks2) = runs
-    assert (forks1, forks2) == (0, 3)
+    assert (forks1, forks2) == (0, 2)
     assert "pipeline.json.state.json" in tree1 and "lexicon.tsv" in tree1
     assert tree1 == tree2
     assert output1 == output2
@@ -654,23 +658,6 @@ def test_the_runner_module_loads_no_stage_layer_and_no_process_machinery():
     assert {m for m in loaded if m.split(".")[0] == "versemt"} == {
         "versemt", "versemt.errors", "versemt.fileio", "versemt.manifest"}
     assert not {m.split(".")[0] for m in loaded} & _PROCESS_MACHINERY
-
-
-def test_the_helper_is_killed_at_its_first_failure_not_waited_for(monkeypatch):
-    # The helper gets every other item: "fail", then "slow", queued behind it.
-    def call(item):
-        if item == "fail":
-            raise ValueError("the helper's first item")
-        time.sleep(5 if item == "slow" else 0)
-        return item
-
-    forks = _slots(monkeypatch, 2)
-    started = time.monotonic()
-    with pytest.raises(ValueError, match="the helper's first item"):
-        manifest._fork_join_map(call, ["a", "fail", "b", "slow"])
-    assert time.monotonic() - started < 2
-    assert len(forks) == 1
-    _assert_no_child_left()
 
 
 def test_a_digest_reads_files_in_chunks_and_keeps_the_whole_file_formula(tmp_path):

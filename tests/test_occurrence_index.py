@@ -4,15 +4,14 @@ one-scan-per-surface assemble_table and trim_table it replaced."""
 from __future__ import annotations
 
 import logging
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from versemt import lexicon, manifest
+from versemt import lexicon
 from versemt.alignment import DiagonalParams, train_em
-from versemt.corpus import tokenize
+from versemt.corpus import ParallelCorpus, tokenize
 from versemt.lexicon import (
     LexiconEntry,
     LexiconTable,
@@ -132,28 +131,31 @@ class _LoggedTables(dict):
         return super().__getitem__(lang)
 
 
+def _decode_log(caplog):
+    """The table reads and the Viterbi DEBUG lines, in the order they were logged."""
+    return [r.getMessage() for r in caplog.records
+            if r.name == "versemt.alignment" or r.getMessage().startswith("reading the")]
+
+
 @given(case=_projection_case())
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-def test_assemble_table_decoding_languages_side_by_side_equals_one_after_another(
-    case, caplog, monkeypatch
-):
-    # With two target languages, a forked helper decodes the second. Each table
-    # read logs a DEBUG line, so the log shows the order of the languages.
+def test_assemble_table_reads_and_decodes_one_language_after_another(case, caplog):
+    # Each table read logs a DEBUG line, so the log shows the order of the languages.
     seed, corpus, aligners, min_votes = case
     aligners = _LoggedTables(aligners)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    tables, logs = [], []
-    for map_languages in (map, manifest._fork_join_map):
+    targets = [lang for lang in corpus.languages if lang != "en"]
+    logs = []
+    for langs in [targets, *([lang] for lang in targets)]:  # all, then each alone
+        alone = ParallelCorpus(corpus.ids, {lang: corpus.texts(lang) for lang in ["en", *langs]})
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="versemt"):
-            tables.append(assemble_table(seed, corpus, aligners, min_votes, map_languages))
-        logs.append([(r.name, r.levelname, r.getMessage()) for r in caplog.records])
-    assert tables[0] == tables[1]
-    assert logs[0] == logs[1]  # each language's DEBUG lines, in language order
-    assert [m for _, _, m in logs[1] if m.startswith("reading")] == [
-        f"reading the {lang} table" for lang in corpus.languages if lang != "en"]
+            assemble_table(seed, alone, aligners, min_votes)
+        logs.append(_decode_log(caplog))
+    assert [m for m in logs[0] if m.startswith("reading")] == [
+        f"reading the {lang} table" for lang in targets]  # each once, in corpus order
+    assert logs[0] == [m for log in logs[1:] for m in log]  # each language's DEBUG lines in turn
 
 
 @given(
