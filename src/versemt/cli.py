@@ -9,6 +9,7 @@ import io
 import logging
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -118,8 +119,8 @@ def _cmd_schedule(args: argparse.Namespace) -> None:
 
 def _cmd_bpe_learn(args: argparse.Namespace) -> None:
     reserved = set(read_word_list(args.reserved)) if args.reserved else set()
-    tokens = (token for _, line in read_lines(args.infile) for token in line.split())
-    with located(args.infile, EmptyCorpus):
+    tokens = chain.from_iterable(line.split() for _, line in read_lines(args.infile))
+    with located(args.infile, (EmptyCorpus, MalformedLine)):
         model = subword.learn_bpe(tokens, args.merges, reserved, vocab_side=args.side)
     subword.save_model(model, args.out)
     log.info("bpe-learn side=%s merges=%d", args.side, len(model.merges))

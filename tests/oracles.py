@@ -341,7 +341,7 @@ def learn_bpe_oracle(tokenized_corpus, num_merges, reserved=(), vocab_side="sour
     import heapq
 
     from versemt.errors import EmptyCorpus
-    from versemt.subword import BpeModel, _word_symbols
+    from versemt.subword import BpeModel
 
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
@@ -361,7 +361,7 @@ def learn_bpe_oracle(tokenized_corpus, num_merges, reserved=(), vocab_side="sour
     index = {}
     for word, freq in sorted(word_freq.items()):
         wid = len(words)
-        symbols = _word_symbols(word)
+        symbols = tuple(word) + ("</w>",)
         words.append(symbols)
         freqs.append(freq)
         for pair, n in _pair_counts(symbols).items():
@@ -404,6 +404,43 @@ def learn_bpe_oracle(tokenized_corpus, num_merges, reserved=(), vocab_side="sour
                 index.setdefault(pair, set()).add(wid)
             words[wid] = new
     return BpeModel(merges=tuple(merges), vocab_side=vocab_side, reserved=reserved_set)
+
+
+def _segment_oracle(word, ranks):
+    """``subword._segment`` as it was before pair ranks were kept in a list:
+    each step ranks the set of the word's pairs and rebuilds the symbols."""
+    if not word:
+        return []
+    symbols = list(tuple(word) + ("</w>",))
+    while len(symbols) > 1:
+        pairs = set(zip(symbols, symbols[1:]))
+        ranked = [(ranks[p], p) for p in pairs if p in ranks]
+        if not ranked:
+            break
+        _, pair = min(ranked)
+        symbols = list(_merge_symbols(tuple(symbols), pair))
+    # Peel the end-of-word sentinel and mark continuations.
+    if symbols[-1] == "</w>":
+        symbols = symbols[:-1]
+    elif symbols[-1].endswith("</w>"):
+        symbols[-1] = symbols[-1][: -len("</w>")]
+    return [s + "@@" for s in symbols[:-1]] + [symbols[-1]]
+
+
+def apply_bpe_oracle(model, sentence):
+    """``subword.apply_bpe`` as it was before the memo segmented on a miss:
+    ``memo.get`` per token, then ``_segment`` and a store on a miss; the memo
+    starts with the reserved tokens, which stay whole."""
+    ranks = {pair: rank for rank, pair in enumerate(model.merges)}
+    memo = {token: (token,) for token in model.reserved}
+    out = []
+    for token in sentence:
+        pieces = memo.get(token)
+        if pieces is None:
+            pieces = tuple(_segment_oracle(token, ranks))
+            memo[token] = pieces
+        out.extend(pieces)
+    return out
 
 
 def viterbi_align_oracle(table, pair, prior_cache=None):

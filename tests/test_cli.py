@@ -287,6 +287,31 @@ class TestPipelineStages:
             assert f"DanglingContinuation: {pieces}:2: " in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model, line, message", [
+        ("#bpe v1 source\na b\na \n#reserved\n", 3, "expected `left<SPACE>right`"),
+        ("#bpe v1 source\na b\nab c\na b\n#reserved\n", 4, "merge `a b` repeats line 2"),
+        ("#bpe v1 \na b\n#reserved\n", 1, "side must be `source` or `target`, not ''"),
+    ], ids=["empty-symbol", "repeated-merge", "no-side"])
+    def test_bpe_apply_refuses_a_malformed_model(self, tmp_path, capsys, model, line, message):
+        _write(tmp_path / "model.bpe", model)
+        _write(tmp_path / "text.txt", "abc\n")
+        argv = ["bpe-apply", "--model", str(tmp_path / "model.bpe"), "--in",
+                str(tmp_path / "text.txt"), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert f"MalformedLine: {tmp_path / 'model.bpe'}:{line}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bpe_learn_refuses_a_token_holding_the_end_of_word_marker(self, tmp_path, capsys):
+        # In a model file "b </w>" could then mean either, and such a corpus
+        # can make the learner merge one pair twice.
+        _write(tmp_path / "text.txt", "a b\nb</w>ba\n")
+        argv = ["bpe-learn", "--in", str(tmp_path / "text.txt"), "--merges", "5",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"MalformedLine: {tmp_path / 'text.txt'}: token 'b</w>ba' holds the end-of-word" in err
+        assert not (tmp_path / "out").exists()
+
     def test_align_train_and_lex_build(self, tmp_path, corpus_dir):
         src = tmp_path / "bitext.en"
         tgt = tmp_path / "bitext.sw"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from versemt.errors import DanglingContinuation, EmptyCorpus
+from versemt.errors import DanglingContinuation, EmptyCorpus, MalformedLine
 from versemt.subword import (
     BpeModel,
     apply_bpe,
@@ -16,7 +16,7 @@ from versemt.subword import (
     save_model,
 )
 
-from oracles import best_pair_oracle, learn_bpe_oracle, pair_count_oracle
+from oracles import apply_bpe_oracle, best_pair_oracle, learn_bpe_oracle, pair_count_oracle
 
 RESERVED = frozenset({"$NE1", "$NE2", "__opt_src_fr", "__opt_tgt_en"})
 
@@ -99,6 +99,12 @@ class TestLearn:
     @example(word_freq={"aaaa": 2, "aaaaa": 1, "aab": 3}, reserved_freq={}, merges=8)
     @example(word_freq={"abab": 1, "aaaaaa": 2}, reserved_freq={"$NE1": 1}, merges=10)
     @example(word_freq={}, reserved_freq={"$NE1": 2, "__opt_src_fr": 1}, merges=3)
+    # Adjacent sites: (a, b) then (ab, ab) in "ababab", where a site's left
+    # neighbour is the previous site's merged symbol; (a, a) in "aaaaa".
+    @example(word_freq={"ababab": 1}, reserved_freq={}, merges=4)
+    @example(word_freq={"aaaaa": 2}, reserved_freq={}, merges=4)
+    # (a, </w>) has a site at the last symbol, then (a, b) one at the first.
+    @example(word_freq={"aba": 2}, reserved_freq={}, merges=3)
     @settings(max_examples=300, deadline=None)
     def test_equals_per_pair_update_oracle(self, word_freq, reserved_freq, merges):
         # A three-letter alphabet and frequencies 1-3 make equal pair counts,
@@ -111,11 +117,30 @@ class TestLearn:
             corpus, merges, reserved=RESERVED
         )
 
+    def test_a_token_holding_the_end_of_word_marker_is_refused(self):
+        # Built from "<", "/", "w" and ">", the marker's text forms the pair
+        # (b, </w>) again after it was merged: the learner would merge it twice.
+        corpus = ["aab"] * 4 + ["ab"] * 3 + ["ab</w>b</w>"] * 6 + ["b"] * 9
+        merges = learn_bpe_oracle(corpus, 40).merges
+        assert merges.count(("b", "</w>")) == 2
+        with pytest.raises(MalformedLine, match=r"token 'ab</w>b</w>' holds the end-of-word marker"):
+            learn_bpe(corpus, 40)
+        assert learn_bpe(corpus, 40, reserved={"ab</w>b</w>"}).merges == learn_bpe_oracle(
+            corpus, 40, reserved={"ab</w>b</w>"}).merges
+
     def test_net_zero_delta_keeps_pair_poppable(self):
         # Merging (a, a) in "aaab" takes the (a, b) pair out of that word and
         # puts it back, so its count is unchanged; it must still be learned.
         corpus = ["aaab"] * 3 + ["ab"] * 2
         assert learn_bpe(corpus, 6) == learn_bpe_oracle(corpus, 6)
+
+
+# Words over two letters repeat their pairs ("aaaaa", "ababab"); hand-written
+# merges join such runs, with or without the end-of-word marker on the right.
+_AB_WORDS = st.text(alphabet="ab", min_size=1, max_size=8)
+_SENTENCES = st.lists(st.one_of(_AB_WORDS, st.sampled_from(sorted(RESERVED))), max_size=10)
+_SYMBOLS = st.text(alphabet="ab", min_size=1, max_size=3)
+_RIGHT_SYMBOLS = st.one_of(_SYMBOLS, _SYMBOLS.map(lambda s: s + "</w>"), st.just("</w>"))
 
 
 class TestApplyRevert:
@@ -128,6 +153,33 @@ class TestApplyRevert:
         # h,i,g,h,er -> (er,</w>) -> ... -> (h,er</w>) makes "her" one piece.
         model = BpeModel(merges=(("e", "r"), ("er", "</w>"), ("h", "er</w>")))
         assert apply_bpe(model, ["higher"]) == ["h@@", "i@@", "g@@", "her"]
+
+    @given(
+        word_freq=st.dictionaries(_AB_WORDS, st.integers(1, 3), min_size=1, max_size=10),
+        merges=st.integers(0, 30),
+        sentence=_SENTENCES,
+    )
+    @example(word_freq={"ababab": 2, "aaaaa": 1}, merges=8,
+             sentence=["ababab", "aaaaa", "abba", "$NE1", "ababab", ""])
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle_on_learned_models(self, word_freq, merges, sentence):
+        model = learn_bpe(_corpus(word_freq), merges, reserved=RESERVED)
+        assert apply_bpe(model, sentence) == apply_bpe_oracle(model, sentence)
+
+    @given(merges=st.lists(st.tuples(_SYMBOLS, _RIGHT_SYMBOLS), max_size=12), sentence=_SENTENCES)
+    # The model of test_unseen_word_hand_simulated.
+    @example(merges=[("e", "r"), ("er", "</w>"), ("h", "er</w>")], sentence=["higher", "her"])
+    # Merging the first (a, b) makes (ab, a), ranked lower, but every site of
+    # (a, b) is merged before any other pair: "abab" is ab@@ ab.
+    @example(merges=[("ab", "a"), ("a", "b")], sentence=["abab", "ababab"])
+    # Merges whose parts no earlier merge makes: (ab, ab) and (aa, a) rank
+    # first, yet only the later (a, b) and (a, a) make their parts.
+    @example(merges=[("ab", "ab"), ("a", "b"), ("b", "a")], sentence=["ababab"])
+    @example(merges=[("aa", "a"), ("a", "a"), ("a", "aa")], sentence=["aaaaa", "aaaa"])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_oracle_on_hand_written_models(self, merges, sentence):
+        model = BpeModel(merges=tuple(merges), reserved=RESERVED)
+        assert apply_bpe(model, sentence) == apply_bpe_oracle(model, sentence)
 
     def test_roundtrip_example(self):
         assert revert_bpe(["lo@@", "w"]) == ["low"]
