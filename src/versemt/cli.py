@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
-import io
 import logging
 import math
 import sys
@@ -338,7 +336,7 @@ def _cmd_emit_config(args: argparse.Namespace) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> None:
     # dispatch is looked up now, so a replaced dispatch runs the stages.
-    run_manifest(args.manifest, dispatch, _check_command)
+    run_manifest(args.manifest, dispatch, _parse)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +494,6 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
         if getattr(args, dest) is not None:
             check(getattr(args, dest))
     return args
-
-
-def _check_command(argv: Sequence[str]) -> None:
-    """Parse a stage's command as ``dispatch`` will at the stage's turn, raising
-    its usage error now; a --help is printed at that turn, not here."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-        _parse(argv)
 
 
 def dispatch(argv: Sequence[str]) -> int:

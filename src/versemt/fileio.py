@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from contextlib import contextmanager
 from functools import partial
@@ -61,12 +62,16 @@ def atomic_write_lines(path: str | Path, lines: list[str]) -> Path:
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line number, line without its end) for every line of a UTF-8 file;
-    a byte sequence that is not UTF-8 raises MalformedLine at ``path:line``."""
+    a byte sequence that is not UTF-8 raises MalformedLine at ``path:line``, or
+    at ``path`` alone for an input that is not a regular file, such as a pipe."""
     with open(path, encoding="utf-8") as handle:
         try:
             for lineno, raw in enumerate(handle, start=1):
                 yield lineno, raw.rstrip("\n")
         except UnicodeDecodeError as exc:
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                # Read again, a pipe gives only what is left, or waits for its writer.
+                raise MalformedLine(f"{path}: not UTF-8 ({exc.reason})") from None
             # Text mode decodes ahead in chunks, so its error cannot name the
             # line: count the line ends before the first bad byte instead.
             data = Path(path).read_bytes()

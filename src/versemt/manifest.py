@@ -1,5 +1,6 @@
-"""The manifest runner, and the forked stage workers that run stages beside it:
-the only processes ``versemt`` forks."""
+"""The manifest runner: it checks the manifest and parses every stage's command
+before the first stage starts, then runs the stages, some in forked stage
+workers beside it, the only processes ``versemt`` forks."""
 
 from __future__ import annotations
 
@@ -41,16 +42,18 @@ def _file_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _validated_stages(manifest: object, where: Path) -> list[dict]:
-    """The manifest's stages, once every field a run reads has its type, no
-    output path is at, inside or above another stage's output, and no stage
-    reads stdin."""
+def _validated_stages(manifest: object, where: Path, state_path: Path) -> list[dict]:
+    """The manifest's stages, once every field a run reads has its type (a missing
+    list is set empty), no output path is at, inside or above another stage's
+    output, the manifest at ``where`` or its state file, and no stage reads stdin."""
     if not isinstance(manifest, dict):
         raise MalformedLine(f"{where}: the top level must be a JSON object")
     stages = manifest.get("stages", [])
     if not isinstance(stages, list):
         raise MalformedLine(f"{where}: `stages` must be a list")
     names: set[str] = set()
+    # As absolute paths: --manifest may be absolute, outputs are relative to the working dir.
+    own = [(path, _path_parts(os.path.abspath(path))) for path in (where, state_path)]
     declared: list[tuple[str, tuple[str, ...], str]] = []  # (stage, parts, output as declared)
     for index, stage in enumerate(stages):
         at = f"{where}: stages[{index}]"
@@ -61,17 +64,22 @@ def _validated_stages(manifest: object, where: Path) -> list[dict]:
             raise MalformedLine(f"{at}: `name` must be a non-empty string unique across stages")
         names.add(name)
         for key in ("command", "inputs", "outputs"):
-            value = stage.get(key, [])
+            value = stage.setdefault(key, [])
             if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
                 raise MalformedLine(f"{at}: `{key}` must be a list of strings")
-        if stage.get("command", [])[:1] == ["run"]:
+        if stage["command"][:1] == ["run"]:
             # A nested run would recurse on its own manifest, forking workers each time.
             raise MalformedLine(f"{at}: a stage cannot run a manifest")
-        if stage.get("command", [])[:1] == ["gl-monitor"]:
+        if stage["command"][:1] == ["gl-monitor"]:
             # Stdin is not fingerprinted, so a rerun on other scores would be skipped.
             raise MalformedLine(f"{at}: a gl-monitor stage would read stdin; run it on its own")
-        outputs = [(name, _path_parts(output), output) for output in stage.get("outputs", [])]
+        outputs = [(name, _path_parts(output), output) for output in stage["outputs"]]
         for _, parts, output in outputs:
+            # The run reads the manifest and rewrites the state file after each stage.
+            for path, path_parts in own:
+                if _nested(_path_parts(os.path.abspath(output)), path_parts):
+                    raise MalformedLine(f"{at}: stage {name!r} declares the output {output!r}, "
+                                        f"at, inside or above the run's own {str(path)!r}")
             # Stages with nested outputs would race on the same files.
             for other, other_parts, other_output in declared:
                 if _nested(parts, other_parts):
@@ -83,8 +91,8 @@ def _validated_stages(manifest: object, where: Path) -> list[dict]:
 
 def _stage_fingerprint(stage: dict) -> str:
     payload = {
-        "command": stage.get("command", []),
-        "inputs": {name: _file_digest(Path(name)) for name in sorted(stage.get("inputs", []))},
+        "command": stage["command"],
+        "inputs": {name: _file_digest(Path(name)) for name in sorted(stage["inputs"])},
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -103,10 +111,10 @@ def _stage_graph(stages: list[dict]) -> dict[str, set[str]]:
     an output at, inside or above one of its inputs, so a directory input waits
     for every file declared inside it."""
     outputs = [(stage["name"], _path_parts(out)) for stage in stages
-               for out in stage.get("outputs", [])]
+               for out in stage["outputs"]]
     graph = {}
     for stage in stages:
-        inputs = [_path_parts(i) for i in stage.get("inputs", [])]
+        inputs = [_path_parts(i) for i in stage["inputs"]]
         graph[stage["name"]] = {
             name for name, out in outputs for inp in inputs if _nested(out, inp)
         } - {stage["name"]}
@@ -190,17 +198,11 @@ def _run_stage(dispatch: Callable, name: str, argv: list[str]) -> _Outcome:
     return _Outcome(events, None)
 
 
-# The process that imported this module. Only it forks, so a run has two
-# stage workers at most, and they fork nothing themselves.
-_FORKING_PID = os.getpid()
-
-
 def _may_fork_a_worker() -> bool:
-    """Whether this process may fork workers: where it can fork, may use more
-    than one CPU and is not itself a forked worker. It is two stage workers at
-    most whatever the CPU count, the one configuration the benchmark has
-    measured (on two CPUs)."""
-    if not hasattr(os, "fork") or os.getpid() != _FORKING_PID:
+    """Whether this process may fork workers: where it can fork and may use more
+    than one CPU. It is two stage workers at most whatever the CPU count, the
+    one configuration the benchmark has measured (on two CPUs)."""
+    if not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
@@ -294,26 +296,21 @@ class _ManifestRun:
         self.printed = 0
         self.failures: dict[int, Exception] = {}
 
-    def run(self, with_workers: bool) -> None:
+    def run(self, slots: int) -> None:
         workers: list[_Worker] = []
         busy: dict[_Worker, tuple[str, str]] = {}  # a worker -> its stage and fingerprint
         with contextlib.ExitStack() as stack:  # on an exception, each worker is killed
             while True:
                 mine = self._next_stage()
-                while mine and with_workers:
+                while mine and len(busy) < slots and (theirs := self._next_stage()):
                     idle = next((worker for worker in workers if worker not in busy), None)
-                    if idle is None and len(workers) == _MAX_WORKERS:
-                        break
-                    theirs = self._next_stage()
-                    if theirs is None:
-                        break
                     if idle is None:  # forked the first time a ready stage finds no idle worker
                         idle = stack.enter_context(_Worker(self.run_stage, workers))
                         workers.append(idle)
-                    idle.start(theirs[0], self.command(theirs[0]))
+                    idle.start(theirs[0], self.by_name[theirs[0]]["command"])
                     busy[idle] = theirs
                 if mine:
-                    self._finish(*mine, self.run_stage(mine[0], self.command(mine[0])))
+                    self._finish(*mine, self.run_stage(mine[0], self.by_name[mine[0]]["command"]))
                 elif not busy:
                     break
                 # Collect every worker that is done; wait for one only with nothing to run.
@@ -338,9 +335,6 @@ class _ManifestRun:
                 return name, fingerprint
         return None
 
-    def command(self, name: str) -> list[str]:
-        return self.by_name[name].get("command", [])
-
     def _print_in_turn(self, name: str, events: list) -> None:
         self.blocks[self.position[name]] = events
         while self.printed in self.blocks:
@@ -353,7 +347,7 @@ class _ManifestRun:
         stage = self.by_name[name]
         fingerprint = _stage_fingerprint(stage)
         if self.state.get(name) != fingerprint or not all(
-            Path(o).exists() for o in stage.get("outputs", [])
+            Path(o).exists() for o in stage["outputs"]
         ):
             return fingerprint
         with _held_output() as events:
@@ -371,7 +365,7 @@ class _ManifestRun:
             failure = StageFailed(f"stage {name}: {error}")
             failure.__cause__ = error
         elif error is None:
-            outputs = [Path(o) for o in self.by_name[name].get("outputs", [])]
+            outputs = [Path(o) for o in self.by_name[name]["outputs"]]
             missing = [str(o) for o in outputs if not o.exists()]
             if missing:
                 failure = StageFailed(
@@ -388,14 +382,14 @@ class _ManifestRun:
 def run_manifest(manifest_path: str | Path, dispatch: Callable, check: Callable) -> None:
     """Run manifest stages in dependency order, skipping up-to-date ones; each
     stage's command goes to ``dispatch``. Before any stage starts, every stage's
-    command, in that order, goes to ``check``; its first usage or data error
-    fails the run, naming the stage. Up to three stages whose inputs are ready
-    run at once where the process may use more than one CPU. After a failed
-    stage no stage starts; those running finish and are recorded if they succeed."""
+    command, in that order, goes to ``check`` with its output held back; its
+    first usage or data error fails the run, naming the stage. Up to three stages
+    whose inputs are ready run at once where the process may use more than one
+    CPU. After a failed stage no stage starts; those running finish and are
+    recorded if they succeed."""
     manifest_path = Path(manifest_path)
-    stages = _validated_stages(read_json(manifest_path), manifest_path)
-
     state_path = manifest_path.with_suffix(manifest_path.suffix + ".state.json")
+    stages = _validated_stages(read_json(manifest_path), manifest_path, state_path)
     state = read_json(state_path) if state_path.exists() else {}
     if not isinstance(state, dict):
         raise MalformedLine(f"{state_path}: the top level must be a JSON object")
@@ -403,7 +397,8 @@ def run_manifest(manifest_path: str | Path, dispatch: Callable, check: Callable)
     run = _ManifestRun(stages, state, state_path, dispatch)
     for name in run.waiting:  # all of them: a stage is found up to date only at its turn
         try:
-            check(run.command(name))
+            with _held_output(), contextlib.suppress(SystemExit):  # --help prints at its turn
+                check(run.by_name[name]["command"])
         except (PipelineError, UsageError) as error:
             raise StageFailed(f"stage {name}: {error}") from error
-    run.run(_may_fork_a_worker())
+    run.run(_MAX_WORKERS if _may_fork_a_worker() else 0)

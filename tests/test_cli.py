@@ -1444,6 +1444,20 @@ def test_gl_monitor_names_an_undecodable_line_after_printing_the_ones_before(enc
     assert b"MalformedLine: <stdin>:2:" in proc.stderr
 
 
+def test_an_undecodable_pipe_is_named_without_a_line_and_read_once(tmp_path):
+    # A pipe cannot be read again to count the lines before the bad byte: what is
+    # left of it holds none of them, so a line number would be wrong.
+    env = dict(os.environ)
+    src = str(Path(versemt.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "versemt.cli", "bpe-revert", "--in",
+                           "/dev/stdin", "--out", str(tmp_path / "out")],
+                          input=b"a b\n\xff c\n", capture_output=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_DATA
+    assert proc.stderr == b"error: MalformedLine: /dev/stdin: not UTF-8 (invalid start byte)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_rejects_a_duplicate_verse_id(tmp_path, capsys):
     verses = tmp_path / "verses.tsv"
     _write(verses, "v1\tone\nv2\ttwo\nv1\tuno\n")

@@ -299,7 +299,7 @@ def test_no_worker_outlives_an_exception_in_the_runner(tmp_path, monkeypatch, in
     monkeypatch.chdir(tmp_path)
     _slots(monkeypatch, 2)
     with pytest.raises(interrupt):
-        manifest.run_manifest("pipeline.json", cli.dispatch, cli._check_command)
+        manifest.run_manifest("pipeline.json", cli.dispatch, cli._parse)
     _assert_no_child_left()
 
 
@@ -364,9 +364,11 @@ def test_two_writers_of_one_output_are_rejected(tmp_path, monkeypatch, capsys, o
 
 
 # Spellings of one path, paths nested in others, siblings that share a prefix,
-# and paths that leave the working directory.
+# paths that leave the working directory, and the run's manifest and state file.
 _PATH_POOL = ["a", "./a", "a/", "a/b", "a/./b", "a//b/c", "a/../b", "b", "ab", "ab/c",
-              ".", "./", "..", "../a", "c/d/../e", "c/e"]
+              ".", "./", "..", "../a", "c/d/../e", "c/e", "pipeline.json",
+              "./pipeline.json.state.json", "pipeline.json.state", "pipeline.json/x"]
+_OWN = ("pipeline.json", "pipeline.json.state.json")
 
 
 def _at_inside_or_above(a: str, b: str) -> bool:
@@ -382,9 +384,11 @@ def _at_inside_or_above(a: str, b: str) -> bool:
 def test_a_manifest_is_valid_unless_outputs_of_two_stages_nest(outputs):
     stages = {"stages": [{"name": f"s{i}", "outputs": paths} for i, paths in enumerate(outputs)]}
     clash = any(_at_inside_or_above(a, b) for one, two in combinations(outputs, 2)
-                for a in one for b in two)
+                for a in one for b in two) or any(
+        _at_inside_or_above(os.path.abspath(a), os.path.abspath(b))
+        for paths in outputs for a in paths for b in _OWN)
     try:
-        manifest._validated_stages(stages, Path("pipeline.json"))
+        manifest._validated_stages(stages, Path("pipeline.json"), Path(_OWN[1]))
     except MalformedLine as exc:
         assert clash, exc
     else:
@@ -436,7 +440,8 @@ def test_a_stage_cannot_run_a_manifest(tmp_path, capsys):
     assert "stages[0]: a stage cannot run a manifest" in capsys.readouterr().err
 
 
-def test_a_help_stage_is_an_exit_status_not_the_end_of_the_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_help_stage_is_an_exit_status_not_the_end_of_the_run(tmp_path, monkeypatch, cpus):
     stages = [
         _stage("a-help", ["emit-config", "--help"], [], []),
         _stage("b-config", ["emit-config", "--profile", "multilingual", "--out", "b.cfg"], [],
@@ -444,11 +449,36 @@ def test_a_help_stage_is_an_exit_status_not_the_end_of_the_run(tmp_path, monkeyp
     ]
     _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
     monkeypatch.chdir(tmp_path)
-    _slots(monkeypatch, 1)
+    _slots(monkeypatch, cpus)
     status, output = _run()
     assert status == cli.EXIT_OK
-    assert "usage: versemt emit-config" in output
+    assert output.count("usage: versemt emit-config") == 1  # at its turn, not in the check
     assert (tmp_path / "b.cfg").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+@pytest.mark.parametrize("output", ["pipeline.json.state.json", "./pipeline.json", "."])
+def test_a_stage_may_not_write_the_manifest_or_its_state_file(tmp_path, monkeypatch, cpus,
+                                                               absolute, output):
+    # Outputs are relative to the working directory, whatever the manifest path is.
+    stages = [
+        _stage("a-config", ["emit-config", "--profile", "multilingual", "--out", "a.cfg"], [],
+               ["a.cfg"]),
+        _stage("b-config", ["emit-config", "--profile", "multilingual", "--out", output], [],
+               [output]),
+    ]
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    monkeypatch.chdir(tmp_path)
+    manifest = tmp_path / "pipeline.json" if absolute else Path("pipeline.json")
+    forks = _slots(monkeypatch, cpus)
+    status, out = _run(manifest)
+    assert status == cli.EXIT_DATA
+    own = f"{manifest}.state.json" if output.endswith("state.json") else str(manifest)
+    assert out == (f"error: MalformedLine: {manifest}: stages[1]: stage 'b-config' declares "
+                   f"the output {output!r}, at, inside or above the run's own {own!r}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipeline.json"]
+    assert forks == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
