@@ -254,26 +254,16 @@ def _cmd_sample(args: argparse.Namespace) -> None:
 
 def _cmd_gl_monitor(args: argparse.Namespace) -> None:
     state = harness.GlState(alpha=args.alpha)
-    if hasattr(sys.stdin, "reconfigure"):
-        # Undecodable bytes surface as lone surrogates in their own line, so the
-        # lines before it are still processed and the error can name its line.
-        sys.stdin.reconfigure(errors="surrogateescape")
-    for lineno, raw in enumerate(sys.stdin, start=1):
-        line = raw.strip()
-        if not line:
+    for lineno, line in read_lines(args.infile):
+        if not (line := line.strip()):
             continue
         try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise MalformedLine(f"<stdin>:{lineno}: not valid UTF-8") from None
-        try:
             epoch, score = line.split("\t")
-            with located(f"<stdin>:{lineno}"):  # an epoch that does not follow the last
+            with located(f"{args.infile}:{lineno}"):  # an epoch that does not follow the last
                 state, gl, decision = harness.gl_update(state, int(epoch), float(score))
         except ValueError:  # a field count, a number, or gl_update's BadParameter
-            raise MalformedLine(
-                f"<stdin>:{lineno}: expected `integer epoch<TAB>finite score >= 0`, got {line!r}"
-            ) from None
+            raise MalformedLine(f"{args.infile}:{lineno}: expected "
+                                f"`integer epoch<TAB>finite score >= 0`, got {line!r}") from None
         print(f"{epoch}\t{score}\t{gl:.4f}\t{decision}", flush=True)
         if decision == "stop":
             break
@@ -431,8 +421,8 @@ _SUBCOMMANDS = (
       _SEED, _flag("--total", lambda v: harness.AblationPlan(1.0, 0, v), type=int),
       _OUT, _flag("--manifest")],
      (lambda a: _overlapping(a.out, a.manifest), f"--out and --manifest {_APART}")),
-    ("gl-monitor", "early-stopping monitor over stdin `epoch<TAB>score`", _cmd_gl_monitor,
-     [_flag("--alpha", type=float, default=0.1)]),
+    ("gl-monitor", "early-stopping monitor over `epoch<TAB>score` lines", _cmd_gl_monitor,
+     [_IN, _flag("--alpha", lambda v: harness.GlState(alpha=v), type=float, default=0.1)]),
     ("fit", "fit score against log10 word count", _cmd_fit, [_IN, _flag("--out")]),
     ("bleu", "corpus BLEU of hypothesis vs reference file", _cmd_bleu,
      [_flag("--hyp", required=True), _flag("--ref", required=True),

@@ -15,6 +15,7 @@ import os
 import pickle
 import select
 import signal
+import stat
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -45,7 +46,8 @@ def _file_digest(path: Path) -> str:
 def _validated_stages(manifest: object, where: Path, state_path: Path) -> list[dict]:
     """The manifest's stages, once every field a run reads has its type (a missing
     list is set empty), no output path is at, inside or above another stage's
-    output, the manifest at ``where`` or its state file, and no stage reads stdin."""
+    output, the manifest at ``where`` or its state file, and every declared input
+    that exists is a regular file or a directory."""
     if not isinstance(manifest, dict):
         raise MalformedLine(f"{where}: the top level must be a JSON object")
     stages = manifest.get("stages", [])
@@ -70,9 +72,12 @@ def _validated_stages(manifest: object, where: Path, state_path: Path) -> list[d
         if stage["command"][:1] == ["run"]:
             # A nested run would recurse on its own manifest, forking workers each time.
             raise MalformedLine(f"{at}: a stage cannot run a manifest")
-        if stage["command"][:1] == ["gl-monitor"]:
-            # Stdin is not fingerprinted, so a rerun on other scores would be skipped.
-            raise MalformedLine(f"{at}: a gl-monitor stage would read stdin; run it on its own")
+        for path in stage["inputs"]:
+            # Hashing a pipe or a device would block the run before any stage starts.
+            with contextlib.suppress(OSError):  # absent, or unreadable: left to the digest
+                if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+                    raise MalformedLine(f"{at}: stage {name!r} declares the input {path!r}, "
+                                        "neither a regular file nor a directory")
         outputs = [(name, _path_parts(output), output) for output in stage["outputs"]]
         for _, parts, output in outputs:
             # The run reads the manifest and rewrites the state file after each stage.

@@ -448,9 +448,10 @@ class TestPipelineStages:
         assert cli.dispatch(["emit-config", "--profile", "multilingual", "--out", str(out)]) == 0
         assert "minibatch_size: 64" in out.read_text()
 
-    def test_gl_monitor(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("1\t40.0\n2\t44.5\n3\t44.4\n4\t44.4\n"))
-        assert cli.dispatch(["gl-monitor", "--alpha", "0.1"]) == 0
+    def test_gl_monitor(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        _write(scores, "1\t40.0\n2\t44.5\n3\t44.4\n4\t44.4\n")
+        assert cli.dispatch(["gl-monitor", "--in", str(scores), "--alpha", "0.1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3  # stops after the first stop decision
         assert lines[-1].endswith("stop")
@@ -941,15 +942,16 @@ class TestMalformedInputs:
         assert not (tmp_path / "lex.tsv").exists()
 
     @pytest.mark.parametrize(
-        "stdin, lineno",
+        "text, lineno",
         [("1\t40.0\n2\tnan\n", 2), ("1\tinf\n", 1), ("1\t40.0\n\n2.5\t41.0\n", 3)],
         ids=["nan-score", "inf-score", "fractional-epoch"],
     )
-    def test_gl_monitor_rejects_bad_line(self, monkeypatch, capsys, stdin, lineno):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        status, err = self._main(["gl-monitor"], capsys)
+    def test_gl_monitor_rejects_bad_line(self, tmp_path, monkeypatch, capsys, text, lineno):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "scores.tsv", text)
+        status, err = self._main(["gl-monitor", "--in", "scores.tsv"], capsys)
         assert status == cli.EXIT_DATA
-        assert f"<stdin>:{lineno}:" in err
+        assert f"scores.tsv:{lineno}:" in err
 
     @pytest.mark.parametrize(
         "manifest, where",
@@ -1083,6 +1085,7 @@ def _valid_inputs(root):
         "judgments.jsonl": '{"meaning": true, "order_correct": true, "set_correct": true}\n' * 3,
         "sample.tsv": "v1\ta b\nv2\tc d\nv3\te f\n",
         "points.tsv": "10\t1\n100\t2\n1000\t3\n",
+        "scores.tsv": "1\t10\n2\t20\n3\t30\n",
         "pipeline.json": '{\n  "stages": [\n  ]\n}\n',
         "pipeline.json.state.json": "{\n\n}\n",
     }
@@ -1113,6 +1116,7 @@ _READERS = {
     "judgments.jsonl": ["rubric", "--in", "judgments.jsonl"],
     "sample.tsv": ["sample", "--in", "sample.tsv", "--fraction", "0.5", "--out", "out"],
     "points.tsv": ["fit", "--in", "points.tsv"],
+    "scores.tsv": ["gl-monitor", "--in", "scores.tsv"],
     "pipeline.json": ["run", "--manifest", "pipeline.json"],
     "pipeline.json.state.json": ["run", "--manifest", "pipeline.json"],
 }
@@ -1232,15 +1236,16 @@ class TestNumberLocations:
         assert f"{points}:2:" in err
 
     @pytest.mark.parametrize(
-        "stdin, lineno",
+        "text, lineno",
         [("1\t40.0\n2\t41.0\n2\t42.0\n", 3), ("1\t-1.0\n", 1)],
         ids=["non-monotone-epoch", "negative-score"],
     )
-    def test_gl_monitor_names_its_line(self, monkeypatch, capsys, stdin, lineno):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        status = cli.main(["gl-monitor"])
+    def test_gl_monitor_names_its_line(self, tmp_path, monkeypatch, capsys, text, lineno):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "scores.tsv", text)
+        status = cli.main(["gl-monitor", "--in", "scores.tsv"])
         assert status == cli.EXIT_DATA
-        assert f"<stdin>:{lineno}:" in capsys.readouterr().err
+        assert f"scores.tsv:{lineno}:" in capsys.readouterr().err
 
     def test_manifest_that_is_not_json_names_its_line(self, tmp_path, capsys):
         manifest = tmp_path / "pipeline.json"
@@ -1429,19 +1434,25 @@ def test_a_lex_build_stage_in_a_worker_forks_no_helper(tmp_path, monkeypatch, ca
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("encoding", ["utf-8:strict", None], ids=["strict", "default"])
-def test_gl_monitor_names_an_undecodable_line_after_printing_the_ones_before(encoding):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
-    if encoding:
-        env["PYTHONIOENCODING"] = encoding
+def test_gl_monitor_names_an_undecodable_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scores.tsv").write_bytes(b"1\t40\n2\t\xff\n3\t41\n")
+    assert cli.main(["gl-monitor", "--in", "scores.tsv"]) == cli.EXIT_DATA
+    assert "MalformedLine: scores.tsv:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_gl_monitor_reads_scores_piped_through_dev_stdin():
+    # Live use: a trainer's scores piped in through /dev/stdin.
+    env = dict(os.environ)
     src = str(Path(versemt.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "versemt.cli", "gl-monitor"],
-                          input=b"1\t40\n2\t\xff\n3\t41\n", capture_output=True, env=env,
-                          timeout=60)
-    assert proc.returncode == cli.EXIT_DATA
-    assert proc.stdout == b"1\t40\t0.0000\tcontinue\n"
-    assert b"MalformedLine: <stdin>:2:" in proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "versemt.cli", "gl-monitor", "--in",
+                           "/dev/stdin"], input=b"1\t40\n2\t44\n3\t30\n4\t50\n",
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    lines = proc.stdout.decode("utf-8").splitlines()
+    assert len(lines) == 3
+    assert lines[-1].endswith("stop")
 
 
 def test_an_undecodable_pipe_is_named_without_a_line_and_read_once(tmp_path):
@@ -1748,17 +1759,19 @@ class TestExitCodeMeaning:
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5"])
     def test_a_gl_monitor_alpha_that_is_not_finite_and_at_least_0_is_data_error(
-            self, monkeypatch, capsys, alpha):
-        monkeypatch.setattr("sys.stdin", io.StringIO("1\t30.0\n2\t20.0\n"))  # GL 33.3
-        assert cli.main(["gl-monitor", "--alpha", alpha]) == cli.EXIT_DATA
+            self, tmp_path, monkeypatch, capsys, alpha):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "scores.tsv", "1\t30.0\n2\t20.0\n")  # GL 33.3
+        assert cli.main(["gl-monitor", "--in", "scores.tsv", "--alpha", alpha]) == cli.EXIT_DATA
         out, err = capsys.readouterr()
         assert out == ""
         assert f"error: BadParameter: alpha must be finite and >= 0, got {float(alpha)}" in err
 
-    def test_gl_monitor_bad_score_is_malformed_line(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("1\t40.0\n2\tnan\n"))
-        assert cli.main(["gl-monitor"]) == cli.EXIT_DATA
-        assert "MalformedLine: <stdin>:2:" in capsys.readouterr().err
+    def test_gl_monitor_bad_score_is_malformed_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "scores.tsv", "1\t40.0\n2\tnan\n")
+        assert cli.main(["gl-monitor", "--in", "scores.tsv"]) == cli.EXIT_DATA
+        assert "MalformedLine: scores.tsv:2:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["split", "--corpus", "aligned", "--out", "out"],
@@ -1939,8 +1952,7 @@ def test_corrupted_input_never_exits_3(tmp_path_factory, name, argv, data):
     assert status != cli.EXIT_DATA or name in err.getvalue(), err.getvalue()
 
 
-# Commands that parse and run on `_valid_inputs`, to be broken at random. `gl-monitor`
-# is left out: it reads stdin, so a manifest refuses it as a stage.
+# Commands that parse and run on `_valid_inputs`, to be broken at random.
 _STAGE_COMMANDS = [
     *(argv for argv in _READERS.values() if argv[0] != "run"),
     *([arg.replace("BAD", "text.txt") for arg in argv] for argv in _LINE_INPUTS),

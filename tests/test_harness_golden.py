@@ -7,8 +7,6 @@ change shape.
 
 from __future__ import annotations
 
-import io
-
 import pytest
 
 from versemt import cli, harness
@@ -66,10 +64,11 @@ def test_fit_stdout_and_file_bytes(tmp_path, capsys):
     assert out.read_bytes() == expected.encode("utf-8")
 
 
-def test_gl_monitor_stdout_bytes(monkeypatch, capsys):
-    scores = "1\t12.5\n2\t20.25\n3\t21.0\n4\t20.995\n5\t20.9\n6\t18.0\n7\t30.0\n"
-    monkeypatch.setattr("sys.stdin", io.StringIO(scores))
-    assert cli.main(["gl-monitor", "--alpha", "0.5"]) == cli.EXIT_OK
+def test_gl_monitor_stdout_bytes(tmp_path, capsys):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("1\t12.5\n2\t20.25\n3\t21.0\n4\t20.995\n5\t20.9\n6\t18.0\n7\t30.0\n",
+                      encoding="utf-8")
+    assert cli.main(["gl-monitor", "--in", str(scores), "--alpha", "0.5"]) == cli.EXIT_OK
     assert capsys.readouterr().out == (
         "1\t12.5\t0.0000\tcontinue\n"
         "2\t20.25\t0.0000\tcontinue\n"

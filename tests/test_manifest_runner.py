@@ -10,6 +10,7 @@ import io
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -482,23 +483,62 @@ def test_a_stage_may_not_write_the_manifest_or_its_state_file(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_stage_reading_stdin_is_refused_before_any_stage_runs(tmp_path, monkeypatch, cpus):
-    # The state file fingerprints a stage's command and inputs, not its stdin, so a
-    # rerun on other scores would be skipped as up to date.
+def test_a_gl_monitor_stage_reruns_when_its_scores_change(tmp_path, monkeypatch, cpus):
+    # The scores are a declared input, so the state file fingerprints them.
     stages = [
         _stage("a-config", ["emit-config", "--profile", "multilingual", "--out", "a.cfg"], [],
                ["a.cfg"]),
-        _stage("b-monitor", ["gl-monitor", "--alpha", "5"], [], []),
+        _stage("b-monitor", ["gl-monitor", "--in", "scores.tsv", "--alpha", "5"],
+               ["scores.tsv"], []),
     ]
     _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    _write(tmp_path / "scores.tsv", "1\t8\n2\t9\n")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "stdin", io.StringIO("1\t8\n2\t9\n"))
-    forks = _slots(monkeypatch, cpus)
+    _slots(monkeypatch, cpus)
     status, output = _run()
+    assert status == cli.EXIT_OK, output
+    assert output.endswith("1\t8\t0.0000\tcontinue\n2\t9\t0.0000\tcontinue\n")
+    _write(tmp_path / "scores.tsv", "1\t8\n2\t4\n")
+    assert _run() == (cli.EXIT_OK, "INFO versemt: stage a-config up to date, skipping\n"
+                                   "INFO versemt: stage b-monitor: gl-monitor --in scores.tsv "
+                                   "--alpha 5\n1\t8\t0.0000\tcontinue\n2\t4\t50.0000\tstop\n")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("kind", ["fifo", "symlink-to-fifo", "device"])
+def test_an_input_that_is_neither_a_file_nor_a_directory_is_refused_at_once(
+        tmp_path, monkeypatch, cpus, kind):
+    # Hashing a FIFO would wait for a writer before the first stage starts.
+    monkeypatch.chdir(tmp_path)
+    declared = {"fifo": "scores.fifo", "symlink-to-fifo": "scores.tsv",
+                "device": "/dev/null"}[kind]
+    if kind != "device":
+        os.mkfifo(tmp_path / "scores.fifo")
+    if kind == "symlink-to-fifo":
+        (tmp_path / "scores.tsv").symlink_to("scores.fifo")
+    stages = [
+        _stage("a-config", ["emit-config", "--profile", "multilingual", "--out", "a.cfg"], [],
+               ["a.cfg"]),
+        _stage("b-fit", ["fit", "--in", declared], [declared], []),
+    ]
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    forks = _slots(monkeypatch, cpus)
+
+    def blocked(signum, frame):
+        pytest.fail("the run blocked before its first stage")
+
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(10)
+    try:
+        status, output = _run()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert status == cli.EXIT_DATA
-    assert output == ("error: MalformedLine: pipeline.json: stages[1]: a gl-monitor stage would "
-                      "read stdin; run it on its own\n")
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipeline.json"]
+    assert output == (f"error: MalformedLine: pipeline.json: stages[1]: stage 'b-fit' declares "
+                      f"the input {declared!r}, neither a regular file nor a directory\n")
+    assert "a.cfg" not in os.listdir(tmp_path)
     assert forks == []
 
 
@@ -618,6 +658,8 @@ _BROKEN_RULES = {
                       "--out", "s"], "total must be >= 1, got 0"),
     "emit-config-profile": (["emit-config", "--profile", "bogus", "--out", "c"],
                             "unknown profile 'bogus'; choose from ['multilingual', 'single-pair']"),
+    "gl-monitor-alpha": (["gl-monitor", "--in", "names.txt", "--alpha", "nan"],
+                         "alpha must be finite and >= 0, got nan"),
 }
 
 
