@@ -73,9 +73,6 @@ class TranslationTable:
         # ((n, m), priors) of the last sentence shape decoded: one value, read once per call.
         self._priors: tuple[tuple[int, int], list[list[float]]] = ((0, 0), [])
 
-    def prob(self, source_word: str, target_word: str) -> float:
-        return self.probs.get(source_word, {}).get(target_word, 0.0)
-
 
 def _position_priors(n: int, m: int, params: DiagonalParams) -> list[list[float]]:
     """priors[j][i] for target position j over source positions i (1-based math,

@@ -236,9 +236,8 @@ def _cmd_restore(args: argparse.Namespace) -> None:
 
 def _cmd_sample(args: argparse.Namespace) -> None:
     text_by_id = corpus.read_verse_file(args.infile)
-    total = args.total if args.total is not None else len(text_by_id)
-    plan = harness.AblationPlan(fraction=args.fraction, seed=args.seed, total=total)
-    with located(args.infile):
+    with located(args.infile):  # --total defaults to the size of --in
+        plan = harness.AblationPlan(args.fraction, args.seed, args.total or len(text_by_id))
         result = harness.sample_low_resource(list(text_by_id.items()), plan)
     corpus.write_language_file(((vid, text_by_id[vid]) for vid in result.ids), args.out)
     if args.manifest:
@@ -350,7 +349,8 @@ _FREQ_OUT = _flag("--freq-out")
 _APART = "must be separate paths, not one inside another"
 _FREQ_OUT_APART = (lambda a: _overlapping(a.out, a.freq_out), f"--out and --freq-out {_APART}")
 
-# Every subcommand in --help order: name, help, handler, flags, then its (broken, message) rules.
+# Every subcommand in --help order: name, help, handler, flags, then its rules: a (broken,
+# message) pair is a usage error, and a callable is a layer's own check of several flags.
 _SUBCOMMANDS = (
     ("ingest", "normalize one language file into a corpus directory", _cmd_ingest,
      [_flag("--lang", corpus.get_language, required=True), _IN, _OUT]),
@@ -391,7 +391,8 @@ _SUBCOMMANDS = (
     ("lex-build", "project a seed list into a parallel lexicon table", _cmd_lex_build,
      [_flag("--seed-list", required=True), _CORPUS,
       _flag("--aligners", required=True, help="directory of <lang>.tsv tables"),
-      _flag("--min-votes", type=int, default=lexicon.DEFAULT_MIN_VOTES), _OUT, _FREQ_OUT],
+      _flag("--min-votes", lexicon.check_min_votes, type=int, default=lexicon.DEFAULT_MIN_VOTES),
+      _OUT, _FREQ_OUT],
      _FREQ_OUT_APART),
     ("lex-trim", "trim a lexicon table by policy", _cmd_lex_trim,
      [_IN, _flag("--freq"),
@@ -417,10 +418,10 @@ _SUBCOMMANDS = (
     ("restore", "replace placeholders using a decode sidecar", _cmd_restore,
      [_IN, _flag("--decode", required=True), _OUT]),
     ("sample", "ablation-sample low-resource verses with duplication", _cmd_sample,
-     [_IN, _flag("--fraction", lambda v: harness.AblationPlan(v, 0, 1), type=float, required=True),
-      _SEED, _flag("--total", lambda v: harness.AblationPlan(1.0, 0, v), type=int),
-      _OUT, _flag("--manifest")],
-     (lambda a: _overlapping(a.out, a.manifest), f"--out and --manifest {_APART}")),
+     [_IN, _flag("--fraction", harness.check_fraction, type=float, required=True), _SEED,
+      _flag("--total", type=int), _OUT, _flag("--manifest")],
+     (lambda a: _overlapping(a.out, a.manifest), f"--out and --manifest {_APART}"),
+     lambda a: a.total is None or harness.AblationPlan(a.fraction, a.seed, a.total)),
     ("gl-monitor", "early-stopping monitor over `epoch<TAB>score` lines", _cmd_gl_monitor,
      [_IN, _flag("--alpha", lambda v: harness.GlState(alpha=v), type=float, default=0.1)]),
     ("fit", "fit score against log10 word count", _cmd_fit, [_IN, _flag("--out")]),
@@ -454,10 +455,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-# Built by the first dispatch, or before a manifest run forks its worker, and
-# reused by the rest: a manifest run parses one command line per stage, and
-# parse_args keeps no state between calls.
-_parser: _Parser | None = None
+# Built at import, as every entry point parses first; parse_args keeps no state between calls.
+_PARSER = build_parser()
 
 # A path that is missing, a directory (`.` is busy), below a file or too long:
 # bad input, not a bug.
@@ -466,20 +465,15 @@ _PATH_ERRNOS = {
 }
 
 
-def _get_parser() -> _Parser:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    return _parser
-
-
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    args = _get_parser().parse_args(list(argv))
+    args = _PARSER.parse_args(list(argv))
     if not getattr(args, "command", None):
         raise UsageError("a subcommand is required (see --help)")
-    for broken, message in _RULES[args.command]:
-        if broken(args):
-            raise UsageError(message)
+    for rule in _RULES[args.command]:
+        if callable(rule):  # raises the layer's data error
+            rule(args)
+        elif rule[0](args):
+            raise UsageError(rule[1])
     for dest, check in _CHECKS[args.command]:  # a bad value is a data error, as in the layer
         if getattr(args, dest) is not None:
             check(getattr(args, dest))

@@ -13,12 +13,18 @@ from .errors import BadFraction, BadParameter, DegenerateInput, NonMonotoneEpoch
 from .fileio import atomic_write_lines
 
 
+def check_fraction(fraction: float) -> None:
+    if not 0 < fraction <= 1:
+        raise BadFraction(f"fraction must be in (0, 1], got {fraction}")
+
+
 class AblationPlan:
     def __init__(self, fraction: float, seed: int, total: int) -> None:
-        if not 0 < fraction <= 1:
-            raise BadFraction(f"fraction must be in (0, 1], got {fraction}")
+        check_fraction(fraction)
         if total < 1:
             raise BadParameter(f"total must be >= 1, got {total}")
+        if math.floor(fraction * total) < 1:
+            raise BadFraction(f"fraction {fraction} of {total} sentences draws nothing")
         self.fraction = fraction
         self.seed = seed
         self.total = total
@@ -43,10 +49,6 @@ def sample_low_resource(
     if not verses:
         raise BadParameter("verses must be non-empty")
     k = math.floor(plan.fraction * plan.total)
-    if k < 1:
-        raise BadFraction(
-            f"fraction {plan.fraction} of {plan.total} sentences draws nothing"
-        )
     ids = [vid for vid, _ in verses]
     rng = random.Random(plan.seed)
     draws = rng.choices(ids, k=k)

@@ -10,8 +10,8 @@ from typing import Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence, T
 
 from .alignment import TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, get_language, registry_order, tokenize
-from .errors import EmptyResult, MalformedLine, MissingAligner, MissingSelectionFile, UnknownLanguage
-from .errors import located
+from .errors import BadParameter, EmptyResult, MalformedLine, MissingAligner, MissingSelectionFile
+from .errors import UnknownLanguage, located
 from .fileio import atomic_write_lines, read_lines, read_rows, read_word_list
 
 log = logging.getLogger(__name__)
@@ -161,6 +161,11 @@ def _leftmost_spans(
     return spans
 
 
+def check_min_votes(min_votes: int) -> None:
+    if min_votes < 1:
+        raise BadParameter(f"min_votes must be >= 1, got {min_votes}")
+
+
 def assemble_table(
     seed: Sequence[str],
     corpus: ParallelCorpus,
@@ -175,6 +180,7 @@ def assemble_table(
     the majority candidate becomes the surface once it has enough votes.
     Multi-token candidates count only when the linked tokens are contiguous.
     """
+    check_min_votes(min_votes)
     if SEED_LANGUAGE not in corpus.languages:
         raise UnknownLanguage(f"corpus has no {SEED_LANGUAGE!r} side")
     target_langs = [lang for lang in corpus.languages if lang != SEED_LANGUAGE]

@@ -443,9 +443,14 @@ def apply_bpe_oracle(model, sentence):
     return out
 
 
+def table_prob(table, source_word, target_word):
+    """t(target | source) read from ``table.probs``; 0.0 for a pair the table lacks."""
+    return table.probs.get(source_word, {}).get(target_word, 0.0)
+
+
 def viterbi_align_oracle(table, pair, prior_cache=None):
     """``alignment.viterbi_align`` as it was before rows were fetched once per
-    sentence: ``table.prob(e, f)`` for every (source, target) cell, under the
+    sentence: ``table_prob(table, e, f)`` for every (source, target) cell, under the
     table's own prior. Returns the alignment vector, -1 for NULL."""
     import logging
 
@@ -467,11 +472,11 @@ def viterbi_align_oracle(table, pair, prior_cache=None):
         best_i = -1
         best_weight = 0.0
         for i, e in enumerate(src_tokens):
-            weight = priors[j][i] * table.prob(e, f)
+            weight = priors[j][i] * table_prob(table, e, f)
             if weight > best_weight:
                 best_weight = weight
                 best_i = i
-        null_weight = priors[j][n] * table.prob(NULL_TOKEN, f)
+        null_weight = priors[j][n] * table_prob(table, NULL_TOKEN, f)
         if best_i < 0 or null_weight > best_weight:
             log.debug("target token %r at %d aligned to NULL", f, j)
             best_i = -1

@@ -650,6 +650,7 @@ class TestManifest:
 
 class TestParserReuse:
     def test_manifest_builds_parser_once(self, tmp_path, monkeypatch):
+        # The parser is built once, at import: a manifest run builds none.
         built = []
         build_parser = cli.build_parser
 
@@ -657,7 +658,6 @@ class TestParserReuse:
             built.append(1)
             return build_parser()
 
-        monkeypatch.setattr(cli, "_parser", None)
         monkeypatch.setattr(cli, "build_parser", counting_build_parser)
         stages = [
             {
@@ -672,7 +672,7 @@ class TestParserReuse:
         _write(manifest, json.dumps({"stages": stages}))
         assert cli.dispatch(["run", "--manifest", str(manifest)]) == 0
         assert all((tmp_path / f"{i}.cfg").exists() for i in range(3))
-        assert len(built) == 1
+        assert built == []
 
     def test_consecutive_dispatches_share_no_option_values(self, tmp_path, corpus_dir, monkeypatch):
         from versemt import lexicon
@@ -1476,6 +1476,30 @@ def test_sample_rejects_a_duplicate_verse_id(tmp_path, capsys):
     status = cli.main(["sample", "--in", str(verses), "--fraction", "1", "--out", str(out)])
     assert status == cli.EXIT_DATA
     assert f"{verses}:3: duplicate verse id 'v1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("total, message", [
+    (["--total", "5"], "fraction 0.1 of 5 sentences draws nothing"),
+    ([], "{verses}: fraction 0.1 of 5 sentences draws nothing"),  # known once --in is read
+], ids=["total", "input-size"])
+def test_sample_refuses_a_fraction_that_draws_nothing(tmp_path, capsys, total, message):
+    verses = tmp_path / "verses.tsv"
+    _write(verses, "".join(f"v{i}\tword{i}\n" for i in range(5)))
+    out = tmp_path / "sample.tsv"
+    argv = ["sample", "--in", str(verses), "--fraction", "0.1", *total, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: BadFraction: {message.format(verses=verses)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("min_votes", ["0", "-3"])
+def test_lex_build_refuses_min_votes_below_one_before_reading_input(tmp_path, capsys, min_votes):
+    out = tmp_path / "lexicon.tsv"
+    argv = ["lex-build", "--seed-list", str(tmp_path / "absent.txt"), "--corpus", str(tmp_path),
+            "--aligners", str(tmp_path), "--min-votes", min_votes, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: BadParameter: min_votes must be >= 1, got {min_votes}\n"
     assert not out.exists()
 
 

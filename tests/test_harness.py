@@ -66,8 +66,9 @@ class TestSampler:
             AblationPlan(fraction=1.5, seed=0, total=10)
 
     def test_fraction_drawing_nothing(self):
-        with pytest.raises(BadFraction):
-            sample_low_resource(_verses(10), AblationPlan(fraction=0.01, seed=0, total=10))
+        # The plan refuses it, before any verse is seen.
+        with pytest.raises(BadFraction, match="fraction 0.01 of 10 sentences draws nothing"):
+            AblationPlan(fraction=0.01, seed=0, total=10)
 
     def test_empty_verses(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from versemt.alignment import DiagonalParams, train_em
 from versemt.corpus import tokenize
 from versemt.errors import (
+    BadParameter,
     EmptyResult,
     MalformedLine,
     MissingAligner,
@@ -162,6 +163,12 @@ class TestAssemble:
         corpus, _, _ = _projection_fixture()
         with pytest.raises(MissingAligner):
             assemble_table(["Noah"], corpus, aligners={})
+
+    @pytest.mark.parametrize("min_votes", [0, -3])
+    def test_min_votes_below_one(self, min_votes):
+        corpus, aligners, _ = _projection_fixture()
+        with pytest.raises(BadParameter, match=f"min_votes must be >= 1, got {min_votes}"):
+            assemble_table(["Noah"], corpus, aligners, min_votes=min_votes)
 
     def test_corpus_without_english(self):
         corpus = make_corpus({"sw": {"v1": "hej"}, "de": {"v1": "hallo"}})

@@ -313,9 +313,7 @@ def _wait_exited(pid: int, seconds: float = 10.0) -> bool:
     return False
 
 
-def test_a_worker_exits_when_its_command_pipe_closes(monkeypatch, caplog):
-    monkeypatch.setattr(cli, "_parser", None)
-    cli._get_parser()
+def test_a_worker_exits_when_its_command_pipe_closes(caplog):
     with caplog.at_level(logging.INFO, logger="versemt"):
         worker = manifest._Worker(functools.partial(manifest._run_stage, cli.dispatch))
     try:
@@ -332,9 +330,7 @@ def test_a_worker_exits_when_its_command_pipe_closes(monkeypatch, caplog):
     _assert_no_child_left()
 
 
-def test_the_first_worker_exits_on_eof_after_a_second_is_forked(monkeypatch):
-    monkeypatch.setattr(cli, "_parser", None)
-    cli._get_parser()
+def test_the_first_worker_exits_on_eof_after_a_second_is_forked():
     run_stage = functools.partial(manifest._run_stage, cli.dispatch)
     first = manifest._Worker(run_stage)
     second = manifest._Worker(run_stage, [first])  # holds no copy of the first one's pipes
@@ -656,6 +652,11 @@ _BROKEN_RULES = {
                         "fraction must be in (0, 1], got 0.0"),
     "sample-total": (["sample", "--in", "names.txt", "--fraction", "1", "--total", "0",
                       "--out", "s"], "total must be >= 1, got 0"),
+    "sample-draws-nothing": (["sample", "--in", "names.txt", "--fraction", "0.1", "--total", "5",
+                              "--out", "s"], "fraction 0.1 of 5 sentences draws nothing"),
+    "lex-build-min-votes": (["lex-build", "--seed-list", "names.txt", "--corpus", "aligned",
+                             "--aligners", "aligners", "--min-votes", "0", "--out", "l"],
+                            "min_votes must be >= 1, got 0"),
     "emit-config-profile": (["emit-config", "--profile", "bogus", "--out", "c"],
                             "unknown profile 'bogus'; choose from ['multilingual', 'single-pair']"),
     "gl-monitor-alpha": (["gl-monitor", "--in", "names.txt", "--alpha", "nan"],
