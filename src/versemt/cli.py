@@ -12,8 +12,8 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
-from .errors import EmptyBitext, EmptyCorpus, EmptySplit, MalformedLine, PipelineError
-from .errors import UnknownLanguage, UnknownVerse, UsageError, located
+from .errors import EmptyBitext, EmptyCorpus, EmptySplit, MalformedLine, MissingFrequency
+from .errors import PipelineError, UnknownLanguage, UnknownVerse, UsageError, located
 from .fileio import atomic_write_lines, atomic_write_text, read_lines, read_parallel_lines
 from .fileio import read_rows, read_word_list
 from .manifest import _nested, _path_parts, run_manifest
@@ -195,7 +195,8 @@ def _cmd_lex_build(args: argparse.Namespace) -> None:
 def _cmd_lex_trim(args: argparse.Namespace) -> None:
     table = lexicon.load_lexicon(args.infile, args.freq)
     parallel = corpus.read_corpus_dir(args.corpus) if args.corpus else None
-    trimmed = lexicon.trim_table(table, args.policy, parallel, args.manual_file)
+    with located(args.freq, MissingFrequency):
+        trimmed = lexicon.trim_table(table, args.policy, parallel, args.manual_file)
     lexicon.save_lexicon(trimmed, args.out, args.freq_out)
     log.info("lex-trim policy=%s kept=%d/%d", args.policy, len(trimmed), len(table))
 

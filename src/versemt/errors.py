@@ -89,6 +89,10 @@ class MissingAligner(PipelineError):
     pass
 
 
+class MissingFrequency(PipelineError):
+    pass
+
+
 class MissingSelectionFile(PipelineError):
     pass
 

@@ -8,6 +8,7 @@ import json
 import os
 import stat
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -118,13 +119,23 @@ def read_rows(path: str | Path, width: int, shape: str) -> Iterator[tuple[int, l
         yield lineno, fields
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key, whose last value would silently
+    replace the first, raises ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ValueError(f"key {key!r} is repeated")
+    return obj
+
+
 def _parse_json(text: str, path: str | Path, first_line: int) -> object:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         lineno = first_line + exc.lineno - 1
         raise MalformedLine(f"{path}:{lineno}: not JSON ({exc.msg})") from None
-    except (ValueError, RecursionError) as exc:  # an over-long integer, or too deep nesting
+    except (ValueError, RecursionError) as exc:  # a repeated key, a huge integer, too deep nesting
         where = f"{path}:{first_line}" if "\n" not in text else str(path)
         raise MalformedLine(f"{where}: not readable JSON ({exc})") from None
 

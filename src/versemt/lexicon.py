@@ -10,8 +10,8 @@ from typing import Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence, T
 
 from .alignment import TranslationTable, viterbi_align
 from .corpus import ParallelCorpus, get_language, registry_order, tokenize
-from .errors import BadParameter, EmptyResult, MalformedLine, MissingAligner, MissingSelectionFile
-from .errors import UnknownLanguage, located
+from .errors import BadParameter, EmptyResult, MalformedLine, MissingAligner, MissingFrequency
+from .errors import MissingSelectionFile, UnknownLanguage, located
 from .fileio import atomic_write_lines, read_lines, read_rows, read_word_list
 
 log = logging.getLogger(__name__)
@@ -265,8 +265,9 @@ def trim_table(
     selection_file: str | Path | None = None,
 ) -> LexiconTable:
     """Keep everything (`none`), the frequency-1 tail (`frequency-equals-one`,
-    counted in `corpus` or else read from the stored English frequencies), or
-    the English surfaces listed in `selection_file` (`manual-selection`)."""
+    counted in `corpus` or else read from the stored English frequencies, which
+    every entry must then have), or the English surfaces listed in
+    `selection_file` (`manual-selection`)."""
     if policy == "none":
         return table
     if policy == "frequency-equals-one":
@@ -277,7 +278,10 @@ def trim_table(
             counts = [len(spans_of.get(key, ())) for key in keys]
             kept = tuple(e for e, count in zip(table.entries, counts) if count == 1)
         else:
-            kept = tuple(e for e in table.entries if e.frequency.get(SEED_LANGUAGE) == 1)
+            for entry in table.entries:
+                if SEED_LANGUAGE not in entry.frequency:
+                    raise MissingFrequency(f"entry {entry.id!r} has no {SEED_LANGUAGE!r} count")
+            kept = tuple(e for e in table.entries if e.frequency[SEED_LANGUAGE] == 1)
         return LexiconTable(entries=kept, languages=table.languages)
     if policy == "manual-selection":
         if selection_file is None or not Path(selection_file).exists():
@@ -355,8 +359,10 @@ def load_lexicon(path: str | Path, freq_path: str | Path | None = None) -> Lexic
         by_id[fields[0]] = LexiconEntry(id=fields[0], surfaces=surfaces, frequency={})
     if freq_path is not None:
         line_of: dict[tuple[str, str], int] = {}
-        for lineno, (entry_id, lang, count) in read_rows(freq_path, 3, "id<TAB>lang<TAB>count"):
+        for lineno, (entry_id, code, count) in read_rows(freq_path, 3, "id<TAB>lang<TAB>count"):
             where = f"{freq_path}:{lineno}"
+            with located(where):
+                lang = get_language(code).code
             try:
                 frequency = int(count)
             except ValueError:

@@ -54,9 +54,10 @@ def _validated_stages(manifest: object, where: Path, state_path: Path) -> list[d
     if not isinstance(stages, list):
         raise MalformedLine(f"{where}: `stages` must be a list")
     names: set[str] = set()
-    # As absolute paths: --manifest may be absolute, outputs are relative to the working dir.
-    own = [(path, _path_parts(os.path.abspath(path))) for path in (where, state_path)]
-    declared: list[tuple[str, tuple[str, ...], str]] = []  # (stage, parts, output as declared)
+    # Each path no output may be at, inside or above, with how a message names it: the
+    # run reads the manifest and rewrites the state file after each stage, and stages
+    # with nested outputs would race on the same files.
+    taken = [(_path_parts(own), f"the run's own {str(own)!r}") for own in (where, state_path)]
     for index, stage in enumerate(stages):
         at = f"{where}: stages[{index}]"
         if not isinstance(stage, dict):
@@ -78,19 +79,13 @@ def _validated_stages(manifest: object, where: Path, state_path: Path) -> list[d
                 if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
                     raise MalformedLine(f"{at}: stage {name!r} declares the input {path!r}, "
                                         "neither a regular file nor a directory")
-        outputs = [(name, _path_parts(output), output) for output in stage["outputs"]]
-        for _, parts, output in outputs:
-            # The run reads the manifest and rewrites the state file after each stage.
-            for path, path_parts in own:
-                if _nested(_path_parts(os.path.abspath(output)), path_parts):
-                    raise MalformedLine(f"{at}: stage {name!r} declares the output {output!r}, "
-                                        f"at, inside or above the run's own {str(path)!r}")
-            # Stages with nested outputs would race on the same files.
-            for other, other_parts, other_output in declared:
+        outputs = [(_path_parts(output), output) for output in stage["outputs"]]
+        for parts, output in outputs:
+            for other_parts, other in taken:
                 if _nested(parts, other_parts):
                     raise MalformedLine(f"{at}: stage {name!r} declares the output {output!r}, "
-                                        f"at, inside or above {other_output!r} of stage {other!r}")
-        declared += outputs
+                                        f"at, inside or above {other}")
+        taken += [(parts, f"{output!r} of stage {name!r}") for parts, output in outputs]
     return stages
 
 
@@ -102,8 +97,10 @@ def _stage_fingerprint(stage: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _path_parts(path: str) -> tuple[str, ...]:
-    return Path(os.path.normpath(path)).parts
+def _path_parts(path: str | Path) -> tuple[str, ...]:
+    """The one identity of a path: its absolute, normalized parts, so that ``x``,
+    ``./x``, ``/w/x`` and ``../w/x`` (from ``/w``) are one path."""
+    return Path(os.path.abspath(path)).parts
 
 
 def _nested(a: tuple[str, ...], b: tuple[str, ...]) -> bool:

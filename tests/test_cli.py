@@ -1217,6 +1217,32 @@ class TestLexTrimSources:
         assert err == f"error: MalformedLine: {freq}:{at}: row 'ne1', 'en' repeats line 1\n"
         assert not (tmp_path / "tail.tsv").exists()
 
+    @pytest.mark.parametrize("rows, entry", [("ne1\ten\t1\n", "ne2"),
+                                             ("ne1\tsw\t1\nne9\ten\t1\n", "ne1")],
+                             ids=["one-covered", "none-covered"])
+    def test_an_entry_without_an_english_count_is_refused(self, tmp_path, capsys, rows, entry):
+        freq = tmp_path / "freq.tsv"
+        _write(freq, rows)
+        status, err = self._trim(tmp_path, capsys, "--freq", freq)
+        assert status == cli.EXIT_DATA
+        assert err == f"error: MissingFrequency: {freq}: entry {entry!r} has no 'en' count\n"
+        assert not (tmp_path / "tail.tsv").exists()
+
+    def test_a_row_code_is_resolved_as_the_header_is(self, tmp_path, capsys):
+        lex, freq, out = tmp_path / "lex.tsv", tmp_path / "freq.tsv", tmp_path / "fo.tsv"
+        _write(lex, "id\ten\tur\nne1\tPaul\tPavlo\n")
+        _write(freq, "ne1\ten\t1\nne1\tur\t4\n")
+        assert cli.main(["lex-trim", "--in", str(lex), "--freq", str(freq), "--out",
+                         str(tmp_path / "t.tsv"), "--freq-out", str(out)]) == cli.EXIT_OK
+        assert out.read_text(encoding="utf-8") == "ne1\ten\t1\nne1\tuk\t4\n"
+        _write(freq, "ne1\ten\t1\nne1\txx\t3\n")
+        out.unlink()
+        assert cli.main(["lex-trim", "--in", str(lex), "--freq", str(freq), "--out",
+                         str(tmp_path / "t.tsv"), "--freq-out", str(out)]) == cli.EXIT_DATA
+        assert (capsys.readouterr().err
+                == f"error: UnknownLanguage: {freq}:2: unknown language code 'xx'\n")
+        assert not out.exists()
+
     def test_freq_file_selects_the_tail(self, tmp_path, capsys):
         freq = tmp_path / "freq.tsv"
         _write(freq, "ne1\ten\t1\nne2\ten\t3\n")
@@ -1698,6 +1724,17 @@ class TestOneReaderPerFormat:
         assert status == cli.EXIT_DATA
         assert f"{decode}:2: not readable JSON" in capsys.readouterr().err
 
+    def test_a_repeated_json_key_names_its_line(self, tmp_path, capsys):
+        decode = tmp_path / "decode.jsonl"
+        _write(decode, '{"line": 1, "map": {}}\n{"line": 2, "map": {}, "map": {"1": {}}}\n')
+        text, out = tmp_path / "mt.txt", tmp_path / "out"
+        _write(text, "a\nb\n")
+        status = cli.main(["restore", "--in", str(text), "--decode", str(decode), "--out", str(out)])
+        assert status == cli.EXIT_DATA
+        assert capsys.readouterr().err == (f"error: MalformedLine: {decode}:2: not readable JSON "
+                                           "(key 'map' is repeated)\n")
+        assert not out.exists()
+
 
 class TestExitCodeMeaning:
     """2 is bad input or a bad parameter; 3 is a bug, never bad input."""
@@ -1823,6 +1860,7 @@ class TestFlagRules:
     def _refused(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         _valid_inputs(tmp_path)
+        argv = [arg.replace("CWD", os.getcwd()) for arg in argv]  # an absolute spelling
         before = sorted(tmp_path.rglob("*"))
         assert cli.main(argv) == cli.EXIT_USAGE
         assert f"usage error: {message}\n" in capsys.readouterr().err
@@ -1863,8 +1901,20 @@ class TestFlagRules:
          f"--out and --stats {_MIXED_OUTPUTS}"),
         (["align", "--in", "aligned", "--out", "store", "--stats", "store"],
          f"--out and --stats {_MIXED_OUTPUTS}"),
+        ([*_TAG, "--out", "o.txt", "--decode", "CWD/o.txt"],
+         f"--out, --tgt-out and the decode sidecar {_MIXED_OUTPUTS}"),
+        (["lex-build", "--seed-list", "seeds.txt", "--corpus", "aligned", "--aligners",
+          "aligners", "--out", "l.tsv", "--freq-out", "CWD/l.tsv"],
+         f"--out and --freq-out {_MIXED_OUTPUTS}"),
+        (["lex-trim", "--in", "lexicon.tsv", "--out", "t.tsv", "--freq-out", "CWD/d/../t.tsv"],
+         f"--out and --freq-out {_MIXED_OUTPUTS}"),
+        (["sample", "--in", "sample.tsv", "--fraction", "1", "--out", "s.tsv",
+          "--manifest", "CWD/s.tsv"], f"--out and --manifest {_MIXED_OUTPUTS}"),
+        (["align", "--in", "aligned", "--out", "store", "--stats", "CWD/store/en.tsv"],
+         f"--out and --stats {_MIXED_OUTPUTS}"),
     ], ids=["tag-decode", "tag-tgt-out", "tag-default-decode", "lex-build", "lex-trim",
-            "sample", "align-below", "align-at"])
+            "sample", "align-below", "align-at", "tag-decode-absolute", "lex-build-absolute",
+            "lex-trim-absolute", "sample-absolute", "align-absolute"])
     def test_two_outputs_on_one_path_are_usage_error(self, tmp_path, monkeypatch, capsys,
                                                      argv, message):
         self._refused(tmp_path, monkeypatch, capsys, argv, message)
@@ -1993,7 +2043,7 @@ _PATHS = st.sampled_from(["out", "out2", "d", "d/out", "text.txt", "aligned", "a
 
 
 def _nested(a: str, b: str) -> bool:
-    a_parts, b_parts = Path(os.path.normpath(a)).parts, Path(os.path.normpath(b)).parts
+    a_parts, b_parts = Path(os.path.abspath(a)).parts, Path(os.path.abspath(b)).parts
     return a_parts[: len(b_parts)] == b_parts or b_parts[: len(a_parts)] == a_parts
 
 

@@ -113,6 +113,16 @@ class TestReadJson:
         with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: not JSON")):
             list(read_json_lines(path))
 
+    @pytest.mark.parametrize("text, where", [
+        ('{"stages": [],\n "stages": []}\n', ""), ('{"a": {"b": 1, "b": 1}}\n', ":1")],
+        ids=["document", "one-line"])
+    def test_a_repeated_key_is_refused(self, tmp_path, text, where):
+        # The last value would silently replace the first.
+        path = tmp_path / "f.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}{where}: not readable JSON (key")):
+            read_json(path)
+
     def test_json_lines_keep_u2028_inside_a_record(self, tmp_path):
         path = tmp_path / "f.jsonl"
         path.write_text(json.dumps({"a": "x\u2028y"}, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -12,6 +12,7 @@ from versemt.errors import (
     EmptyResult,
     MalformedLine,
     MissingAligner,
+    MissingFrequency,
     MissingSelectionFile,
     UnknownLanguage,
 )
@@ -245,6 +246,15 @@ class TestTrim:
         trimmed = trim_table(table, "frequency-equals-one")
         assert [e.surface("en") for e in trimmed.entries] == ["Aridai"]
 
+    def test_frequency_one_refuses_an_entry_without_a_stored_count(self):
+        entries = (
+            LexiconEntry(id="a", surfaces={"en": "Noah"}, frequency={"en": 1}),
+            LexiconEntry(id="b", surfaces={"en": "Aridai"}, frequency={"sw": 1}),
+        )
+        table = LexiconTable(entries=entries, languages=("en", "sw"))
+        with pytest.raises(MissingFrequency, match="^entry 'b' has no 'en' count$"):
+            trim_table(table, "frequency-equals-one")
+
     def test_manual_selection(self, tmp_path):
         table, corpus = self._table_and_corpus()
         selection = tmp_path / "keep.txt"
@@ -306,6 +316,29 @@ class TestLexiconIo:
         loaded = load_lexicon(tmp_path / "lex.tsv")
         assert loaded.languages == ("en", "uk")
         assert loaded.entries[0].surface("uk") == "Павло"
+
+    def test_a_frequency_row_is_known_by_its_registry_code(self, tmp_path):
+        lex, freq = tmp_path / "lex.tsv", tmp_path / "freq.tsv"
+        lex.write_text("id\ten\tur\nne1\tPaul\tПавло\n", encoding="utf-8")
+        # A row for an id the lexicon lacks is kept apart: a trimmed lexicon reads
+        # the full frequency file.
+        freq.write_text("ne1\ten\t2\nne1\tur\t4\nne9\tuk\t1\n", encoding="utf-8")
+        assert load_lexicon(lex, freq).entries[0].frequency == {"en": 2, "uk": 4}
+        freq.write_text("ne1\tuk\t4\nne1\tur\t4\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=r"freq.tsv:2: row 'ne1', 'uk' repeats line 1"):
+            load_lexicon(lex, freq)
+
+    @pytest.mark.parametrize("code, message", [
+        ("xx", "unknown language code 'xx'"),
+        ("po", "language code 'po' is ambiguous; use pl or pt"),
+    ])
+    def test_an_unknown_frequency_row_code_is_rejected_at_its_line(self, tmp_path, code,
+                                                                   message):
+        lex, freq = tmp_path / "lex.tsv", tmp_path / "freq.tsv"
+        lex.write_text("id\ten\tsw\nne1\tNoah\tNoa\n", encoding="utf-8")
+        freq.write_text(f"ne1\ten\t1\nne1\t{code}\t3\n", encoding="utf-8")
+        with pytest.raises(UnknownLanguage, match=f"^{freq}:2: {message}$"):
+            load_lexicon(lex, freq)
 
     def test_a_repeated_entry_id_is_rejected_at_its_line(self, tmp_path):
         lex, freq = tmp_path / "lex.tsv", tmp_path / "freq.tsv"

@@ -347,43 +347,90 @@ def test_the_first_worker_exits_on_eof_after_a_second_is_forked():
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("outputs", [("x.cfg", "./x.cfg"), ("aligned", "aligned/en.tsv"),
-                                     ("d/x/y", "d")])
-def test_two_writers_of_one_output_are_rejected(tmp_path, monkeypatch, capsys, outputs):
+                                     ("d/x/y", "d"), ("x.cfg", "CWD/x.cfg"),
+                                     ("CWD/d", "d/../d/x.cfg")])
+def test_two_writers_of_one_output_are_rejected(tmp_path, monkeypatch, capsys, outputs, cpus):
+    monkeypatch.chdir(tmp_path)
+    outputs = [out.replace("CWD", os.getcwd()) for out in outputs]  # an absolute spelling
     stages = [_stage(name, ["emit-config", "--profile", "multilingual", "--out", "x.cfg"], [],
                      [out, f"{name}.cfg"]) for name, out in zip(("one", "two"), outputs)]
     _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
-    monkeypatch.chdir(tmp_path)
+    forks = _slots(monkeypatch, cpus)
     assert cli.main(["run", "--manifest", "pipeline.json"]) == cli.EXIT_DATA
     assert (f"pipeline.json: stages[1]: stage 'two' declares the output {outputs[1]!r}, "
             f"at, inside or above {outputs[0]!r} of stage 'one'\n") in capsys.readouterr().err
-    assert not (tmp_path / "x.cfg").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipeline.json"]
+    assert forks == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_input_waits_for_an_output_that_names_it_absolute(tmp_path, monkeypatch, cpus):
+    # `a` reads what `b` writes: `a` runs second, not first on a missing or stale file.
+    monkeypatch.chdir(tmp_path)
+    names = os.path.join(os.getcwd(), "names.txt")
+    stages = [
+        _stage("a", ["lex-filter", "--in", "names.txt", "--out", "seed.txt"], ["names.txt"],
+               ["seed.txt"]),
+        _stage("b", ["lex-filter", "--in", "raw.txt", "--out", names], ["raw.txt"], [names]),
+    ]
+    _write(tmp_path / "raw.txt", "Noah\nShem\n")
+    _write(tmp_path / "pipeline.json", json.dumps({"stages": stages}))
+    _slots(monkeypatch, cpus)
+    assert manifest._stage_graph(stages) == {"a": {"b"}, "b": set()}
+    status, output = _run()
+    assert status == cli.EXIT_OK, output
+    assert output.index("stage b:") < output.index("stage a:")
+    assert (tmp_path / "seed.txt").read_text(encoding="utf-8") == "Noah\nShem\n"
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_repeated_key_in_a_stage_fails_the_run_before_any_stage_runs(tmp_path, monkeypatch,
+                                                                       cpus):
+    # With the last `inputs` kept, `b` would not wait for `a`.
+    _write(tmp_path / "pipeline.json", """{"stages": [
+  {"name": "a", "command": ["lex-filter", "--in", "raw.txt", "--out", "names.txt"],
+   "inputs": ["raw.txt"], "outputs": ["names.txt"]},
+  {"name": "b", "command": ["lex-filter", "--in", "names.txt", "--out", "seed.txt"],
+   "inputs": ["names.txt"], "inputs": [], "outputs": ["seed.txt"]}]}
+""")
+    _write(tmp_path / "raw.txt", "Noah\nShem\n")
+    monkeypatch.chdir(tmp_path)
+    forks = _slots(monkeypatch, cpus)
+    assert _run() == (cli.EXIT_DATA, "error: MalformedLine: pipeline.json: not readable JSON "
+                                     "(key 'inputs' is repeated)\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipeline.json", "raw.txt"]
+    assert forks == []
 
 
 # Spellings of one path, paths nested in others, siblings that share a prefix,
-# paths that leave the working directory, and the run's manifest and state file.
+# paths that leave the working directory, and the run's manifest and state file;
+# `CWD` is replaced by the working directory, for absolute spellings of them.
 _PATH_POOL = ["a", "./a", "a/", "a/b", "a/./b", "a//b/c", "a/../b", "b", "ab", "ab/c",
               ".", "./", "..", "../a", "c/d/../e", "c/e", "pipeline.json",
-              "./pipeline.json.state.json", "pipeline.json.state", "pipeline.json/x"]
+              "./pipeline.json.state.json", "pipeline.json.state", "pipeline.json/x",
+              "CWD", "CWD/a", "CWD/a/b/", "CWD/ab", "CWD/c/./e", "CWD/../a", "CWD/pipeline.json"]
 _OWN = ("pipeline.json", "pipeline.json.state.json")
 
 
 def _at_inside_or_above(a: str, b: str) -> bool:
-    """The oracle, on normalized path strings: a path holds those that start with
-    it and `/`, and `.` counts as nested with every path (`../a` included)."""
-    a, b = os.path.normpath(a), os.path.normpath(b)
-    return a == b or "." in (a, b) or a.startswith(b + "/") or b.startswith(a + "/")
+    """The oracle, on absolute path strings: a path holds those that start with it
+    and `/`."""
+    a, b = (os.path.abspath(path).rstrip("/") + "/" for path in (a, b))
+    return a.startswith(b) or b.startswith(a)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(outputs=st.lists(st.lists(st.sampled_from(_PATH_POOL), max_size=3), min_size=1,
                         max_size=5))
 def test_a_manifest_is_valid_unless_outputs_of_two_stages_nest(outputs):
+    outputs = [[path.replace("CWD", os.getcwd()) for path in paths] for paths in outputs]
     stages = {"stages": [{"name": f"s{i}", "outputs": paths} for i, paths in enumerate(outputs)]}
     clash = any(_at_inside_or_above(a, b) for one, two in combinations(outputs, 2)
                 for a in one for b in two) or any(
-        _at_inside_or_above(os.path.abspath(a), os.path.abspath(b))
-        for paths in outputs for a in paths for b in _OWN)
+        _at_inside_or_above(a, b) for paths in outputs for a in paths for b in _OWN)
     try:
         manifest._validated_stages(stages, Path("pipeline.json"), Path(_OWN[1]))
     except MalformedLine as exc:
