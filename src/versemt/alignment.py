@@ -9,12 +9,16 @@ from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import BadParameter, EmptyBitext, EmptySentence, MalformedLine
+from .errors import BadParameter, EmptyBitext, EmptySentence, MalformedLine, ReservedToken
 from .fileio import atomic_writer, read_lines
 
 log = logging.getLogger(__name__)
 
+# The source row of NULL alignment; a source word spelled so is refused, as
+# the table file could not tell its row from NULL's.
 NULL_TOKEN = "<NULL>"
+DEFAULT_TENSION = 4.0
+DEFAULT_NULL_PROB = 0.08
 
 SentencePair = tuple[Sequence[str], Sequence[str]]
 
@@ -39,7 +43,8 @@ class DiagonalParams:
     tension must be finite. null_prob = 0 disables NULL alignment entirely.
     """
 
-    def __init__(self, tension: float = 4.0, null_prob: float = 0.08) -> None:
+    def __init__(self, tension: float = DEFAULT_TENSION,
+                 null_prob: float = DEFAULT_NULL_PROB) -> None:
         if not (math.isfinite(tension) and tension >= 0):
             raise BadParameter(f"tension must be finite and >= 0, got {tension}")
         if not 0 <= null_prob < 1:
@@ -96,6 +101,11 @@ def _position_priors(n: int, m: int, params: DiagonalParams) -> list[list[float]
     return priors
 
 
+def _check_source(src_tokens: Sequence[str]) -> None:
+    if NULL_TOKEN in src_tokens:
+        raise ReservedToken(f"the source word {NULL_TOKEN!r} is reserved for NULL alignment")
+
+
 def check_iterations(iterations: int) -> None:
     if iterations < 0:
         raise BadParameter("iterations must be >= 0")
@@ -121,6 +131,7 @@ def train_em(
     # bounds[r]:bounds[r + 1]. t[slot] holds the pair's probability, first uniform.
     support: dict[str, set[str]] = {}
     for src_tokens, tgt_tokens in bitext:
+        _check_source(src_tokens)
         if tgt_tokens:
             for e in (*src_tokens, NULL_TOKEN):
                 support.setdefault(e, set()).update(tgt_tokens)
@@ -202,6 +213,7 @@ def viterbi_align(table: TranslationTable, pair: SentencePair) -> list[int]:
     src_tokens, tgt_tokens = pair
     if not src_tokens or not tgt_tokens:
         raise EmptySentence("both sentences must be non-empty")
+    _check_source(src_tokens)
     n, m = len(src_tokens), len(tgt_tokens)
     shape, priors = table._priors
     if shape != (n, m):
@@ -257,13 +269,14 @@ def _parse_header(line: str, where: str) -> DiagonalParams:
 
 
 def load_table(path: str | Path) -> TranslationTable:
-    """Read a table; ``params`` comes from its required ``#lambda=`` header."""
+    """Read a table; ``params`` comes from its required ``#lambda=`` header on
+    line 1, and every later line is a row, one whose source begins with ``#`` too."""
     probs: dict[str, dict[str, float]] = {}
     lines = read_lines(path)
     params = _parse_header(next(lines, (1, ""))[1], f"{path}:1")
     source: str | None = None  # the source of `row`: a saved table's rows come grouped by it
     for lineno, line in lines:
-        if not line or line.startswith("#"):
+        if not line:
             continue
         try:
             e, f, text = line.split("\t")

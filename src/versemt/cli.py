@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import alignment, corpus, evaluation, harness, labeling, lexicon, netag, subword
 from .errors import EmptyBitext, EmptyCorpus, EmptySplit, MalformedLine, MissingFrequency
-from .errors import PipelineError, UnknownLanguage, UnknownVerse, UsageError, located
+from .errors import PipelineError, ReservedToken, UnknownLanguage, UnknownVerse, UsageError, located
 from .fileio import atomic_write_lines, atomic_write_text, read_lines, read_parallel_lines
 from .fileio import read_rows, read_word_list
 from .manifest import _nested, _path_parts, run_manifest
@@ -144,7 +144,7 @@ def _cmd_align_train(args: argparse.Namespace) -> None:
     src_lines, tgt_lines = read_parallel_lines(args.src, args.tgt)
     bitext = [(corpus.tokenize(s), corpus.tokenize(t)) for s, t in zip(src_lines, tgt_lines)]
     params = alignment.DiagonalParams(tension=args.tension, null_prob=args.null_prob)
-    with located(f"{args.src}, {args.tgt}", EmptyBitext):
+    with located(f"{args.src}, {args.tgt}", (EmptyBitext, ReservedToken)):
         table = alignment.train_em(bitext, args.iterations, params)
     alignment.save_table(table, args.out)
     log.info(
@@ -187,7 +187,8 @@ def _cmd_lex_build(args: argparse.Namespace) -> None:
     seed_list = read_word_list(args.seed_list)
     parallel = corpus.read_corpus_dir(args.corpus)
     aligners = _TableFiles(args.aligners)
-    table = lexicon.assemble_table(seed_list, parallel, aligners, min_votes=args.min_votes)
+    with located(args.corpus, ReservedToken):
+        table = lexicon.assemble_table(seed_list, parallel, aligners, min_votes=args.min_votes)
     lexicon.save_lexicon(table, args.out, args.freq_out)
     log.info("lex-build entries=%d languages=%d", len(table), len(table.languages))
 
@@ -384,9 +385,10 @@ _SUBCOMMANDS = (
     ("align-train", "train a lexical translation table by EM", _cmd_align_train,
      [_flag("--src", required=True), _flag("--tgt", required=True),
       _flag("--iterations", alignment.check_iterations, type=int, default=5),
-      _flag("--tension", lambda v: alignment.DiagonalParams(tension=v), type=float, default=4.0),
+      _flag("--tension", lambda v: alignment.DiagonalParams(tension=v), type=float,
+            default=alignment.DEFAULT_TENSION),
       _flag("--null-prob", lambda v: alignment.DiagonalParams(null_prob=v), type=float,
-            default=0.08), _OUT]),
+            default=alignment.DEFAULT_NULL_PROB), _OUT]),
     ("lex-filter", "clean a raw named-entity candidate list", _cmd_lex_filter,
      [_IN, _flag("--stoplist"), _OUT]),
     ("lex-build", "project a seed list into a parallel lexicon table", _cmd_lex_build,
@@ -424,11 +426,13 @@ _SUBCOMMANDS = (
      (lambda a: _overlapping(a.out, a.manifest), f"--out and --manifest {_APART}"),
      lambda a: a.total is None or harness.AblationPlan(a.fraction, a.seed, a.total)),
     ("gl-monitor", "early-stopping monitor over `epoch<TAB>score` lines", _cmd_gl_monitor,
-     [_IN, _flag("--alpha", lambda v: harness.GlState(alpha=v), type=float, default=0.1)]),
+     [_IN, _flag("--alpha", lambda v: harness.GlState(alpha=v), type=float,
+                 default=harness.DEFAULT_GL_ALPHA)]),
     ("fit", "fit score against log10 word count", _cmd_fit, [_IN, _flag("--out")]),
     ("bleu", "corpus BLEU of hypothesis vs reference file", _cmd_bleu,
      [_flag("--hyp", required=True), _flag("--ref", required=True),
-      _flag("--max-n", evaluation.check_max_n, type=int, default=4), _flag("--report")]),
+      _flag("--max-n", evaluation.check_max_n, type=int, default=evaluation.DEFAULT_MAX_N),
+      _flag("--report")]),
     ("rubric", "judge sentences or aggregate a judgments file", _cmd_rubric,
      [_flag("--in", dest="infile", help="judgments JSONL to aggregate"), _flag("--hyp"),
       _flag("--ref"), _flag("--decode"), _flag("--out")],

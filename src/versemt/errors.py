@@ -80,6 +80,10 @@ class EmptySentence(PipelineError):
     pass
 
 
+class ReservedToken(PipelineError):
+    pass
+
+
 # lexicon
 class EmptyResult(PipelineError):
     pass

@@ -20,6 +20,8 @@ ALMOST_ACCURATE = "almost-accurate"
 INACCURATE = "inaccurate"
 PENDING_HUMAN = "pending-human"
 
+DEFAULT_MAX_N = 4
+
 
 def _tokens(sentence: Sentence) -> list[str]:
     return sentence.split() if isinstance(sentence, str) else list(sentence)
@@ -50,7 +52,7 @@ def check_max_n(max_n: int) -> None:
 def corpus_bleu(
     hypotheses: Sequence[Sentence],
     references: Sequence[Sentence],
-    max_n: int = 4,
+    max_n: int = DEFAULT_MAX_N,
 ) -> BleuReport:
     """Corpus-level BLEU with clipped n-gram counts and brevity penalty.
 

@@ -67,11 +67,14 @@ def sample_low_resource(
     )
 
 
+DEFAULT_GL_ALPHA = 0.1  # the generalization loss above which the monitor says "stop"
+
+
 class GlState:
     """Early-stopping monitor for scores where higher is better."""
 
     def __init__(self, best: float | None = None, last_epoch: int | None = None,
-                 alpha: float = 0.1) -> None:
+                 alpha: float = DEFAULT_GL_ALPHA) -> None:
         if not (math.isfinite(alpha) and alpha >= 0):
             raise BadParameter(f"alpha must be finite and >= 0, got {alpha}")
         self.best = best

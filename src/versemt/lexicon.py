@@ -54,15 +54,8 @@ class LexiconTable:
 
 
 def _strip_punct(text: str) -> str:
-    def is_punct(ch: str) -> bool:
-        return unicodedata.category(ch).startswith("P")
-
-    start, end = 0, len(text)
-    while start < end and is_punct(text[start]):
-        start += 1
-    while end > start and is_punct(text[end - 1]):
-        end -= 1
-    return text[start:end]
+    kept = [i for i, ch in enumerate(text) if not unicodedata.category(ch).startswith("P")]
+    return text[kept[0] : kept[-1] + 1] if kept else ""
 
 
 def filter_seed_list(raw: Iterable[str], stoplist: Iterable[str] = ()) -> list[str]:
@@ -189,73 +182,52 @@ def assemble_table(
         raise MissingAligner(f"no aligner for language(s): {', '.join(missing)}")
 
     en_tokens = [tokenize(text) for text in corpus.texts(SEED_LANGUAGE)]
-    tgt_tokens = {lang: [tokenize(text) for text in corpus.texts(lang)] for lang in target_langs}
-
-    surfaces = [(name, tuple(tokenize(name))) for name in sorted(set(seed))]
-    spans_of = _leftmost_spans(en_tokens, (surface_tokens for _, surface_tokens in surfaces))
-    en_spans = [spans_of[surface_tokens] for _, surface_tokens in surfaces]
-    for (name, _), spans in zip(surfaces, en_spans):
+    names = sorted(set(seed))
+    keys = [tuple(tokenize(name)) for name in names]
+    spans_of = _leftmost_spans(en_tokens, keys)
+    en_spans = [spans_of[key] for key in keys]
+    for name, spans in zip(names, en_spans):
         if not spans:
             log.warning("SeedNotInCorpus: %r has no occurrence in the English side", name)
     wanted_verses = {v for spans in en_spans for v, _, _ in spans}
 
-    def project(lang: str) -> list[Counter[str]]:
-        """Each entry's votes in `lang`, from one Viterbi pass per wanted verse.
-        The table is read here and released on return: `aligners` may read each
-        table on lookup, and then one table is held at a time."""
+    chosen = [{SEED_LANGUAGE: name} for name in names]  # per entry: lang -> surface
+    frequencies = [{SEED_LANGUAGE: len(spans)} for spans in en_spans]
+    # One target language at a time: its tokens and its table are dropped before
+    # the next language's are made; `aligners` may read each table on lookup.
+    for lang in target_langs:
+        tgt = [tokenize(text) for text in corpus.texts(lang)]
         table = aligners[lang]
-        tgt = tgt_tokens[lang]
         vectors: dict[int, list[int]] = {}  # verse -> Viterbi alignment vector
         # Verses are visited by sentence shape (n, m): the table keeps the
         # position priors of the last shape decoded, so each shape's are computed once.
         for v in sorted(wanted_verses, key=lambda v: (len(en_tokens[v]), len(tgt[v]), v)):
-            if not en_tokens[v] or not tgt[v]:
-                continue
-            vectors[v] = viterbi_align(table, (en_tokens[v], tgt[v]))
-        votes: list[Counter[str]] = [Counter() for _ in en_spans]
-        for entry_votes, spans in zip(votes, en_spans):
+            if en_tokens[v] and tgt[v]:
+                vectors[v] = viterbi_align(table, (en_tokens[v], tgt[v]))
+        del table
+        for k, (name, spans) in enumerate(zip(names, en_spans)):
+            votes: Counter[str] = Counter()
             for v, a, b in spans:
                 # Target positions linked into the span, sorted and unique.
                 linked = [j for j, i in enumerate(vectors.get(v, ())) if a <= i < b]
                 if not linked or linked[-1] - linked[0] + 1 != len(linked):
                     continue  # no projection, or a non-contiguous one: no vote
-                entry_votes[" ".join(tgt[v][linked[0] : linked[-1] + 1])] += 1
-        return votes
+                votes[" ".join(tgt[v][linked[0] : linked[-1] + 1])] += 1
+            top = max(votes.values(), default=0)  # min_votes >= 1: no votes, no surface
+            if len(votes) > 1:
+                variants = ", ".join(f"{c}:{n}" for c, n in votes.most_common())
+                log.debug("%s/%s surface variants: %s", name, lang, variants)
+            if top >= (1 if len(spans) == 1 else min_votes):
+                chosen[k][lang] = min(c for c, n in votes.items() if n == top)
+        accepted = {k: tuple(tokenize(s[lang])) for k, s in enumerate(chosen) if lang in s}
+        spans_of = _leftmost_spans(tgt, accepted.values())
+        for k, key in accepted.items():
+            frequencies[k][lang] = len(spans_of[key])
 
-    votes_in = {lang: project(lang) for lang in target_langs}
-
-    chosen: list[dict[str, str]] = []  # per entry: lang -> surface
-    for entry_idx, (name, _) in enumerate(surfaces):
-        entry_surfaces = {SEED_LANGUAGE: name}
-        required = 1 if len(en_spans[entry_idx]) == 1 else min_votes
-        for lang in target_langs:
-            counter = votes_in[lang][entry_idx]
-            if counter:
-                top = max(counter.values())
-                best = min(c for c, n in counter.items() if n == top)
-                if len(counter) > 1:
-                    variants = ", ".join(
-                        f"{c}:{n}" for c, n in sorted(counter.items(), key=lambda kv: -kv[1])
-                    )
-                    log.debug("%s/%s surface variants: %s", name, lang, variants)
-                if top >= required:
-                    entry_surfaces[lang] = best
-        chosen.append(entry_surfaces)
-
-    frequencies = [{SEED_LANGUAGE: len(spans)} for spans in en_spans]
-    for lang in target_langs:
-        keys = {k: tuple(tokenize(s[lang])) for k, s in enumerate(chosen) if lang in s}
-        spans_of = _leftmost_spans(tgt_tokens[lang], keys.values())
-        for k, surface_tokens in keys.items():
-            frequencies[k][lang] = len(spans_of[surface_tokens])
-
-    width = max(4, len(str(len(surfaces))))
-    entries = tuple(
-        LexiconEntry(id=f"ne{k:0{width}d}", surfaces=entry_surfaces, frequency=entry_freq)
-        for k, (entry_surfaces, entry_freq) in enumerate(zip(chosen, frequencies), start=1)
-    )
-    languages = tuple([SEED_LANGUAGE] + target_langs)
-    return LexiconTable(entries=entries, languages=languages)
+    width = max(4, len(str(len(names))))
+    entries = [LexiconEntry(f"ne{k:0{width}d}", surfaces, frequency)
+               for k, (surfaces, frequency) in enumerate(zip(chosen, frequencies), start=1)]
+    return LexiconTable(tuple(entries), (SEED_LANGUAGE, *target_langs))
 
 
 def trim_table(

@@ -487,7 +487,8 @@ def viterbi_align_oracle(table, pair, prior_cache=None):
 def load_table_oracle(path):
     """``alignment.load_table`` as it was before each row was unpacked in one split
     and a source's row fetched only when the source changes: every line split
-    into a field list, and the row looked up on every line."""
+    into a field list, and the row looked up on every line. Only line 1 is the
+    header: a later line that begins with ``#`` is a row like any other."""
     from versemt.alignment import TranslationTable, _parse_header
     from versemt.errors import MalformedLine
     from versemt.fileio import read_lines
@@ -496,7 +497,7 @@ def load_table_oracle(path):
     lines = read_lines(path)
     params = _parse_header(next(lines, (1, ""))[1], f"{path}:1")
     for lineno, line in lines:
-        if not line or line.startswith("#"):
+        if not line:
             continue
         fields = line.split("\t")
         if len(fields) != 3:

@@ -21,7 +21,8 @@ from versemt.alignment import (
     train_em,
     viterbi_align,
 )
-from versemt.errors import EmptyBitext, EmptySentence, MalformedLine
+from versemt.corpus import tokenize
+from versemt.errors import EmptyBitext, EmptySentence, MalformedLine, ReservedToken
 
 from oracles import load_table_oracle, model1_em_oracle, table_prob, train_em_oracle
 from oracles import viterbi_align_oracle
@@ -86,6 +87,13 @@ class TestTrainEm:
         assert table_prob(table, "a", "x") == 0.5
         assert table_prob(table, "a", "y") == 0.5
         assert table_prob(table, NULL_TOKEN, "x") == 0.5
+
+    def test_a_source_word_spelled_null_is_refused(self):
+        # Its counts would merge into NULL's row, which the table file cannot tell apart.
+        for bitext in ([(tokenize("see <NULL> here"), ["x", "y", "z"])],
+                       [(["a"], ["x"]), (["<NULL>"], [])]):
+            with pytest.raises(ReservedToken, match="'<NULL>'"):
+                train_em(bitext, 1)
 
     def test_empty_bitext(self):
         with pytest.raises(EmptyBitext):
@@ -158,6 +166,10 @@ class TestTrainEm:
     def test_equals_pre_slot_oracle_exactly(self, bitext, tension, null_prob, iterations):
         # Same floats, same row order and same key order in every row.
         params = DiagonalParams(tension=tension, null_prob=null_prob)
+        if any(NULL_TOKEN in src for src, _ in bitext):  # the oracle merged it into NULL's row
+            with pytest.raises(ReservedToken, match="'<NULL>'"):
+                train_em(bitext, iterations, params)
+            return
         table = train_em(bitext, iterations, params)
         oracle = train_em_oracle(bitext, iterations, params)
         assert [(e, list(row.items())) for e, row in table.probs.items()] == [
@@ -188,6 +200,11 @@ class TestViterbi:
         table = TranslationTable(probs={"a": {"x": 1.0}})
         links = viterbi_align(table, (["a"], ["zzz"]))
         assert links == [-1]
+
+    def test_a_source_word_spelled_null_is_refused(self):
+        table = TranslationTable(probs={"a": {"x": 1.0}, NULL_TOKEN: {"y": 1.0}})
+        with pytest.raises(ReservedToken, match="'<NULL>'"):
+            viterbi_align(table, (["a", NULL_TOKEN], ["x", "y"]))
 
     def test_empty_sentence(self):
         table = TranslationTable(probs={"a": {"x": 1.0}})
@@ -336,7 +353,8 @@ def test_save_table_writes_the_bytes_of_the_joined_text(tmp_path_factory, probs,
 
 # Table file lines: rows over a few sources and targets, so pairs repeat and a
 # source's rows come in several runs; probabilities in and out of [0, 1]; and
-# lines the parser skips or refuses for their field count.
+# lines the parser skips (an empty one) or refuses for their field count (`#note`
+# among them: only line 1 is the header).
 _table_row = st.tuples(
     st.sampled_from(["a", "b", NULL_TOKEN]), st.sampled_from(["x", "y", "z"]),
     st.sampled_from(["0.5", "1", "0", "0.25", "1e-3", "nan", "-0.1", "1.5", "inf", "half", ""]),
@@ -361,6 +379,32 @@ def test_load_table_accepts_and_refuses_what_the_line_by_line_parse_did(tmp_path
         except MalformedLine as exc:
             results.append(str(exc))
     assert results[0] == results[1]
+
+
+# Words of punctuation-heavy text: `#`, `@` and `"` are peeled into tokens of
+# their own, so a source row can begin with `#`; `<` and `$` stay in the word.
+_punctuated = st.lists(
+    st.sampled_from(["#", "#a", "b#", "<c>", "@", "@d", "$", "$5", '"e"', '"', "f", "<g"]),
+    min_size=1, max_size=6,
+).map(" ".join)
+
+
+@given(texts=st.lists(st.tuples(_punctuated, _punctuated), min_size=1, max_size=6),
+       iterations=st.integers(0, 3))
+@example(texts=[("a # b", "x y z")], iterations=3)  # decodes [0, 1, 2] with its `#` row
+@settings(max_examples=150, deadline=None)
+def test_a_saved_table_of_tokenized_text_loads_back_whole(tmp_path_factory, texts, iterations):
+    bitext = [(tokenize(src), tokenize(tgt)) for src, tgt in texts]
+    table = train_em(bitext, iterations)
+    path = tmp_path_factory.mktemp("tables") / "t.tsv"
+    save_table(table, path)
+    loaded = load_table(path)
+    # The file keeps 12 significant digits of each probability.
+    saved = TranslationTable({e: {f: float(f"{p:.12g}") for f, p in row.items()}
+                              for e, row in table.probs.items()}, params=table.params)
+    assert loaded.probs == saved.probs
+    assert [viterbi_align(loaded, pair) for pair in bitext] == [
+        viterbi_align(saved, pair) for pair in bitext]
 
 
 def test_sum_ltr_adds_left_to_right():

@@ -1388,6 +1388,29 @@ def _no_fork():
     raise AssertionError("lex-build forked")
 
 
+_RESERVED = "the source word '<NULL>' is reserved for NULL alignment"
+
+
+def test_align_train_refuses_a_source_word_spelled_null(tmp_path, capsys):
+    src, tgt, out = tmp_path / "bitext.en", tmp_path / "bitext.sw", tmp_path / "t.tsv"
+    _write(src, "the man\nsee <NULL> here\n")
+    _write(tgt, "mannen\nse x hit\n")
+    status = cli.main(["align-train", "--src", str(src), "--tgt", str(tgt), "--out", str(out)])
+    assert status == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: ReservedToken: {src}, {tgt}: {_RESERVED}\n"
+    assert not out.exists()
+
+
+def test_lex_build_refuses_a_source_word_spelled_null(tmp_path, capsys):
+    command = _three_aligners(tmp_path)
+    _write(tmp_path / "aligned" / "en.tsv",
+           "".join(f"v{i}\tNoah saw <NULL> {i}\n" for i in range(6)))
+    assert cli.main(command) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: ReservedToken: {tmp_path / 'aligned'}: {_RESERVED}\n")
+    assert not (tmp_path / "lex.tsv").exists()
+
+
 @pytest.mark.parametrize("broken", [(1,), (1, 2), (0, 1)], ids=["second", "last-two", "first-two"])
 def test_lex_build_names_the_first_malformed_table_as_on_one_cpu(tmp_path, monkeypatch, capsys,
                                                                  broken):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import logging
 import random
+import weakref
+from collections.abc import Mapping
 
 import pytest
 
@@ -206,6 +208,50 @@ class TestAssemble:
         assert len(held) > len(computed) == len(set(computed))
         # The table holds one shape's priors: those of the pair it just decoded.
         assert all(shape == (n, m) and len(priors) == m for n, m, (shape, priors) in held)
+
+    def test_one_target_languages_tokens_at_a_time(self, monkeypatch):
+        from versemt import lexicon
+
+        class Tokens(list):  # unlike a list, weakly referable
+            pass
+
+        targets = ("fr", "ru", "sw")
+        texts = {"en": {f"v{i}": f"Noah saw house {i}" for i in range(6)}}
+        for lang in targets:
+            texts[lang] = {f"v{i}": f"Noa-{lang} x{i} y{i}" for i in range(6)}
+        corpus = make_corpus(texts)
+        bitext = [(["Noah", "saw", "house"], ["Noa-fr", "x", "y"])] * 3
+        tables = {lang: train_em(bitext, 2) for lang in targets}
+        language_of = {text: lang for lang in targets for text in texts[lang].values()}
+        made = []  # (language, weak reference) of each target verse's token list
+
+        def tracking_tokenize(text):
+            tokens = Tokens(tokenize(text))
+            if text in language_of:
+                made.append((language_of[text], weakref.ref(tokens)))
+            return tokens
+
+        alive_at_read = []
+
+        class LazyTables(Mapping):
+            def __getitem__(self, lang):
+                alive_at_read.append(sorted({other for other, ref in made
+                                             if other != lang and ref() is not None}))
+                return tables[lang]
+
+            def __contains__(self, lang):  # Mapping's default would read the table
+                return lang in tables
+
+            def __iter__(self):
+                return iter(tables)
+
+            def __len__(self):
+                return len(tables)
+
+        monkeypatch.setattr(lexicon, "tokenize", tracking_tokenize)
+        table = assemble_table(["Noah"], corpus, LazyTables())
+        assert alive_at_read == [[], [], []]  # no other target language's tokens at a read
+        assert table == assemble_table(["Noah"], corpus, tables)
 
     def test_unique_ids(self):
         corpus, aligners, _ = _projection_fixture()
