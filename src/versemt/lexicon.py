@@ -54,8 +54,15 @@ class LexiconTable:
 
 
 def _strip_punct(text: str) -> str:
-    kept = [i for i, ch in enumerate(text) if not unicodedata.category(ch).startswith("P")]
-    return text[kept[0] : kept[-1] + 1] if kept else ""
+    def is_punct(ch: str) -> bool:
+        return unicodedata.category(ch).startswith("P")
+
+    start, end = 0, len(text)
+    while start < end and is_punct(text[start]):
+        start += 1
+    while end > start and is_punct(text[end - 1]):
+        end -= 1
+    return text[start:end]
 
 
 def filter_seed_list(raw: Iterable[str], stoplist: Iterable[str] = ()) -> list[str]:
@@ -223,11 +230,15 @@ def assemble_table(
         spans_of = _leftmost_spans(tgt, accepted.values())
         for k, key in accepted.items():
             frequencies[k][lang] = len(spans_of[key])
+        del tgt, vectors
 
     width = max(4, len(str(len(names))))
-    entries = [LexiconEntry(f"ne{k:0{width}d}", surfaces, frequency)
-               for k, (surfaces, frequency) in enumerate(zip(chosen, frequencies), start=1)]
-    return LexiconTable(tuple(entries), (SEED_LANGUAGE, *target_langs))
+    entries = tuple(
+        LexiconEntry(id=f"ne{k:0{width}d}", surfaces=entry_surfaces, frequency=entry_freq)
+        for k, (entry_surfaces, entry_freq) in enumerate(zip(chosen, frequencies), start=1)
+    )
+    languages = tuple([SEED_LANGUAGE] + target_langs)
+    return LexiconTable(entries=entries, languages=languages)
 
 
 def trim_table(

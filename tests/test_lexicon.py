@@ -225,18 +225,25 @@ class TestAssemble:
         language_of = {text: lang for lang in targets for text in texts[lang].values()}
         made = []  # (language, weak reference) of each target verse's token list
 
+        def alive_besides(lang):
+            return sorted({other for other, ref in made if other != lang and ref() is not None})
+
+        alive_at_start = []  # as each target language's tokenizing starts
+
         def tracking_tokenize(text):
+            lang = language_of.get(text)
+            if lang is not None and all(lang != other for other, _ in made):
+                alive_at_start.append(alive_besides(lang))
             tokens = Tokens(tokenize(text))
-            if text in language_of:
-                made.append((language_of[text], weakref.ref(tokens)))
+            if lang is not None:
+                made.append((lang, weakref.ref(tokens)))
             return tokens
 
         alive_at_read = []
 
         class LazyTables(Mapping):
             def __getitem__(self, lang):
-                alive_at_read.append(sorted({other for other, ref in made
-                                             if other != lang and ref() is not None}))
+                alive_at_read.append(alive_besides(lang))
                 return tables[lang]
 
             def __contains__(self, lang):  # Mapping's default would read the table
@@ -250,7 +257,9 @@ class TestAssemble:
 
         monkeypatch.setattr(lexicon, "tokenize", tracking_tokenize)
         table = assemble_table(["Noah"], corpus, LazyTables())
-        assert alive_at_read == [[], [], []]  # no other target language's tokens at a read
+        # No other target language's tokens while one is tokenized or its table read.
+        assert alive_at_start == [[], [], []]
+        assert alive_at_read == [[], [], []]
         assert table == assemble_table(["Noah"], corpus, tables)
 
     def test_unique_ids(self):
